@@ -19,11 +19,12 @@ from .jump import JumpChain
 from .ladder import GapExperimentResult
 from .tuner import TrialRecord
 
-FORMAT_VERSION = "1"
+FORMAT_VERSION = "2"
 
 GRADIENT_COUNT_CONVENTION = (
-    "true gradient calls counted; one leapfrog application costs steps+1 "
-    "evaluations, or steps when the gradient at its start position is cached"
+    "true gradient calls counted, cumulative after each row's cache update; "
+    "mjhmc: an L transition costs steps, F costs 0, R costs 2*steps, the chain "
+    "start 2*steps+1; hmc: each step costs steps, the chain start 1"
 )
 
 

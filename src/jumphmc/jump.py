@@ -19,6 +19,8 @@ chain.
 from __future__ import annotations
 
 import enum
+import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -46,15 +48,41 @@ class Transition(enum.Enum):
 
 @dataclass(frozen=True)
 class TransitionRates:
-    """Outgoing Poisson rates from the current state."""
+    """Outgoing Poisson rates from the current state.
+
+    The race runs on the log-rates, which stay finite where a rate
+    overflows a float; ``gamma_L`` and ``gamma_F`` are their exponentials
+    and read inf there.  Built from linear rates alone, the log-rates are
+    derived from them.
+    """
 
     gamma_L: float
     gamma_F: float
     beta: float
+    log_gamma_L: Optional[float] = None
+    log_gamma_F: Optional[float] = None
+
+    def __post_init__(self):
+        if self.log_gamma_L is None:
+            object.__setattr__(self, "log_gamma_L", _log(self.gamma_L))
+        if self.log_gamma_F is None:
+            object.__setattr__(self, "log_gamma_F", _log(self.gamma_F))
 
     @property
     def total(self) -> float:
         return self.gamma_L + self.gamma_F + self.beta
+
+
+_MAX_LOG = math.log(sys.float_info.max)
+
+
+def _exp(log_value: float) -> float:
+    """``math.exp`` that saturates to inf instead of raising on overflow."""
+    return math.exp(log_value) if log_value <= _MAX_LOG else math.inf
+
+
+def _log(rate: float) -> float:
+    return math.log(rate) if rate > 0 else -math.inf
 
 
 @dataclass(frozen=True)
@@ -102,10 +130,16 @@ class _Node(NamedTuple):
 class StateCache:
     """Precomputed neighbors of the current state.
 
-    ``backward`` holds L^-1 of the current state.  After an L transition the
-    previous current node becomes the new backward node without any
-    recomputation (its total energy is reused bit for bit); after F or R
-    transitions both neighbors are integrated afresh.
+    ``forward`` holds L of the current state and ``backward`` holds L^-1 of
+    it.  Each transition kind has one update rule:
+
+    - L: the forward node becomes current and the previous current node
+      becomes backward; only the new forward node is integrated.
+    - F: since L(F zeta) = F L^-1 zeta and L^-1(F zeta) = F L zeta, the new
+      forward node is the old backward node flipped and the new backward
+      node is the old forward node flipped.  A flip keeps the potential,
+      the total energy and the gradient, so nothing is evaluated.
+    - R: both neighbors of the redrawn state are integrated afresh.
     """
 
     current: _Node
@@ -120,6 +154,11 @@ class StateCache:
 
 def _kinetic(v: np.ndarray) -> float:
     return 0.5 * float(np.dot(v, v))
+
+
+def _flipped(node: _Node) -> _Node:
+    """The node of the flipped state: |v|^2 is exactly invariant under negation."""
+    return node._replace(state=flip(node.state))
 
 
 def _make_node(state: PhaseState, grad: np.ndarray, ef: EnergyFunction) -> _Node:
@@ -148,39 +187,68 @@ def init_cache(zeta: PhaseState, config: SamplerConfig, ef: EnergyFunction) -> S
 def compute_rates(
     zeta: PhaseState, cache: StateCache, config: SamplerConfig, ef: EnergyFunction
 ) -> TransitionRates:
-    """Outgoing rates from ``zeta`` given its cached neighbor energies."""
+    """Outgoing rates from ``zeta`` given its cached neighbor energies.
+
+    The log-rates are formed from the cached total energies without
+    exponentiating: log gamma_L = -dH_fwd/2 and, with a = -dH_bwd/2,
+    log gamma_F = a + log(1 - exp(log gamma_L - a)) when a > log gamma_L,
+    else gamma_F = 0.
+    """
     cur = cache.current
     if cur.state is not zeta and not (
         np.array_equal(cur.state.x, zeta.x) and np.array_equal(cur.state.v, zeta.v)
     ):
         raise ValueError("cache is not consistent with the supplied state")
-    if not (np.isfinite(cur.h) and np.isfinite(cache.forward.h) and np.isfinite(cache.backward.h)):
+    if not (
+        math.isfinite(cur.h) and math.isfinite(cache.forward.h) and math.isfinite(cache.backward.h)
+    ):
         raise IntegrationError("non-finite energy in neighbor cache", state=zeta)
-    gamma_L = float(np.exp(-0.5 * (cache.forward.h - cur.h)))
-    gamma_F = max(0.0, float(np.exp(-0.5 * (cache.backward.h - cur.h))) - gamma_L)
-    return TransitionRates(gamma_L=gamma_L, gamma_F=gamma_F, beta=config.beta)
+    log_gamma_L = -0.5 * (cache.forward.h - cur.h)
+    a = -0.5 * (cache.backward.h - cur.h)
+    # -expm1 stays positive for a difference too small for 1 - exp to resolve
+    log_gamma_F = a + math.log(-math.expm1(log_gamma_L - a)) if a > log_gamma_L else -math.inf
+    return TransitionRates(
+        _exp(log_gamma_L), _exp(log_gamma_F), config.beta, log_gamma_L, log_gamma_F
+    )
+
+
+_RACE_KINDS = (Transition.L, Transition.F, Transition.R)
+
+
+def _log_waiting_times(rates: TransitionRates, rng: np.random.Generator) -> list[float]:
+    """Logs of the three competing waiting times draw / rate, in L, F, R order.
+
+    A zero rate gives +inf, so that arm can never win.  Exactly three
+    exponential variates are consumed regardless, keeping the random stream
+    independent of which rates vanish.  The (astronomically unlikely)
+    exact-zero draw is raised to the smallest normal float.
+    """
+    draws = rng.standard_exponential(3).tolist()
+    log_rates = (rates.log_gamma_L, rates.log_gamma_F, _log(rates.beta))
+    return [math.log(max(d, sys.float_info.min)) - lr for d, lr in zip(draws, log_rates)]
+
+
+def _holding_time(log_wait: float) -> float:
+    """A waiting time from its log, kept strictly positive and possibly inf.
+
+    This defines what a state with an overflowing outflow rate contributes:
+    when the time underflows (total rate above about 1e308) it is clamped to
+    the smallest normal float, about 2.2e-308.  Such a state then carries a
+    negligible but positive importance weight, so resampling and weighted
+    moments accept every chain the sampler returns.
+    """
+    return max(_exp(log_wait), sys.float_info.min)
 
 
 def draw_waiting_times(
     rates: TransitionRates, rng: np.random.Generator
 ) -> tuple[float, float, float]:
-    """Draw the three competing exponential waiting times.
+    """Draw the three competing exponential waiting times (L, F, R).
 
-    A zero rate yields an infinite waiting time so that arm can never win
-    the race.  Exactly three exponential variates are consumed regardless,
-    keeping the random stream independent of which rates vanish.
+    A zero rate yields an infinite waiting time; every time is strictly
+    positive (see :func:`_holding_time`).
     """
-    draws = rng.standard_exponential(3)
-    # Guard the (astronomically unlikely) exact-zero draw; holding times
-    # must be strictly positive.
-    draws = np.maximum(draws, np.finfo(float).tiny)
-    # A subnormal rate can overflow the division; the resulting inf (an arm
-    # that never fires) is exactly right.
-    with np.errstate(over="ignore"):
-        w_l = draws[0] / rates.gamma_L if rates.gamma_L > 0 else np.inf
-        w_f = draws[1] / rates.gamma_F if rates.gamma_F > 0 else np.inf
-        w_r = draws[2] / rates.beta if rates.beta > 0 else np.inf
-    return float(w_l), float(w_f), float(w_r)
+    return tuple(_holding_time(lw) for lw in _log_waiting_times(rates, rng))
 
 
 def step(
@@ -192,53 +260,38 @@ def step(
 ) -> tuple[PhaseState, WeightedSample, StateCache]:
     """Run one exponential race, record the holding time, move to the winner.
 
-    Floating-point ties in the race (a measure-zero event) resolve with the
-    fixed priority L > F > R.  When ``ef`` is a :class:`CountingEnergy` the
-    emitted sample carries its cumulative gradient-evaluation count,
-    including the cost of refreshing the neighbor cache.
+    The race compares log waiting times, so it is exact even where a rate
+    overflows.  Ties (a measure-zero event) resolve with the fixed priority
+    L > F > R.  The neighbor cache is updated by the rule of the winning
+    kind (see :class:`StateCache`): an L transition costs one leapfrog
+    integration, an F transition none, an R transition two.  When ``ef`` is
+    a :class:`CountingEnergy` the emitted sample carries its cumulative
+    gradient-evaluation count, including the cost of that update.
     """
     params = config.leapfrog_params
     rates = compute_rates(zeta, cache, config, ef)
-    w_l, w_f, w_r = draw_waiting_times(rates, rng)
-    holding = min(w_l, w_f, w_r)
-    if w_l == holding:
-        kind = Transition.L
-    elif w_f == holding:
-        kind = Transition.F
-    else:
-        kind = Transition.R
+    log_waits = _log_waiting_times(rates, rng)
+    shortest = min(log_waits)
+    kind = _RACE_KINDS[log_waits.index(shortest)]
 
-    cur = cache.current
+    cur, fwd, bwd = cache.current, cache.forward, cache.backward
     if kind is Transition.L:
-        new_current = cache.forward
+        nxt = fwd.state
+        new_current, new_backward = fwd, cur
+        new_forward = _make_node(*leapfrog_with_grad(nxt, params, ef, grad0=fwd.grad), ef)
+    elif kind is Transition.F:
+        new_current, new_forward, new_backward = _flipped(cur), _flipped(bwd), _flipped(fwd)
         nxt = new_current.state
-        fwd_state, fwd_grad = leapfrog_with_grad(nxt, params, ef, grad0=new_current.grad)
-        next_cache = StateCache(
-            current=new_current,
-            forward=_make_node(fwd_state, fwd_grad, ef),
-            backward=cur,
-            last_transition=kind,
-        )
     else:
-        if kind is Transition.F:
-            nxt = flip(zeta)
-            # |v|^2 is exactly invariant under negation: reuse H and E(x).
-            new_current = _Node(nxt, cur.potential, cur.h, cur.grad)
-        else:
-            nxt = randomize_momentum(zeta, rng)
-            new_current = _Node(nxt, cur.potential, cur.potential + _kinetic(nxt.v), cur.grad)
-        fwd_state, fwd_grad = leapfrog_with_grad(nxt, params, ef, grad0=new_current.grad)
-        bwd_state, bwd_grad = leapfrog_inverse_with_grad(nxt, params, ef, grad0=new_current.grad)
-        next_cache = StateCache(
-            current=new_current,
-            forward=_make_node(fwd_state, fwd_grad, ef),
-            backward=_make_node(bwd_state, bwd_grad, ef),
-            last_transition=kind,
-        )
+        nxt = randomize_momentum(zeta, rng)
+        new_current = _Node(nxt, cur.potential, cur.potential + _kinetic(nxt.v), cur.grad)
+        new_forward = _make_node(*leapfrog_with_grad(nxt, params, ef, grad0=cur.grad), ef)
+        new_backward = _make_node(*leapfrog_inverse_with_grad(nxt, params, ef, grad0=cur.grad), ef)
+    next_cache = StateCache(new_current, new_forward, new_backward, last_transition=kind)
 
     sample = WeightedSample(
         state=zeta,
-        holding_time=holding,
+        holding_time=_holding_time(shortest),
         transition_out=kind,
         cumulative_gradient_evals=getattr(ef, "gradient_calls", 0),
     )

@@ -67,11 +67,12 @@ def leapfrog_with_grad(
 ) -> tuple[PhaseState, np.ndarray]:
     """Apply ``params.steps`` leapfrog steps and return (state, endpoint gradient).
 
-    Each step is the half-kick / drift / half-kick scheme; the gradient
-    shared by the closing half-kick of one step and the opening half-kick
-    of the next is evaluated once.  ``grad0`` may supply a previously
-    computed gradient at the starting position, saving one evaluation
-    (``steps`` evaluations instead of ``steps + 1``).
+    Each step is the half-kick / drift / half-kick scheme.  The closing
+    half-kick of one step and the opening half-kick of the next use the same
+    gradient, so they are applied as one full kick: a half-kick at each end
+    and ``steps - 1`` full kicks in between.  ``grad0`` may supply a
+    previously computed gradient at the starting position, saving one
+    evaluation (``steps`` evaluations instead of ``steps + 1``).
 
     Raises
     ------
@@ -89,11 +90,14 @@ def leapfrog_with_grad(
     # per-operation warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         g = ef.gradient(x) if grad0 is None else grad0
-        for _ in range(params.steps):
-            v -= half * g
+        v -= half * g
+        for _ in range(params.steps - 1):
             x += eps * v
             g = ef.gradient(x)
-            v -= half * g
+            v -= eps * g
+        x += eps * v
+        g = ef.gradient(x)
+        v -= half * g
     # Non-finite values propagate through every later update, so one check
     # at the endpoint catches any failure along the trajectory.
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v)) and np.all(np.isfinite(g))):

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from jumphmc import (
+    CountingEnergy,
     DiagonalGaussian,
     EnergyFunction,
+    GaussianParams,
     IntegrationError,
     PhaseState,
     RoughWell,
@@ -12,7 +14,9 @@ from jumphmc import (
     TransitionRates,
     compute_rates,
     draw_waiting_times,
+    flip,
     init_cache,
+    joint_energy,
     resample,
     sample_chain,
     step,
@@ -20,6 +24,7 @@ from jumphmc import (
     weighted_moments,
 )
 from jumphmc.jump import StateCache, _Node
+from jumphmc.phase import leapfrog_inverse_with_grad, leapfrog_with_grad
 
 LN2 = np.log(2.0)
 
@@ -293,3 +298,139 @@ class TestWeightedMoments:
         chain = sample_chain(config, GAUSS_2D, PhaseState(np.zeros(2), np.ones(2)))
         _, cov = weighted_moments(chain)
         np.testing.assert_array_equal(cov, np.zeros((2, 2)))
+
+
+# ---------------------------------------------------------------------------
+# one neighbor-cache rule per transition kind
+
+ROUGH_PUBLISHED = SamplerConfig(epsilon=3.0, steps=25, beta=0.012314, n_samples=3000, seed=5)
+PINNED_ROUGH = PhaseState([-1.69921191, -1.02124494], [-0.01153306, -1.48537518])
+
+
+def rough_chain(config=ROUGH_PUBLISHED):
+    init = PhaseState(np.zeros(2), np.random.default_rng(1).standard_normal(2))
+    return sample_chain(config, RoughWell(), init)
+
+
+class TestCacheRules:
+    def test_gradient_cost_per_transition_kind(self):
+        # the increment from row i-1 to row i is the cache update after row
+        # i's transition: L integrates forward, F reuses both, R rebuilds both
+        chain = rough_chain()
+        m = ROUGH_PUBLISHED.steps
+        cost = {"L": m, "F": 0, "R": 2 * m}
+        kinds = chain.transitions
+        counts = chain.transition_counts()
+        assert set(counts) == {"L", "F", "R"}
+        np.testing.assert_array_equal(np.diff(chain.gradient_evals), [cost[k] for k in kinds[1:]])
+        # the chain start pays g0 plus both neighbors
+        assert chain.gradient_evals[0] == 2 * m + 1 + cost[kinds[0]]
+        assert chain.energy_evals == 3 + counts["L"] + 2 * counts["R"]
+
+    def test_flip_swap_matches_recomputation(self):
+        # from a fresh cache, the F rule equals integrating flip(zeta) anew,
+        # bit for bit, and evaluates nothing
+        ef = CountingEnergy(RoughWell())
+        config = SamplerConfig(epsilon=1.0, steps=3, beta=0.5, n_samples=1, seed=0)
+        params = config.leapfrog_params
+        state = PINNED_ROUGH
+        cache = init_cache(state, config, ef)
+        for seed in range(100):
+            calls = (ef.gradient_calls, ef.energy_calls)
+            nxt, sample, new_cache = step(state, cache, config, ef, np.random.default_rng(seed))
+            if sample.transition_out is Transition.F:
+                break
+        else:
+            pytest.fail("no F transition in 100 races")
+        assert (ef.gradient_calls, ef.energy_calls) == calls
+
+        flipped = flip(state)
+        g0 = ef.inner.gradient(state.x)
+        fwd, fwd_g = leapfrog_with_grad(flipped, params, ef.inner, grad0=g0)
+        bwd, bwd_g = leapfrog_inverse_with_grad(flipped, params, ef.inner, grad0=g0)
+        for node, (ref, ref_g) in ((new_cache.forward, (fwd, fwd_g)), (new_cache.backward, (bwd, bwd_g))):
+            np.testing.assert_array_equal(node.state.x, ref.x)
+            np.testing.assert_array_equal(node.state.v, ref.v)
+            np.testing.assert_array_equal(node.grad, ref_g)
+            assert node.h == joint_energy(ref, ef.inner)
+        np.testing.assert_array_equal(nxt.v, -state.v)
+        assert new_cache.current.h == cache.current.h
+
+    def test_flip_after_leapfrog_retraces_exactly(self):
+        # L, F, L returns to the flipped start: the F rule hands the stored
+        # pre-L node back as the forward neighbor
+        chain = rough_chain(SamplerConfig(epsilon=3.0, steps=25, beta=0.012314, n_samples=5000, seed=0))
+        t = chain.transitions
+        rows = np.flatnonzero((t[:-3] == "L") & (t[1:-2] == "F") & (t[2:-1] == "L")) + 1
+        assert rows.size > 100
+        np.testing.assert_array_equal(chain.positions[rows + 2], chain.positions[rows - 1])
+        np.testing.assert_array_equal(chain.momenta[rows + 2], -chain.momenta[rows - 1])
+
+    def test_flip_heavy_weighted_moments(self):
+        # epsilon * sqrt(3.8) = 1.95, just inside the stability limit of 2:
+        # about 21% of transitions are F, so the swap rule carries the chain.
+        # Over seeds 0-29 the variance x precision ratio had standard
+        # deviation 0.030 (precision 1) and 0.019 (precision 3.8), largest
+        # |ratio - 1| 0.066; the tolerance is 4 of the wider deviation.
+        precision = np.array([1.0, 3.8])
+        config = SamplerConfig(epsilon=1.0, steps=5, beta=0.1, n_samples=50_000, seed=0)
+        init = PhaseState(np.zeros(2), np.random.default_rng(100).standard_normal(2))
+        chain = sample_chain(config, DiagonalGaussian(GaussianParams(precision)), init)
+        assert chain.transition_counts()["F"] / len(chain) > 0.15
+        mean, cov = weighted_moments(chain)
+        n_batches = 50
+        batches = np.array_split(np.arange(len(chain)), n_batches)
+        batch_means = np.array(
+            [
+                chain.holding_times[b] @ chain.positions[b] / chain.holding_times[b].sum()
+                for b in batches
+            ]
+        )
+        se = batch_means.std(axis=0, ddof=1) / np.sqrt(n_batches)
+        assert np.all(np.abs(mean) <= 3 * se)
+        np.testing.assert_allclose(np.diag(cov) * precision, 1.0, atol=0.12)
+
+
+# ---------------------------------------------------------------------------
+# rates whose exponentials overflow
+
+
+class TestRateOverflow:
+    def test_overflowing_forward_rate_is_finite_in_log(self):
+        state, cache = pinned_cache(0.0, -4000.0, 0.0)
+        r = compute_rates(state, cache, CFG, GAUSS_2D)
+        assert r.log_gamma_L == 2000.0
+        assert r.gamma_L == np.inf
+        assert r.gamma_F == 0.0 and r.log_gamma_F == -np.inf
+
+    def test_flip_rate_from_two_overflowing_exponentials(self):
+        # gamma_F = e^1001 - e^1000: both terms overflow, their log does not
+        state, cache = pinned_cache(0.0, -2000.0, -2002.0)
+        r = compute_rates(state, cache, CFG, GAUSS_2D)
+        assert r.log_gamma_F == pytest.approx(1001.0 + np.log1p(-np.exp(-1.0)), rel=1e-15)
+
+    def test_race_consumes_three_exponentials(self):
+        state, cache = pinned_cache(0.0, -4000.0, 0.0)
+        rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+        _, sample, _ = step(state, cache, CFG, DiagonalGaussian.isotropic(1), rng)
+        ref.standard_exponential(3)
+        assert sample.transition_out is Transition.L
+        assert sample.holding_time == np.finfo(float).tiny
+        assert rng.random() == ref.random()
+
+    @pytest.mark.parametrize(
+        "x0, epsilon, steps",
+        [((300.0, 300.0), 1.9, 5), ((1e4, 0.0), 1.99, 50)],
+    )
+    def test_far_start_holding_times_positive(self, x0, epsilon, steps):
+        # starts far out in the tail: the energy drop along L overflows exp
+        config = SamplerConfig(epsilon=epsilon, steps=steps, beta=0.01, n_samples=3000, seed=0)
+        with np.errstate(all="raise"):
+            chain = sample_chain(config, GAUSS_2D, PhaseState(np.array(x0), np.zeros(2)))
+        h = chain.holding_times
+        assert np.all(np.isfinite(h)) and np.all(h > 0)
+        assert np.any(h == np.finfo(float).tiny)  # the clamped, overflowing states
+        out = resample(chain, 100, np.random.default_rng(0))
+        assert len(out) == 100
+        mean, cov = weighted_moments(chain)
+        assert np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))
