@@ -13,11 +13,7 @@ from .energy import (
     GaussianParams,
     RoughWell,
     RoughWellParams,
-    gaussian_energy,
-    gaussian_gradient,
     joint_energy,
-    rough_well_energy,
-    rough_well_gradient,
 )
 from .errors import (
     DecayFitError,

@@ -9,6 +9,7 @@ throughout, making the joint (total) energy ``E(x) + |v|^2 / 2``.
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,39 +56,9 @@ def _check_dim(x: np.ndarray, dim: int) -> np.ndarray:
     return x
 
 
-def rough_well_energy(x, params: RoughWellParams = RoughWellParams()) -> float:
-    """Energy of the 2D rough-well distribution.
-
-    A wide quadratic well of width ``sigma1`` overlaid with sinusoidal
-    ripples of period ``sigma2``:
-
-        E(x) = (x1^2 + x2^2) / (2 sigma1^2)
-               + cos(pi x1 / sigma2) + cos(pi x2 / sigma2)
-
-    The ripples make the surface rough, so traversing the well needs many
-    small integrator steps even though the distribution is well conditioned.
-    """
-    x = _check_dim(x, 2)
-    quad = float(np.dot(x, x)) / (2.0 * params.sigma1**2)
-    return quad + float(np.sum(np.cos(np.pi * x / params.sigma2)))
-
-
-def rough_well_gradient(x, params: RoughWellParams = RoughWellParams()) -> np.ndarray:
-    """Gradient of :func:`rough_well_energy`: x_i / sigma1^2 - (pi/sigma2) sin(pi x_i / sigma2)."""
-    x = _check_dim(x, 2)
-    return x / params.sigma1**2 - (np.pi / params.sigma2) * np.sin(np.pi * x / params.sigma2)
-
-
-def gaussian_energy(x, params: GaussianParams) -> float:
-    """Energy of a diagonal Gaussian: 0.5 * sum_i p_i x_i^2."""
-    x = _check_dim(x, params.dim)
-    return 0.5 * float(np.dot(params.precision_diag, x * x))
-
-
-def gaussian_gradient(x, params: GaussianParams) -> np.ndarray:
-    """Gradient of :func:`gaussian_energy`: p_i x_i."""
-    x = _check_dim(x, params.dim)
-    return params.precision_diag * x
+def kinetic_energy(v: np.ndarray) -> float:
+    """Kinetic energy |v|^2 / 2 of a unit-mass momentum."""
+    return 0.5 * float(np.dot(v, v))
 
 
 class EnergyFunction(abc.ABC):
@@ -95,7 +66,8 @@ class EnergyFunction(abc.ABC):
 
     Implementations must be pure and deterministic; any caching lives in
     the samplers.  ``gradient`` must agree with central finite differences
-    of ``energy``.
+    of ``energy``.  A target may override :meth:`trajectory` with a faster
+    leapfrog kernel that computes the same numbers.
     """
 
     dim: int
@@ -112,9 +84,57 @@ class EnergyFunction(abc.ABC):
         place between gradient calls.
         """
 
+    def trajectory(
+        self, x: np.ndarray, v: np.ndarray, grad: np.ndarray, epsilon: float, steps: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Run ``steps`` leapfrog steps from (x, v); ``grad`` is the gradient at x.
+
+        Each step is the half-kick / drift / half-kick scheme.  The closing
+        half-kick of one step and the opening half-kick of the next use the
+        same gradient, so they are applied as one full kick: a half-kick at
+        each end and ``steps - 1`` full kicks in between, ``steps`` gradient
+        evaluations in all.  Returns fresh (x, v, grad) at the endpoint and
+        leaves the inputs untouched.  Overflow is not raised: it shows as
+        non-finite values in the result, for the caller to check.
+        """
+        half = 0.5 * epsilon
+        # Fresh buffers, updated in place: the loop runs millions of times on
+        # tiny vectors, so allocations matter.
+        x = x.copy()
+        v = v.copy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = grad
+            v -= half * g
+            for _ in range(steps - 1):
+                x += epsilon * v
+                g = self.gradient(x)
+                v -= epsilon * g
+            x += epsilon * v
+            g = self.gradient(x)
+            v -= half * g
+        return x, v, g
+
+
+def _rough_well_partial(xi: float, curvature: float, freq: float) -> float:
+    """One coordinate of the rough-well gradient: c x_i - f sin(f x_i).
+
+    Raises ValueError where f x_i is infinite, since math.sin(inf) does.
+    """
+    return curvature * xi - freq * math.sin(freq * xi)
+
 
 class RoughWell(EnergyFunction):
-    """The 2D rough-well target."""
+    """The 2D rough-well target.
+
+    A wide quadratic well of width ``sigma1`` overlaid with sinusoidal
+    ripples of period ``sigma2``:
+
+        E(x) = (x1^2 + x2^2) / (2 sigma1^2)
+               + cos(pi x1 / sigma2) + cos(pi x2 / sigma2)
+
+    The ripples make the surface rough, so traversing the well needs many
+    small integrator steps even though the distribution is well conditioned.
+    """
 
     dim = 2
 
@@ -122,6 +142,7 @@ class RoughWell(EnergyFunction):
         self.params = params
         # precomputed constants: these run in the integrator's inner loop
         self._half_inv_s1sq = 0.5 / params.sigma1**2
+        self._curvature = 2.0 * self._half_inv_s1sq
         self._freq = np.pi / params.sigma2
 
     def energy(self, x) -> float:
@@ -129,12 +150,55 @@ class RoughWell(EnergyFunction):
         return self._half_inv_s1sq * float(np.dot(x, x)) + float(np.sum(np.cos(self._freq * x)))
 
     def gradient(self, x) -> np.ndarray:
-        x = _check_dim(x, 2)
-        return (2.0 * self._half_inv_s1sq) * x - self._freq * np.sin(self._freq * x)
+        """x_i / sigma1^2 - (pi / sigma2) sin(pi x_i / sigma2)."""
+        x0, x1 = _check_dim(x, 2).tolist()
+        c, f = self._curvature, self._freq
+        try:
+            g = [_rough_well_partial(x0, c, f), _rough_well_partial(x1, c, f)]
+        except ValueError:
+            # math.sin(inf) raises where np.sin gives nan (an infinite start)
+            g = [_rough_well_partial(xi, c, f) if math.isfinite(f * xi) else math.nan
+                 for xi in (x0, x1)]
+        return np.array(g)
+
+    def trajectory(self, x, v, grad, epsilon, steps):
+        """The leapfrog loop of :meth:`EnergyFunction.trajectory` on Python floats.
+
+        On two coordinates numpy's per-call overhead dwarfs the arithmetic.
+        The scalar updates are the same IEEE operations as the array ones,
+        so the results are the same numbers.
+        """
+        x0, x1 = _check_dim(x, 2).tolist()
+        v0, v1 = v.tolist()
+        g0, g1 = grad.tolist()
+        eps = float(epsilon)  # a numpy scalar would make every update a numpy call
+        half = 0.5 * eps
+        c, f, partial = self._curvature, self._freq, _rough_well_partial
+        try:
+            v0 -= half * g0
+            v1 -= half * g1
+            for _ in range(steps - 1):
+                x0 += eps * v0
+                x1 += eps * v1
+                g0 = partial(x0, c, f)
+                g1 = partial(x1, c, f)
+                v0 -= eps * g0
+                v1 -= eps * g1
+            x0 += eps * v0
+            x1 += eps * v1
+            g0 = partial(x0, c, f)
+            g1 = partial(x1, c, f)
+            v0 -= half * g0
+            v1 -= half * g1
+        except ValueError:
+            # math.sin(inf) raises where np.sin gives nan: the position has
+            # overflowed, so end with the non-finite state reached so far.
+            g0 = g1 = math.nan
+        return np.array([x0, x1]), np.array([v0, v1]), np.array([g0, g1])
 
 
 class DiagonalGaussian(EnergyFunction):
-    """Gaussian target with diagonal precision matrix."""
+    """Gaussian target with diagonal precision matrix: E(x) = 0.5 * sum_i p_i x_i^2."""
 
     def __init__(self, params: GaussianParams):
         self.params = params
@@ -145,10 +209,12 @@ class DiagonalGaussian(EnergyFunction):
         return cls(GaussianParams(np.full(dim, float(precision))))
 
     def energy(self, x) -> float:
-        return gaussian_energy(x, self.params)
+        x = _check_dim(x, self.dim)
+        return 0.5 * float(np.dot(self.params.precision_diag, x * x))
 
     def gradient(self, x) -> np.ndarray:
-        return gaussian_gradient(x, self.params)
+        """p_i x_i."""
+        return self.params.precision_diag * _check_dim(x, self.dim)
 
 
 class CountingEnergy(EnergyFunction):
@@ -156,7 +222,8 @@ class CountingEnergy(EnergyFunction):
 
     Samplers wrap their target in this to report true per-sample costs;
     nothing is cached here, so every avoided recomputation upstream shows
-    up directly in the counts.
+    up directly in the counts.  A trajectory counts its ``steps`` gradient
+    evaluations, however the target computes them.
     """
 
     def __init__(self, inner: EnergyFunction):
@@ -173,9 +240,13 @@ class CountingEnergy(EnergyFunction):
         self.gradient_calls += 1
         return self.inner.gradient(x)
 
+    def trajectory(self, x, v, grad, epsilon, steps):
+        self.gradient_calls += steps
+        return self.inner.trajectory(x, v, grad, epsilon, steps)
+
 
 def joint_energy(zeta: PhaseState, ef: EnergyFunction) -> float:
     """Total energy H(zeta) = E(x) + |v|^2 / 2 of a phase-space point."""
     if zeta.dim != ef.dim:
         raise DimensionError(f"state dimension {zeta.dim} != target dimension {ef.dim}")
-    return ef.energy(zeta.x) + 0.5 * float(np.dot(zeta.v, zeta.v))
+    return ef.energy(zeta.x) + kinetic_energy(zeta.v)

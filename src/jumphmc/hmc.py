@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .energy import CountingEnergy, EnergyFunction
+from .energy import CountingEnergy, EnergyFunction, kinetic_energy
 from .errors import IntegrationError
 from .phase import LeapfrogParams, PhaseState, flip, leapfrog_with_grad
 
@@ -50,20 +50,16 @@ class _Walker(NamedTuple):
     grad: np.ndarray
 
 
-def _kinetic(v: np.ndarray) -> float:
-    return 0.5 * float(np.dot(v, v))
-
-
 def _mh_step(
     walker: _Walker, config: HmcConfig, ef: EnergyFunction, rng: np.random.Generator
 ) -> tuple[_Walker, bool]:
     proposal, end_grad = leapfrog_with_grad(
         walker.state, config.leapfrog_params, ef, grad0=walker.grad
     )
-    h_cur = walker.potential + _kinetic(walker.state.v)
+    h_cur = walker.potential + kinetic_energy(walker.state.v)
     with np.errstate(over="ignore", invalid="ignore"):
         pot_prop = ef.energy(proposal.x)
-        h_prop = pot_prop + _kinetic(proposal.v)
+        h_prop = pot_prop + kinetic_energy(proposal.v)
     if not np.isfinite(h_prop):
         raise IntegrationError("non-finite proposal energy", state=proposal)
     d_h = h_prop - h_cur

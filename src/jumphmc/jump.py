@@ -26,7 +26,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .energy import CountingEnergy, EnergyFunction
+from .energy import CountingEnergy, EnergyFunction, kinetic_energy
 from .errors import IntegrationError
 from .phase import (
     LeapfrogParams,
@@ -152,10 +152,6 @@ class StateCache:
         return self.current.state
 
 
-def _kinetic(v: np.ndarray) -> float:
-    return 0.5 * float(np.dot(v, v))
-
-
 def _flipped(node: _Node) -> _Node:
     """The node of the flipped state: |v|^2 is exactly invariant under negation."""
     return node._replace(state=flip(node.state))
@@ -164,7 +160,7 @@ def _flipped(node: _Node) -> _Node:
 def _make_node(state: PhaseState, grad: np.ndarray, ef: EnergyFunction) -> _Node:
     with np.errstate(over="ignore", invalid="ignore"):
         potential = ef.energy(state.x)
-        h = potential + _kinetic(state.v)
+        h = potential + kinetic_energy(state.v)
     if not np.isfinite(h):
         raise IntegrationError("non-finite energy encountered", state=state)
     return _Node(state, potential, h, grad)
@@ -284,7 +280,7 @@ def step(
         nxt = new_current.state
     else:
         nxt = randomize_momentum(zeta, rng)
-        new_current = _Node(nxt, cur.potential, cur.potential + _kinetic(nxt.v), cur.grad)
+        new_current = _Node(nxt, cur.potential, cur.potential + kinetic_energy(nxt.v), cur.grad)
         new_forward = _make_node(*leapfrog_with_grad(nxt, params, ef, grad0=cur.grad), ef)
         new_backward = _make_node(*leapfrog_inverse_with_grad(nxt, params, ef, grad0=cur.grad), ef)
     next_cache = StateCache(new_current, new_forward, new_backward, last_transition=kind)

@@ -19,6 +19,8 @@ from .errors import DimensionError, IntegrationError
 if TYPE_CHECKING:
     from .energy import EnergyFunction
 
+_FLOAT64 = np.dtype(np.float64)
+
 
 @dataclass(frozen=True, eq=False)
 class PhaseState:
@@ -28,12 +30,19 @@ class PhaseState:
     v: np.ndarray
 
     def __post_init__(self):
-        x = np.atleast_1d(np.asarray(self.x, dtype=float))
-        v = np.atleast_1d(np.asarray(self.v, dtype=float))
+        x, v = self.x, self.v
+        # The samplers build states from arrays that are already valid; only
+        # anything else is converted.
+        if not (
+            type(x) is np.ndarray and type(v) is np.ndarray
+            and x.dtype is _FLOAT64 and v.dtype is _FLOAT64 and x.ndim == v.ndim == 1
+        ):
+            x = np.atleast_1d(np.asarray(x, dtype=float))
+            v = np.atleast_1d(np.asarray(v, dtype=float))
+            object.__setattr__(self, "x", x)
+            object.__setattr__(self, "v", v)
         if x.shape != v.shape or x.ndim != 1:
             raise DimensionError(f"position shape {x.shape} != momentum shape {v.shape}")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "v", v)
 
     @property
     def dim(self) -> int:
@@ -67,12 +76,11 @@ def leapfrog_with_grad(
 ) -> tuple[PhaseState, np.ndarray]:
     """Apply ``params.steps`` leapfrog steps and return (state, endpoint gradient).
 
-    Each step is the half-kick / drift / half-kick scheme.  The closing
-    half-kick of one step and the opening half-kick of the next use the same
-    gradient, so they are applied as one full kick: a half-kick at each end
-    and ``steps - 1`` full kicks in between.  ``grad0`` may supply a
-    previously computed gradient at the starting position, saving one
-    evaluation (``steps`` evaluations instead of ``steps + 1``).
+    The steps run in ``ef.trajectory`` (see
+    :meth:`~jumphmc.energy.EnergyFunction.trajectory`), which a target may
+    specialise.  ``grad0`` may supply a previously computed gradient at the
+    starting position, saving one evaluation (``steps`` evaluations instead
+    of ``steps + 1``).
 
     Raises
     ------
@@ -80,27 +88,13 @@ def leapfrog_with_grad(
         If the integration leaves the region where energies and gradients
         are finite.  The error carries the offending state.
     """
-    eps = params.epsilon
-    half = 0.5 * eps
-    # Fresh buffers, updated in place: the loop runs millions of times on
-    # tiny vectors, so allocations matter.
-    x = zeta.x.copy()
-    v = zeta.v.copy()
-    # Overflow inside the loop is handled explicitly below, so silence the
-    # per-operation warnings.
-    with np.errstate(over="ignore", invalid="ignore"):
-        g = ef.gradient(x) if grad0 is None else grad0
-        v -= half * g
-        for _ in range(params.steps - 1):
-            x += eps * v
-            g = ef.gradient(x)
-            v -= eps * g
-        x += eps * v
-        g = ef.gradient(x)
-        v -= half * g
-    # Non-finite values propagate through every later update, so one check
-    # at the endpoint catches any failure along the trajectory.
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v)) and np.all(np.isfinite(g))):
+    if grad0 is None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            grad0 = ef.gradient(zeta.x)
+    x, v, g = ef.trajectory(zeta.x, zeta.v, grad0, params.epsilon, params.steps)
+    # A trajectory that overflows ends non-finite, so one check at the
+    # endpoint catches any failure along it.
+    if not (np.isfinite(x).all() and np.isfinite(v).all() and np.isfinite(g).all()):
         raise IntegrationError(
             "leapfrog integration produced non-finite values",
             state=PhaseState(x, v),

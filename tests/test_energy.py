@@ -11,11 +11,7 @@ from jumphmc import (
     RoughWell,
     RoughWellParams,
     flip,
-    gaussian_energy,
-    gaussian_gradient,
     joint_energy,
-    rough_well_energy,
-    rough_well_gradient,
 )
 
 
@@ -34,12 +30,12 @@ def central_diff_gradient(energy, x, h=1e-5):
 
 def test_rough_well_energy_at_origin():
     # quadratic term vanishes, both cosines are 1
-    assert rough_well_energy(np.zeros(2)) == pytest.approx(2.0, abs=1e-15)
+    assert RoughWell().energy(np.zeros(2)) == pytest.approx(2.0, abs=1e-15)
 
 
 def test_rough_well_energy_at_two_two():
     # 8/20000 + 2 cos(pi/2) = 4e-4
-    assert rough_well_energy(np.array([2.0, 2.0])) == pytest.approx(4.0e-4, abs=1e-12)
+    assert RoughWell().energy(np.array([2.0, 2.0])) == pytest.approx(4.0e-4, abs=1e-12)
 
 
 def test_rough_well_energy_generic_point():
@@ -48,47 +44,55 @@ def test_rough_well_energy_generic_point():
     oracle = (x[0] ** 2 + x[1] ** 2) / (2 * 100.0**2) + math.cos(
         math.pi * x[0] / 4.0
     ) + math.cos(math.pi * x[1] / 4.0)
-    value = rough_well_energy(np.array(x))
+    value = RoughWell().energy(np.array(x))
     assert value == pytest.approx(1.3752477290700411, rel=1e-12)
     assert value == pytest.approx(oracle, rel=1e-12)
 
 
 def test_rough_well_gradient_odd_symmetry():
-    np.testing.assert_allclose(rough_well_gradient(np.zeros(2)), np.zeros(2))
+    np.testing.assert_allclose(RoughWell().gradient(np.zeros(2)), np.zeros(2))
 
 
 def test_rough_well_gradient_known_point():
     expected = np.array([2.0 / 10000.0 - math.pi / 4.0, 0.0])
-    np.testing.assert_allclose(rough_well_gradient(np.array([2.0, 0.0])), expected, rtol=1e-12)
+    np.testing.assert_allclose(RoughWell().gradient(np.array([2.0, 0.0])), expected, rtol=1e-12)
 
 
 def test_rough_well_gradient_matches_finite_differences():
+    ef = RoughWell()
     x = np.array([0.37, -2.9])
-    fd = central_diff_gradient(rough_well_energy, x)
-    np.testing.assert_allclose(rough_well_gradient(x), fd, rtol=1e-5)
+    fd = central_diff_gradient(ef.energy, x)
+    np.testing.assert_allclose(ef.gradient(x), fd, rtol=1e-5)
+
+
+def test_rough_well_gradient_is_nan_at_infinite_coordinate():
+    # as np.sin(inf) is nan; math.sin(inf) would raise ValueError instead
+    g = RoughWell().gradient(np.array([np.inf, 2.0]))
+    assert np.isnan(g[0])
+    assert g[1] == pytest.approx(2.0 / 10000.0 - math.pi / 4.0, rel=1e-12)
 
 
 def test_rough_well_dimension_error():
     with pytest.raises(DimensionError):
-        rough_well_energy(np.zeros(3))
+        RoughWell().energy(np.zeros(3))
     with pytest.raises(DimensionError):
-        rough_well_gradient(np.zeros(1))
+        RoughWell().gradient(np.zeros(1))
 
 
 def test_gaussian_energy_trivial():
-    params = GaussianParams(np.array([4.0]))
-    assert gaussian_energy(np.zeros(1), params) == 0.0
-    assert gaussian_energy(np.array([1.0]), params) == pytest.approx(2.0)
-    np.testing.assert_allclose(gaussian_gradient(np.array([1.0]), params), [4.0])
+    ef = DiagonalGaussian(GaussianParams(np.array([4.0])))
+    assert ef.energy(np.zeros(1)) == 0.0
+    assert ef.energy(np.array([1.0])) == pytest.approx(2.0)
+    np.testing.assert_allclose(ef.gradient(np.array([1.0])), [4.0])
 
 
 def test_gaussian_gradient_matches_finite_differences():
     rng = np.random.default_rng(0)
-    params = GaussianParams(np.array([0.5, 2.0, 7.0]))
+    ef = DiagonalGaussian(GaussianParams(np.array([0.5, 2.0, 7.0])))
     for _ in range(5):
         x = rng.normal(size=3)
-        fd = central_diff_gradient(lambda y: gaussian_energy(y, params), x)
-        np.testing.assert_allclose(gaussian_gradient(x, params), fd, rtol=1e-5, atol=1e-8)
+        fd = central_diff_gradient(ef.energy, x)
+        np.testing.assert_allclose(ef.gradient(x), fd, rtol=1e-5, atol=1e-8)
 
 
 def test_gaussian_params_validation():
@@ -122,7 +126,7 @@ def test_joint_energy_is_sum_of_parts():
     ef = RoughWell()
     for _ in range(5):
         state = PhaseState(rng.normal(size=2), rng.normal(size=2))
-        expected = rough_well_energy(state.x) + 0.5 * np.sum(state.v**2)
+        expected = ef.energy(state.x) + 0.5 * np.sum(state.v**2)
         assert joint_energy(state, ef) == pytest.approx(expected, rel=1e-14)
 
 
@@ -153,9 +157,10 @@ def test_gradient_finite_difference_agreement_everywhere(ef):
 def test_ripple_is_bounded():
     rng = np.random.default_rng(5)
     params = RoughWellParams()
+    ef = RoughWell(params)
     for _ in range(200):
         x = rng.uniform(-300, 300, size=2)
-        ripple = rough_well_energy(x, params) - np.dot(x, x) / (2 * params.sigma1**2)
+        ripple = ef.energy(x) - np.dot(x, x) / (2 * params.sigma1**2)
         assert -2.0 <= ripple <= 2.0
 
 

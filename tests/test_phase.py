@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from jumphmc import (
+    CountingEnergy,
     DiagonalGaussian,
     DimensionError,
+    EnergyFunction,
     GaussianParams,
     IntegrationError,
     LeapfrogParams,
@@ -27,6 +29,25 @@ def random_states(rng, n, dim=2, scale=2.0):
 def test_phase_state_validation():
     with pytest.raises(DimensionError):
         PhaseState(np.zeros(2), np.zeros(3))
+
+
+@pytest.mark.parametrize(
+    "x, v",
+    [([1.0, 2.0], [3.0, 4.0]), (np.array([1, 2]), np.array([3, 4])),
+     (np.float32([1, 2]), np.array([3.0, 4.0])), (np.array(1.5), np.array([2.0])),
+     (np.array([1.5]), np.array(2.0))],
+)
+def test_phase_state_converts_other_inputs(x, v):
+    state = PhaseState(x, v)
+    for a, ref in ((state.x, x), (state.v, v)):
+        assert type(a) is np.ndarray and a.dtype == np.float64 and a.ndim == 1
+        np.testing.assert_array_equal(a, np.atleast_1d(ref))
+
+
+def test_phase_state_keeps_valid_arrays():
+    x, v = np.array([1.0, 2.0]), np.array([3.0, 4.0])
+    state = PhaseState(x, v)
+    assert state.x is x and state.v is v
 
 
 def test_leapfrog_params_validation():
@@ -209,3 +230,59 @@ def test_fused_kicks_match_two_half_kick_loop(ef):
             check(out.v, ref.v)
             check(g, ref_g)
 
+
+
+@pytest.mark.parametrize("epsilon", [0.5, 3.0])
+@pytest.mark.parametrize("steps", [1, 25])
+def test_rough_well_trajectory_matches_generic_loop(epsilon, steps):
+    # the scalar-float kernel performs the numpy loop's operations in the
+    # same order, so the two agree bit for bit
+    ef = RoughWell()
+    rng = np.random.default_rng(41)
+    for state in random_states(rng, 20, scale=20.0):
+        x, v = state.x.copy(), state.v.copy()
+        grad = ef.gradient(x)
+        out = ef.trajectory(state.x, state.v, grad, epsilon, steps)
+        ref = EnergyFunction.trajectory(ef, state.x, state.v, grad, epsilon, steps)
+        assert np.isfinite(np.concatenate(out)).all()
+        for a, b in zip(out, ref):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(state.x, x)  # the inputs are left untouched
+        np.testing.assert_array_equal(state.v, v)
+
+
+def test_rough_well_overflow_raises_integration_error():
+    # math.sin(inf) raises ValueError inside the kernel; the caller must
+    # still see an IntegrationError carrying a non-finite state
+    state = PhaseState(np.array([1.0, -0.5]), np.array([0.3, 0.7]))
+    with pytest.raises(IntegrationError) as excinfo:
+        leapfrog(state, LeapfrogParams(1e200, 3), RoughWell())
+    bad = excinfo.value.state
+    assert bad is not None
+    assert not (np.all(np.isfinite(bad.x)) and np.all(np.isfinite(bad.v)))
+
+
+class SpyGaussian(DiagonalGaussian):
+    """A target on the default trajectory loop that counts its own gradient calls."""
+
+    def __init__(self):
+        super().__init__(GaussianParams(np.array([1.0, 0.25])))
+        self.calls = 0
+
+    def gradient(self, x):
+        self.calls += 1
+        return super().gradient(x)
+
+
+@pytest.mark.parametrize("make", [RoughWell, SpyGaussian])
+@pytest.mark.parametrize("steps", [1, 7, 25])
+def test_counting_energy_counts_steps_per_trajectory(make, steps):
+    inner = make()
+    counter = CountingEnergy(inner)
+    rng = np.random.default_rng(5)
+    for i, state in enumerate(random_states(rng, 4), start=1):
+        counter.trajectory(state.x, state.v, inner.gradient(state.x), 0.5, steps)
+        assert counter.gradient_calls == i * steps
+    if isinstance(inner, SpyGaussian):
+        # each counted evaluation is one real gradient call (plus the 4 above)
+        assert inner.calls == counter.gradient_calls + 4
