@@ -10,8 +10,11 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence, Union
+
+import numpy as np
 
 from .diagnostics import AutocorrSeries, DecayFit
 from .hmc import HmcChain
@@ -48,19 +51,23 @@ def _write_csv(
     path: Union[str, Path],
     kind: str,
     columns: Sequence[str],
-    rows: Iterable[Sequence],
+    rows: Iterable[Sequence[str]],
     config: Optional[Mapping] = None,
     seed: Optional[int] = None,
 ) -> None:
+    """Header lines, then one comma-joined line per row of string fields.
+
+    No field holds a comma, quote or line break, so every line is exactly
+    what ``csv.writer`` would emit, CRLF line ends included.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
         for line in _header_lines(kind, config, seed):
             fh.write(line + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(columns)
+        fh.write(",".join(columns) + "\r\n")
         for row in rows:
-            writer.writerow(row)
+            fh.write(",".join(row) + "\r\n")
 
 
 def _format_float(x: float) -> str:
@@ -85,20 +92,27 @@ def write_chain_csv(
         + [f"v{d}" for d in range(dim)]
         + ["holding_time", "transition", "gradient_evals"]
     )
-    is_jump = isinstance(chain, JumpChain)
+    positions = np.asarray(chain.positions, dtype=float)
+    momenta = np.asarray(chain.momenta, dtype=float)
+    evals = chain.gradient_evals.tolist()
+    if isinstance(chain, JumpChain):
+        holding = map(_format_float, chain.holding_times.tolist())
+        transitions = map(str, chain.transitions.tolist())
+    else:
+        holding, transitions = repeat("1"), repeat("")
 
+    # Row by row: a tolist() of the whole chain would hold every float as an
+    # object at once.
     def rows():
-        for i in range(len(chain)):
-            yield (
-                [i]
-                + [_format_float(v) for v in chain.positions[i]]
-                + [_format_float(v) for v in chain.momenta[i]]
-                + [
-                    _format_float(chain.holding_times[i]) if is_jump else 1,
-                    str(chain.transitions[i]) if is_jump else "",
-                    int(chain.gradient_evals[i]),
-                ]
-            )
+        for i, (h, t, e) in enumerate(zip(holding, transitions, evals)):
+            yield [
+                str(i),
+                *map(repr, positions[i].tolist()),
+                *map(repr, momenta[i].tolist()),
+                h,
+                t,
+                str(int(e)),
+            ]
 
     _write_csv(path, "chain", columns, rows(), config=config, seed=seed)
 
@@ -141,7 +155,7 @@ def write_gap_csv(
 ) -> None:
     """Spectral-gap experiment in long format: one row per (size, sampler)."""
     rows = (
-        [k, sampler, _format_float(mean), _format_float(err), draws]
+        [str(k), sampler, _format_float(mean), _format_float(err), str(draws)]
         for k, sampler, mean, err, draws in result.rows()
     )
     _write_csv(
@@ -177,8 +191,8 @@ def write_trials_csv(
             t.sampler,
             _format_float(t.epsilon),
             _format_float(t.beta),
-            t.steps,
-            t.seed,
+            str(t.steps),
+            str(t.seed),
             t.status,
             "" if t.objective is None else _format_float(t.objective),
         ]

@@ -10,7 +10,7 @@ the tuning objective, the imaginary part an oscillation rate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -115,21 +115,8 @@ def autocorrelation(
     return AutocorrSeries(lags=grid, values=rho[idx])
 
 
-def _golden_min(f: Callable[[float], float], lo: float, hi: float, tol: float) -> tuple[float, float]:
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    c = hi - invphi * (hi - lo)
-    d = lo + invphi * (hi - lo)
-    fc, fd = f(c), f(d)
-    while (hi - lo) > tol:
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - invphi * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + invphi * (hi - lo)
-            fd = f(d)
-    return (c, fc) if fc < fd else (d, fd)
+_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
+_BATCH_ROWS = 64  # b candidates per lockstep batch; bounds the (rows, n_lags) temporaries
 
 
 def fit_decay(series: AutocorrSeries, grid_points: int = 60) -> DecayFit:
@@ -144,6 +131,11 @@ def fit_decay(series: AutocorrSeries, grid_points: int = 60) -> DecayFit:
     has basins of width ~pi/n_max that a log grid alone would skip); the
     winning basin is refined by a re-centered shrinking window to relative
     tolerance 1e-6.  The reported fit is the best candidate ever evaluated.
+
+    The golden searches of a batch of b candidates (the grid in blocks,
+    then each refinement round) run in lockstep on arrays, one row per
+    candidate, each row stopping at its own tolerance; every row takes the
+    same floating-point steps as a search of that candidate alone.
     """
     lags = series.lags
     values = series.values
@@ -159,31 +151,88 @@ def fit_decay(series: AutocorrSeries, grid_points: int = 60) -> DecayFit:
 
     best = {"a": 0.0, "b": 0.0, "val": np.inf}
 
-    def profile(b: float) -> float:
-        """min_a objective(a, b), refining a around its grid bracket."""
-        cos_part = np.cos(b * lags)
-        errs = np.sum((decays * cos_part - values) ** 2, axis=1)
-        if not np.any(np.isfinite(errs)):
-            return np.inf
-        j = int(np.nanargmin(errs))
-        lo = a_grid[j - 1] if j > 0 else 0.0
-        hi = a_grid[j + 1] if j + 1 < a_grid.size else 2.0 * a_grid[-1]
+    def objective(a: np.ndarray, cos_part: np.ndarray) -> np.ndarray:
+        """Squared error at decay rate a[i] against the oscillation cos_part[i]."""
+        err = np.exp(-a[:, None] * lags)
+        err *= cos_part
+        err -= values
+        err *= err
+        return err.sum(axis=1)
 
-        def f_of_a(a: float) -> float:
-            return float(np.sum((np.exp(-a * lags) * cos_part - values) ** 2))
+    def profile(bs: np.ndarray) -> np.ndarray:
+        """min_a objective(a, b) for each b in bs, refining a around its grid bracket."""
+        k = bs.size
+        cos_part = np.empty((k, lags.size))
+        lo, hi, a_j, err_j = np.empty(k), np.empty(k), np.empty(k), np.empty(k)
+        vals = np.full(k, np.inf)
+        ok = np.zeros(k, dtype=bool)
+        for i, b in enumerate(bs):
+            cos_part[i] = np.cos(b * lags)
+            errs = decays * cos_part[i]
+            errs -= values
+            errs *= errs
+            errs = errs.sum(axis=1)
+            # Finite values, decays and cosines leave no NaN in errs, so
+            # argmin is nanargmin, and an infinite minimum means no finite error.
+            j = int(errs.argmin())
+            if not np.isfinite(errs[j]):
+                continue
+            ok[i] = True
+            lo[i] = a_grid[j - 1] if j > 0 else 0.0
+            hi[i] = a_grid[j + 1] if j + 1 < a_grid.size else 2.0 * a_grid[-1]
+            a_j[i], err_j[i] = a_grid[j], errs[j]
+        rows = np.flatnonzero(ok)
+        if rows.size == 0:
+            return vals
+        cos_part, lo, hi, a_j, err_j = cos_part[rows], lo[rows], hi[rows], a_j[rows], err_j[rows]
 
-        a, val = _golden_min(f_of_a, float(lo), float(hi), tol=1e-8 * max(hi, a_floor))
-        if errs[j] < val:
-            a, val = float(a_grid[j]), float(errs[j])
-        if val < best["val"]:
-            best.update(a=a, b=b, val=val)
-        return val
+        # Golden-section search in a, all rows in lockstep; a row leaves the
+        # batch once its bracket is no wider than its own tolerance.
+        tol = 1e-8 * np.maximum(hi, a_floor)
+        c = hi - _INVPHI * (hi - lo)
+        d = lo + _INVPHI * (hi - lo)
+        fc, fd = objective(c, cos_part), objective(d, cos_part)
+        a, val = np.empty(rows.size), np.empty(rows.size)
+        live = np.arange(rows.size)
+        while True:
+            running = (hi - lo) > tol
+            if not running.all():
+                stop = ~running
+                at_c = fc[stop] < fd[stop]
+                a[live[stop]] = np.where(at_c, c[stop], d[stop])
+                val[live[stop]] = np.where(at_c, fc[stop], fd[stop])
+                if not running.any():
+                    break
+                live, lo, hi, c, d, fc, fd, tol, cos_part = (
+                    v[running] for v in (live, lo, hi, c, d, fc, fd, tol, cos_part)
+                )
+            left = fc < fd
+            hi = np.where(left, d, hi)
+            lo = np.where(left, lo, c)
+            x = np.where(left, hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo))
+            fx = objective(x, cos_part)
+            c, d, fc, fd = (
+                np.where(left, x, d), np.where(left, c, x),
+                np.where(left, fx, fd), np.where(left, fc, fx),
+            )
+        on_grid = err_j < val
+        a = np.where(on_grid, a_j, a)
+        val = np.where(on_grid, err_j, val)
+        vals[rows] = val
+
+        # The first strict improvement in candidate order, as a sequential scan finds it.
+        i = int(np.argmin(np.where(val < best["val"], val, np.inf)))
+        if val[i] < best["val"]:
+            best.update(a=float(a[i]), b=float(bs[rows[i]]), val=float(val[i]))
+        return vals
 
     b_floor = 0.1 / n_max
     b_coarse = np.concatenate([[0.0], np.geomspace(b_floor, np.pi / n_min, grid_points)])
     b_dense = np.arange(0.0, np.pi / n_min, 0.5 * np.pi / n_max)
     b_grid = np.unique(np.concatenate([b_coarse, b_dense]))
-    profile_vals = np.array([profile(b) for b in b_grid])
+    profile_vals = np.concatenate(
+        [profile(b_grid[i:i + _BATCH_ROWS]) for i in range(0, b_grid.size, _BATCH_ROWS)]
+    )
     if not np.any(np.isfinite(profile_vals)):
         raise DecayFitError("no candidate produced a finite objective")
 
@@ -192,9 +241,7 @@ def fit_decay(series: AutocorrSeries, grid_points: int = 60) -> DecayFit:
     b = best["b"]
     width = max(float(np.diff(b_grid).max()), b_floor)
     for _ in range(60):
-        candidates = np.linspace(max(0.0, b - width), b + width, 9)
-        for cand in candidates:
-            profile(cand)
+        profile(np.linspace(max(0.0, b - width), b + width, 9))
         b = best["b"]
         width *= 0.5
         if width <= 1e-6 * max(b, b_floor):

@@ -3,10 +3,18 @@ import pytest
 
 from jumphmc import (
     AutocorrSeries,
+    DecayFit,
     DecayFitError,
     DegenerateChainError,
+    HmcConfig,
+    PhaseState,
+    RoughWell,
+    SamplerConfig,
     autocorrelation,
     fit_decay,
+    hmc_chain,
+    sample_chain,
+    systematic_resample_indices,
     tuning_objective,
 )
 
@@ -151,3 +159,167 @@ class TestTuningObjective:
         slow = fit_decay(AutocorrSeries(n, np.exp(-0.005 * n)))
         fast = fit_decay(AutocorrSeries(n, np.exp(-0.05 * n)))
         assert tuning_objective(fast) < tuning_objective(slow)
+
+
+# Reference: the scalar fit with one golden search per b candidate, kept
+# verbatim from before the lockstep version.
+def _golden_min(f, lo, hi, tol):
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    c = hi - invphi * (hi - lo)
+    d = lo + invphi * (hi - lo)
+    fc, fd = f(c), f(d)
+    while (hi - lo) > tol:
+        if fc < fd:
+            hi, d, fd = d, c, fc
+            c = hi - invphi * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + invphi * (hi - lo)
+            fd = f(d)
+    return (c, fc) if fc < fd else (d, fd)
+
+
+def reference_fit_decay(series, grid_points=60):
+    lags = series.lags
+    values = series.values
+    if lags.size < 4:
+        raise ValueError("need at least 4 lags to fit")
+    if not np.all(np.isfinite(values)):
+        raise DecayFitError("autocorrelation series contains non-finite values")
+    n_max = lags[-1]
+    n_min = np.min(lags[1:])
+    a_floor = 0.01 / n_max
+    a_grid = np.concatenate([[0.0], np.geomspace(a_floor, 20.0 / n_min, grid_points)])
+    decays = np.exp(-np.multiply.outer(a_grid, lags))
+
+    best = {"a": 0.0, "b": 0.0, "val": np.inf}
+
+    def profile(b: float) -> float:
+        """min_a objective(a, b), refining a around its grid bracket."""
+        cos_part = np.cos(b * lags)
+        errs = np.sum((decays * cos_part - values) ** 2, axis=1)
+        if not np.any(np.isfinite(errs)):
+            return np.inf
+        j = int(np.nanargmin(errs))
+        lo = a_grid[j - 1] if j > 0 else 0.0
+        hi = a_grid[j + 1] if j + 1 < a_grid.size else 2.0 * a_grid[-1]
+
+        def f_of_a(a: float) -> float:
+            return float(np.sum((np.exp(-a * lags) * cos_part - values) ** 2))
+
+        a, val = _golden_min(f_of_a, float(lo), float(hi), tol=1e-8 * max(hi, a_floor))
+        if errs[j] < val:
+            a, val = float(a_grid[j]), float(errs[j])
+        if val < best["val"]:
+            best.update(a=a, b=b, val=val)
+        return val
+
+    b_floor = 0.1 / n_max
+    b_coarse = np.concatenate([[0.0], np.geomspace(b_floor, np.pi / n_min, grid_points)])
+    b_dense = np.arange(0.0, np.pi / n_min, 0.5 * np.pi / n_max)
+    b_grid = np.unique(np.concatenate([b_coarse, b_dense]))
+    profile_vals = np.array([profile(b) for b in b_grid])
+    if not np.any(np.isfinite(profile_vals)):
+        raise DecayFitError("no candidate produced a finite objective")
+
+    b = best["b"]
+    width = max(float(np.diff(b_grid).max()), b_floor)
+    for _ in range(60):
+        candidates = np.linspace(max(0.0, b - width), b + width, 9)
+        for cand in candidates:
+            profile(cand)
+        b = best["b"]
+        width *= 0.5
+        if width <= 1e-6 * max(b, b_floor):
+            break
+    return DecayFit(r_real=-best["a"], r_imag=best["b"], residual=best["val"])
+
+
+def _model_series():
+    """The in-model, noisy and damped series of TestFitDecay (a subset of the draws)."""
+    n = np.arange(0, 1001, 10, dtype=float)
+    cases = {
+        "pure_decay": (n, np.exp(-0.01 * n)),
+        "damped": (n, np.real(np.exp((-0.01 + 0.05j) * n))),
+        "short_grid": (np.arange(0, 501, 5, dtype=float), np.exp(-0.02 * np.arange(0, 501, 5))),
+    }
+    rng = np.random.default_rng(99)
+    for i in range(10):
+        a = 10 ** rng.uniform(-3.5, -1.2)
+        b = 0.0 if rng.random() < 0.3 else 10 ** rng.uniform(-3, np.log10(0.5 * np.pi / 10))
+        cases[f"ground_truth_{i}"] = (n, np.exp(-a * n) * np.cos(b * n))
+    clean = np.real(np.exp((-0.01 + 0.05j) * n))
+    for seed in range(4):
+        noisy = clean + np.random.default_rng(seed).normal(scale=0.02, size=n.size)
+        noisy[0] = 1.0
+        cases[f"noisy_{seed}"] = (n, noisy)
+    return cases
+
+
+def _rough_well_series(sampler, epsilon):
+    """Autocorrelation at 120 lags of a short rough-well chain, as a tuning trial scores it."""
+    ef = RoughWell()
+    init = PhaseState(np.zeros(2), np.array([0.4, -0.9]))
+    if sampler == "mjhmc":
+        chain = sample_chain(
+            SamplerConfig(epsilon=epsilon, steps=10, beta=0.1, n_samples=400, seed=5), ef, init,
+        )
+        idx = systematic_resample_indices(
+            chain.holding_times, len(chain), np.random.default_rng(6)
+        )
+        positions, evals = chain.positions[idx], chain.gradient_evals[idx]
+    else:
+        chain = hmc_chain(
+            HmcConfig(epsilon=epsilon, steps=10, beta=0.1, n_samples=400, seed=5), ef, init,
+        )
+        positions, evals = chain.positions, chain.gradient_evals
+    return autocorrelation(positions, evals, n_lags=120)
+
+
+class TestLockstepFitMatchesScalarFit:
+    """The lockstep fit reproduces the one-search-per-candidate fit bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(_model_series()))
+    def test_model_series(self, name):
+        series = AutocorrSeries(*_model_series()[name])
+        assert fit_decay(series) == reference_fit_decay(series)
+
+    @pytest.mark.parametrize("sampler", ["mjhmc", "hmc"])
+    @pytest.mark.parametrize("epsilon", [0.1, 0.6, 1.5, 3.0])
+    def test_rough_well_series(self, sampler, epsilon):
+        series = _rough_well_series(sampler, epsilon)
+        assert fit_decay(series) == reference_fit_decay(series)
+
+    def test_constant_series_brackets_at_zero_decay(self):
+        n = np.arange(0, 1001, 10, dtype=float)
+        series = AutocorrSeries(n, np.ones(n.size))
+        fit = fit_decay(series)
+        assert fit == reference_fit_decay(series)
+        assert fit.r_real == 0.0 and fit.r_imag == 0.0 and fit.residual == 0.0
+
+    def test_decay_beyond_grid_top(self):
+        # a = 5 is past the grid's top 20 / n_min = 2, so the bracket is the
+        # last grid point and its upper end 2 * a_grid[-1]
+        n = np.arange(0, 1001, 10, dtype=float)
+        series = AutocorrSeries(n, np.exp(-5.0 * n))
+        fit = fit_decay(series)
+        assert fit == reference_fit_decay(series)
+        assert -fit.r_real > 2.0
+
+    def test_pure_oscillation(self):
+        # b > 0 with the decay bracketed in [0, a_floor], the grid's first cell
+        n = np.arange(0, 1001, 10, dtype=float)
+        series = AutocorrSeries(n, np.cos(0.05 * n))
+        fit = fit_decay(series)
+        assert fit == reference_fit_decay(series)
+        assert fit.r_imag == pytest.approx(0.05, rel=1e-6)
+        assert 0.0 <= -fit.r_real < 0.01 / n[-1]
+
+    def test_overflowing_series_has_no_finite_candidate(self):
+        # every squared error overflows, so every candidate profiles to inf
+        n = np.arange(0, 1001, 10, dtype=float)
+        series = AutocorrSeries(n, np.full(n.size, 1e200))
+        for fit in (fit_decay, reference_fit_decay):
+            with np.errstate(over="ignore"), pytest.raises(DecayFitError, match="no candidate"):
+                fit(series)
