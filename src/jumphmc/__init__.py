@@ -29,7 +29,6 @@ from .jump import (
     StateCache,
     Transition,
     TransitionRates,
-    WeightedSample,
     compute_rates,
     draw_waiting_times,
     init_cache,

@@ -213,6 +213,11 @@ def cmd_sample(config: dict, out: Optional[str]) -> int:
         "sample config",
     )
     ef = parse_model(fields["model"])
+    if "init_position" in fields and len(fields["init_position"]) != ef.dim:
+        raise ConfigError(
+            f"sample config.init_position: expected {ef.dim} numbers, "
+            f"got {len(fields['init_position'])}"
+        )
     seed = fields.get("seed", 0)
     prefix = out or fields.get("out", "chain")
     init_seed, chain_seed = _derived_seeds(seed, 2)
@@ -240,7 +245,10 @@ def cmd_sample(config: dict, out: Optional[str]) -> int:
         if err.partial_chain is not None and len(err.partial_chain):
             write_chain_csv(csv_path, err.partial_chain, config=meta_config, seed=seed)
             write_chain_metadata(json_path, err.partial_chain, meta_config, seed)
-        print(f"error: integration failure: {err} (partial output in {csv_path})", file=sys.stderr)
+            written = f"partial output in {csv_path}"
+        else:
+            written = "no samples were written"
+        print(f"error: integration failure: {err} ({written})", file=sys.stderr)
         return EXIT_NUMERICAL
     write_chain_csv(csv_path, chain, config=meta_config, seed=seed)
     write_chain_metadata(json_path, chain, meta_config, seed)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, IntegrationError
 from .phase import PhaseState
 
 
@@ -57,8 +57,12 @@ def _check_dim(x: np.ndarray, dim: int) -> np.ndarray:
 
 
 def kinetic_energy(v: np.ndarray) -> float:
-    """Kinetic energy |v|^2 / 2 of a unit-mass momentum."""
-    return 0.5 * float(np.dot(v, v))
+    """Kinetic energy |v|^2 / 2 of a unit-mass momentum.
+
+    ``np.vdot`` gives the bits of ``np.dot`` but sets no floating-point
+    warning where the sum overflows to inf, which callers check for.
+    """
+    return 0.5 * float(np.vdot(v, v))
 
 
 class EnergyFunction(abc.ABC):
@@ -94,8 +98,14 @@ class EnergyFunction(abc.ABC):
         same gradient, so they are applied as one full kick: a half-kick at
         each end and ``steps - 1`` full kicks in between, ``steps`` gradient
         evaluations in all.  Returns fresh (x, v, grad) at the endpoint and
-        leaves the inputs untouched.  Overflow is not raised: it shows as
-        non-finite values in the result, for the caller to check.
+        leaves the inputs untouched.
+
+        Raises
+        ------
+        IntegrationError
+            If the endpoint position, momentum or gradient is not finite.  A
+            trajectory that overflows ends non-finite, so this one check
+            catches any failure along it.  The error carries the endpoint.
         """
         half = 0.5 * epsilon
         # Fresh buffers, updated in place: the loop runs millions of times on
@@ -112,7 +122,15 @@ class EnergyFunction(abc.ABC):
             x += epsilon * v
             g = self.gradient(x)
             v -= half * g
+        if not (np.isfinite(x).all() and np.isfinite(v).all() and np.isfinite(g).all()):
+            raise _integration_error(x, v)
         return x, v, g
+
+
+def _integration_error(x: np.ndarray, v: np.ndarray) -> IntegrationError:
+    return IntegrationError(
+        "leapfrog integration produced non-finite values", state=PhaseState(x, v)
+    )
 
 
 def _rough_well_partial(xi: float, curvature: float, freq: float) -> float:
@@ -147,7 +165,15 @@ class RoughWell(EnergyFunction):
 
     def energy(self, x) -> float:
         x = _check_dim(x, 2)
-        return self._half_inv_s1sq * float(np.dot(x, x)) + float(np.sum(np.cos(self._freq * x)))
+        x0, x1 = x.tolist()
+        f = self._freq
+        try:
+            # the two cosines on floats: the same sum as np.sum(np.cos(f * x))
+            ripple = math.cos(f * x0) + math.cos(f * x1)
+        except ValueError:
+            ripple = math.nan  # math.cos(inf) raises where np.cos gives nan
+        # vdot, not x0*x0 + x1*x1, which may round differently (fused multiply-add)
+        return self._half_inv_s1sq * float(np.vdot(x, x)) + ripple
 
     def gradient(self, x) -> np.ndarray:
         """x_i / sigma1^2 - (pi / sigma2) sin(pi x_i / sigma2)."""
@@ -194,6 +220,10 @@ class RoughWell(EnergyFunction):
             # math.sin(inf) raises where np.sin gives nan: the position has
             # overflowed, so end with the non-finite state reached so far.
             g0 = g1 = math.nan
+        isfinite = math.isfinite
+        if not (isfinite(x0) and isfinite(x1) and isfinite(v0) and isfinite(v1)
+                and isfinite(g0) and isfinite(g1)):
+            raise _integration_error(np.array([x0, x1]), np.array([v0, v1]))
         return np.array([x0, x1]), np.array([v0, v1]), np.array([g0, g1])
 
 
@@ -210,7 +240,8 @@ class DiagonalGaussian(EnergyFunction):
 
     def energy(self, x) -> float:
         x = _check_dim(x, self.dim)
-        return 0.5 * float(np.dot(self.params.precision_diag, x * x))
+        with np.errstate(over="ignore"):  # far out in the tail the energy is inf
+            return 0.5 * float(np.vdot(self.params.precision_diag, x * x))
 
     def gradient(self, x) -> np.ndarray:
         """p_i x_i."""

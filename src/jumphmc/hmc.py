@@ -10,14 +10,14 @@ spectral-gap comparison uses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .energy import CountingEnergy, EnergyFunction, kinetic_energy
 from .errors import IntegrationError
-from .phase import LeapfrogParams, PhaseState, flip, leapfrog_with_grad
+from .phase import LeapfrogParams, PhaseState
 
 
 @dataclass(frozen=True)
@@ -42,40 +42,36 @@ class HmcConfig:
         return LeapfrogParams(self.epsilon, self.steps)
 
 
-class _Walker(NamedTuple):
-    """Current state plus its cached potential energy and gradient."""
-
-    state: PhaseState
-    potential: float
-    grad: np.ndarray
-
-
 def _mh_step(
-    walker: _Walker, config: HmcConfig, ef: EnergyFunction, rng: np.random.Generator
-) -> tuple[_Walker, bool]:
-    proposal, end_grad = leapfrog_with_grad(
-        walker.state, config.leapfrog_params, ef, grad0=walker.grad
-    )
-    h_cur = walker.potential + kinetic_energy(walker.state.v)
-    with np.errstate(over="ignore", invalid="ignore"):
-        pot_prop = ef.energy(proposal.x)
-        h_prop = pot_prop + kinetic_energy(proposal.v)
-    if not np.isfinite(h_prop):
-        raise IntegrationError("non-finite proposal energy", state=proposal)
+    x: np.ndarray,
+    v: np.ndarray,
+    grad: np.ndarray,
+    potential: float,
+    config: HmcConfig,
+    ef: EnergyFunction,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, bool]:
+    """One step from (x, v) with its cached gradient and potential.
+
+    Returns the new (x, v, grad, potential) and whether the proposal was
+    accepted.
+    """
+    xp, vp, gp = ef.trajectory(x, v, grad, config.epsilon, config.steps)
+    h_cur = potential + kinetic_energy(v)
+    pot_prop = ef.energy(xp)
+    h_prop = pot_prop + kinetic_energy(vp)
+    if not math.isfinite(h_prop):
+        raise IntegrationError("non-finite proposal energy", state=PhaseState(xp, vp))
     d_h = h_prop - h_cur
     u = rng.random()
     accepted = d_h <= 0 or u < np.exp(-d_h)
     if accepted:
-        walker = _Walker(proposal, pot_prop, end_grad)
+        x, v, grad, potential = xp, vp, gp, pot_prop
     else:
-        walker = _Walker(flip(walker.state), walker.potential, walker.grad)
+        v = -v
     if rng.random() < config.beta:
-        walker = _Walker(
-            PhaseState(walker.state.x, rng.standard_normal(walker.state.dim)),
-            walker.potential,
-            walker.grad,
-        )
-    return walker, accepted
+        v = rng.standard_normal(x.size)
+    return x, v, grad, potential, accepted
 
 
 def hmc_step(
@@ -83,9 +79,10 @@ def hmc_step(
 ) -> tuple[PhaseState, int]:
     """One propose/accept/corrupt step; returns the new state and gradient evals used."""
     counter = CountingEnergy(ef)
-    walker = _Walker(zeta, counter.energy(zeta.x), counter.gradient(zeta.x))
-    walker, _ = _mh_step(walker, config, counter, rng)
-    return walker.state, counter.gradient_calls
+    potential = counter.energy(zeta.x)
+    grad = counter.gradient(zeta.x)
+    x, v, _, _, _ = _mh_step(zeta.x, zeta.v, grad, potential, config, counter, rng)
+    return PhaseState(x, v), counter.gradient_calls
 
 
 @dataclass
@@ -116,28 +113,25 @@ def hmc_chain(config: HmcConfig, ef: EnergyFunction, init: PhaseState) -> HmcCha
     counter = CountingEnergy(ef)
     rng = np.random.default_rng(config.seed)
     n, dim = config.n_samples, init.dim
-    chain = HmcChain(
-        positions=np.empty((n, dim)),
-        momenta=np.empty((n, dim)),
-        gradient_evals=np.empty(n, dtype=np.int64),
-        accepted=np.empty(n, dtype=bool),
-    )
-    walker = _Walker(init, counter.energy(init.x), counter.gradient(init.x))
-    for i in range(n):
-        try:
-            walker, accepted = _mh_step(walker, config, counter, rng)
-        except IntegrationError as err:
-            err.partial_chain = HmcChain(
-                positions=chain.positions[:i].copy(),
-                momenta=chain.momenta[:i].copy(),
-                gradient_evals=chain.gradient_evals[:i].copy(),
-                accepted=chain.accepted[:i].copy(),
-                energy_evals=counter.energy_calls,
+    positions, momenta = np.empty((n, dim)), np.empty((n, dim))
+    gradient_evals = np.empty(n, dtype=np.int64)
+    accepted = np.empty(n, dtype=bool)
+    x, v = init.x, init.v
+    potential = counter.energy(x)
+    grad = counter.gradient(x)
+    i = 0
+    try:
+        for i in range(n):
+            x, v, grad, potential, accepted[i] = _mh_step(
+                x, v, grad, potential, config, counter, rng
             )
-            raise
-        chain.positions[i] = walker.state.x
-        chain.momenta[i] = walker.state.v
-        chain.gradient_evals[i] = counter.gradient_calls
-        chain.accepted[i] = accepted
-    chain.energy_evals = counter.energy_calls
-    return chain
+            positions[i] = x
+            momenta[i] = v
+            gradient_evals[i] = counter.gradient_calls
+    except IntegrationError as err:
+        err.partial_chain = HmcChain(
+            positions[:i].copy(), momenta[:i].copy(), gradient_evals[:i].copy(),
+            accepted[:i].copy(), counter.energy_calls,
+        )
+        raise
+    return HmcChain(positions, momenta, gradient_evals, accepted, counter.energy_calls)

@@ -22,20 +22,12 @@ import enum
 import math
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 from .energy import CountingEnergy, EnergyFunction, kinetic_energy
 from .errors import IntegrationError
-from .phase import (
-    LeapfrogParams,
-    PhaseState,
-    flip,
-    leapfrog_inverse_with_grad,
-    leapfrog_with_grad,
-    randomize_momentum,
-)
+from .phase import LeapfrogParams, PhaseState
 
 
 class Transition(enum.Enum):
@@ -46,34 +38,8 @@ class Transition(enum.Enum):
     R = "R"
 
 
-@dataclass(frozen=True)
-class TransitionRates:
-    """Outgoing Poisson rates from the current state.
-
-    The race runs on the log-rates, which stay finite where a rate
-    overflows a float; ``gamma_L`` and ``gamma_F`` are their exponentials
-    and read inf there.  Built from linear rates alone, the log-rates are
-    derived from them.
-    """
-
-    gamma_L: float
-    gamma_F: float
-    beta: float
-    log_gamma_L: Optional[float] = None
-    log_gamma_F: Optional[float] = None
-
-    def __post_init__(self):
-        if self.log_gamma_L is None:
-            object.__setattr__(self, "log_gamma_L", _log(self.gamma_L))
-        if self.log_gamma_F is None:
-            object.__setattr__(self, "log_gamma_F", _log(self.gamma_F))
-
-    @property
-    def total(self) -> float:
-        return self.gamma_L + self.gamma_F + self.beta
-
-
 _MAX_LOG = math.log(sys.float_info.max)
+_TINY = sys.float_info.min
 
 
 def _exp(log_value: float) -> float:
@@ -83,6 +49,32 @@ def _exp(log_value: float) -> float:
 
 def _log(rate: float) -> float:
     return math.log(rate) if rate > 0 else -math.inf
+
+
+@dataclass(frozen=True)
+class TransitionRates:
+    """Outgoing Poisson rates from the current state.
+
+    The race runs on the log-rates, which stay finite where a rate
+    overflows a float; ``gamma_L`` and ``gamma_F`` are their exponentials
+    and read inf there.
+    """
+
+    log_gamma_L: float
+    log_gamma_F: float
+    beta: float
+
+    @property
+    def gamma_L(self) -> float:
+        return _exp(self.log_gamma_L)
+
+    @property
+    def gamma_F(self) -> float:
+        return _exp(self.log_gamma_F)
+
+    @property
+    def total(self) -> float:
+        return self.gamma_L + self.gamma_F + self.beta
 
 
 @dataclass(frozen=True)
@@ -107,111 +99,116 @@ class SamplerConfig:
         return LeapfrogParams(self.epsilon, self.steps)
 
 
-@dataclass(frozen=True)
-class WeightedSample:
-    """A visited state, how long the chain sat in it, and its running cost."""
+def _node(x: np.ndarray, v: np.ndarray, grad: np.ndarray, ef: EnergyFunction) -> tuple:
+    """The node of (x, v) with gradient ``grad``; evaluates the potential once.
 
-    state: PhaseState
-    holding_time: float
-    transition_out: Transition
-    cumulative_gradient_evals: int
-
-
-class _Node(NamedTuple):
-    """A phase state with its cached potential, total energy and gradient."""
-
-    state: PhaseState
-    potential: float
-    h: float
-    grad: np.ndarray
+    Raises IntegrationError where the total energy is not finite.
+    """
+    potential = ef.energy(x)
+    h = potential + kinetic_energy(v)
+    if not math.isfinite(h):
+        raise IntegrationError("non-finite energy encountered", state=PhaseState(x, v))
+    return (x, v, grad, potential, h)
 
 
-@dataclass
+def _neighbors(
+    x: np.ndarray, v: np.ndarray, grad: np.ndarray, ef: EnergyFunction, epsilon: float, steps: int
+) -> tuple:
+    """The forward node L(x, v) and the backward node L^-1(x, v) = F L F(x, v)."""
+    forward = _node(*ef.trajectory(x, v, grad, epsilon, steps), ef)
+    xb, vb, gb = ef.trajectory(x, -v, grad, epsilon, steps)
+    return forward, _node(xb, -vb, gb, ef)
+
+
+def _flipped(node: tuple) -> tuple:
+    """The node of the flipped state: |v|^2 is exactly invariant under negation."""
+    x, v, grad, potential, h = node
+    return (x, -v, grad, potential, h)
+
+
 class StateCache:
-    """Precomputed neighbors of the current state.
+    """The current state and its two precomputed neighbors.
 
-    ``forward`` holds L of the current state and ``backward`` holds L^-1 of
-    it.  Each transition kind has one update rule:
+    ``current``, ``forward`` (L of the current state) and ``backward``
+    (L^-1 of it) are nodes: plain tuples ``(x, v, grad, potential, h)`` of
+    the position, the momentum, the gradient at x, the potential E(x) and
+    the total energy H = E(x) + |v|^2 / 2.  Nothing writes into a node's
+    arrays, so nodes share them.  Each transition kind has one update rule,
+    applied in place:
 
-    - L: the forward node becomes current and the previous current node
-      becomes backward; only the new forward node is integrated.
-    - F: since L(F zeta) = F L^-1 zeta and L^-1(F zeta) = F L zeta, the new
-      forward node is the old backward node flipped and the new backward
-      node is the old forward node flipped.  A flip keeps the potential,
-      the total energy and the gradient, so nothing is evaluated.
-    - R: both neighbors of the redrawn state are integrated afresh.
+    - L (:meth:`leap`): the forward node becomes current and the previous
+      current node becomes backward; only the new forward node is
+      integrated.
+    - F (:meth:`flip`): since L(F zeta) = F L^-1 zeta and L^-1(F zeta) =
+      F L zeta, the new forward node is the old backward node flipped and
+      the new backward node is the old forward node flipped.  A flip
+      negates v and keeps the potential, the total energy and the
+      gradient, so nothing is evaluated.
+    - R (:meth:`redraw`): both neighbors of the redrawn state are
+      integrated afresh.
+
+    A rule that raises leaves the cache as it was.
     """
 
-    current: _Node
-    forward: _Node
-    backward: _Node
-    last_transition: Optional[Transition] = None
+    __slots__ = ("current", "forward", "backward")
 
-    @property
-    def state(self) -> PhaseState:
-        return self.current.state
+    def __init__(self, current: tuple, forward: tuple, backward: tuple):
+        self.current, self.forward, self.backward = current, forward, backward
 
+    def leap(self, ef: EnergyFunction, epsilon: float, steps: int) -> None:
+        nxt = self.forward
+        x, v, grad, _, _ = nxt
+        forward = _node(*ef.trajectory(x, v, grad, epsilon, steps), ef)
+        self.current, self.forward, self.backward = nxt, forward, self.current
 
-def _flipped(node: _Node) -> _Node:
-    """The node of the flipped state: |v|^2 is exactly invariant under negation."""
-    return node._replace(state=flip(node.state))
+    def flip(self) -> None:
+        self.current, self.forward, self.backward = (
+            _flipped(self.current), _flipped(self.backward), _flipped(self.forward)
+        )
 
-
-def _make_node(state: PhaseState, grad: np.ndarray, ef: EnergyFunction) -> _Node:
-    with np.errstate(over="ignore", invalid="ignore"):
-        potential = ef.energy(state.x)
-        h = potential + kinetic_energy(state.v)
-    if not np.isfinite(h):
-        raise IntegrationError("non-finite energy encountered", state=state)
-    return _Node(state, potential, h, grad)
+    def redraw(
+        self, ef: EnergyFunction, epsilon: float, steps: int, rng: np.random.Generator
+    ) -> None:
+        x, _, grad, potential, _ = self.current
+        v = rng.standard_normal(x.size)
+        self.forward, self.backward = _neighbors(x, v, grad, ef, epsilon, steps)
+        self.current = (x, v, grad, potential, potential + kinetic_energy(v))
 
 
 def init_cache(zeta: PhaseState, config: SamplerConfig, ef: EnergyFunction) -> StateCache:
     """Build the neighbor cache for a fresh chain start."""
-    params = config.leapfrog_params
-    g0 = ef.gradient(zeta.x)
-    current = _make_node(zeta, g0, ef)
-    fwd_state, fwd_grad = leapfrog_with_grad(zeta, params, ef, grad0=g0)
-    bwd_state, bwd_grad = leapfrog_inverse_with_grad(zeta, params, ef, grad0=g0)
-    return StateCache(
-        current=current,
-        forward=_make_node(fwd_state, fwd_grad, ef),
-        backward=_make_node(bwd_state, bwd_grad, ef),
-    )
+    x, v = zeta.x, zeta.v
+    grad = ef.gradient(x)
+    current = _node(x, v, grad, ef)
+    return StateCache(current, *_neighbors(x, v, grad, ef, config.epsilon, config.steps))
 
 
-def compute_rates(
-    zeta: PhaseState, cache: StateCache, config: SamplerConfig, ef: EnergyFunction
-) -> TransitionRates:
-    """Outgoing rates from ``zeta`` given its cached neighbor energies.
+def _log_rates(cache: StateCache) -> tuple[float, float]:
+    """(log gamma_L, log gamma_F) from the total energies h of the three nodes.
 
-    The log-rates are formed from the cached total energies without
-    exponentiating: log gamma_L = -dH_fwd/2 and, with a = -dH_bwd/2,
-    log gamma_F = a + log(1 - exp(log gamma_L - a)) when a > log gamma_L,
-    else gamma_F = 0.
+    The log-rates are formed without exponentiating: log gamma_L =
+    -dH_fwd/2 and, with a = -dH_bwd/2, log gamma_F = a + log(1 - exp(log
+    gamma_L - a)) when a > log gamma_L, else gamma_F = 0.
     """
-    cur = cache.current
-    if cur.state is not zeta and not (
-        np.array_equal(cur.state.x, zeta.x) and np.array_equal(cur.state.v, zeta.v)
-    ):
-        raise ValueError("cache is not consistent with the supplied state")
-    if not (
-        math.isfinite(cur.h) and math.isfinite(cache.forward.h) and math.isfinite(cache.backward.h)
-    ):
-        raise IntegrationError("non-finite energy in neighbor cache", state=zeta)
-    log_gamma_L = -0.5 * (cache.forward.h - cur.h)
-    a = -0.5 * (cache.backward.h - cur.h)
+    h = cache.current[4]
+    log_gamma_L = -0.5 * (cache.forward[4] - h)
+    a = -0.5 * (cache.backward[4] - h)
     # -expm1 stays positive for a difference too small for 1 - exp to resolve
     log_gamma_F = a + math.log(-math.expm1(log_gamma_L - a)) if a > log_gamma_L else -math.inf
-    return TransitionRates(
-        _exp(log_gamma_L), _exp(log_gamma_F), config.beta, log_gamma_L, log_gamma_F
-    )
+    return log_gamma_L, log_gamma_F
+
+
+def compute_rates(cache: StateCache, config: SamplerConfig) -> TransitionRates:
+    """Outgoing rates from the cache's current state (see :func:`_log_rates`)."""
+    return TransitionRates(*_log_rates(cache), config.beta)
 
 
 _RACE_KINDS = (Transition.L, Transition.F, Transition.R)
 
 
-def _log_waiting_times(rates: TransitionRates, rng: np.random.Generator) -> list[float]:
+def _log_waiting_times(
+    log_gamma_L: float, log_gamma_F: float, beta: float, rng: np.random.Generator
+) -> list[float]:
     """Logs of the three competing waiting times draw / rate, in L, F, R order.
 
     A zero rate gives +inf, so that arm can never win.  Exactly three
@@ -220,8 +217,8 @@ def _log_waiting_times(rates: TransitionRates, rng: np.random.Generator) -> list
     exact-zero draw is raised to the smallest normal float.
     """
     draws = rng.standard_exponential(3).tolist()
-    log_rates = (rates.log_gamma_L, rates.log_gamma_F, _log(rates.beta))
-    return [math.log(max(d, sys.float_info.min)) - lr for d, lr in zip(draws, log_rates)]
+    log_rates = (log_gamma_L, log_gamma_F, _log(beta))
+    return [math.log(max(d, _TINY)) - lr for d, lr in zip(draws, log_rates)]
 
 
 def _holding_time(log_wait: float) -> float:
@@ -233,7 +230,7 @@ def _holding_time(log_wait: float) -> float:
     negligible but positive importance weight, so resampling and weighted
     moments accept every chain the sampler returns.
     """
-    return max(_exp(log_wait), sys.float_info.min)
+    return max(_exp(log_wait), _TINY)
 
 
 def draw_waiting_times(
@@ -244,54 +241,32 @@ def draw_waiting_times(
     A zero rate yields an infinite waiting time; every time is strictly
     positive (see :func:`_holding_time`).
     """
-    return tuple(_holding_time(lw) for lw in _log_waiting_times(rates, rng))
+    log_waits = _log_waiting_times(rates.log_gamma_L, rates.log_gamma_F, rates.beta, rng)
+    return tuple(_holding_time(lw) for lw in log_waits)
 
 
 def step(
-    zeta: PhaseState,
-    cache: StateCache,
-    config: SamplerConfig,
-    ef: EnergyFunction,
-    rng: np.random.Generator,
-) -> tuple[PhaseState, WeightedSample, StateCache]:
-    """Run one exponential race, record the holding time, move to the winner.
+    cache: StateCache, config: SamplerConfig, ef: EnergyFunction, rng: np.random.Generator
+) -> tuple[Transition, float]:
+    """Run one exponential race from the cache's current state and move to the winner.
 
-    The race compares log waiting times, so it is exact even where a rate
+    Returns the winning kind and the holding time of the state left.  The
+    race compares log waiting times, so it is exact even where a rate
     overflows.  Ties (a measure-zero event) resolve with the fixed priority
-    L > F > R.  The neighbor cache is updated by the rule of the winning
+    L > F > R.  The cache is updated in place by the rule of the winning
     kind (see :class:`StateCache`): an L transition costs one leapfrog
-    integration, an F transition none, an R transition two.  When ``ef`` is
-    a :class:`CountingEnergy` the emitted sample carries its cumulative
-    gradient-evaluation count, including the cost of that update.
+    integration, an F transition none, an R transition two.
     """
-    params = config.leapfrog_params
-    rates = compute_rates(zeta, cache, config, ef)
-    log_waits = _log_waiting_times(rates, rng)
+    log_waits = _log_waiting_times(*_log_rates(cache), config.beta, rng)
     shortest = min(log_waits)
     kind = _RACE_KINDS[log_waits.index(shortest)]
-
-    cur, fwd, bwd = cache.current, cache.forward, cache.backward
     if kind is Transition.L:
-        nxt = fwd.state
-        new_current, new_backward = fwd, cur
-        new_forward = _make_node(*leapfrog_with_grad(nxt, params, ef, grad0=fwd.grad), ef)
+        cache.leap(ef, config.epsilon, config.steps)
     elif kind is Transition.F:
-        new_current, new_forward, new_backward = _flipped(cur), _flipped(bwd), _flipped(fwd)
-        nxt = new_current.state
+        cache.flip()
     else:
-        nxt = randomize_momentum(zeta, rng)
-        new_current = _Node(nxt, cur.potential, cur.potential + kinetic_energy(nxt.v), cur.grad)
-        new_forward = _make_node(*leapfrog_with_grad(nxt, params, ef, grad0=cur.grad), ef)
-        new_backward = _make_node(*leapfrog_inverse_with_grad(nxt, params, ef, grad0=cur.grad), ef)
-    next_cache = StateCache(new_current, new_forward, new_backward, last_transition=kind)
-
-    sample = WeightedSample(
-        state=zeta,
-        holding_time=_holding_time(shortest),
-        transition_out=kind,
-        cumulative_gradient_evals=getattr(ef, "gradient_calls", 0),
-    )
-    return nxt, sample, next_cache
+        cache.redraw(ef, config.epsilon, config.steps, rng)
+    return kind, _holding_time(shortest)
 
 
 @dataclass
@@ -313,76 +288,44 @@ class JumpChain:
     def __len__(self) -> int:
         return self.positions.shape[0]
 
-    def sample(self, i: int) -> WeightedSample:
-        return WeightedSample(
-            state=PhaseState(self.positions[i], self.momenta[i]),
-            holding_time=float(self.holding_times[i]),
-            transition_out=Transition(str(self.transitions[i])),
-            cumulative_gradient_evals=int(self.gradient_evals[i]),
-        )
-
-    def __iter__(self):
-        return (self.sample(i) for i in range(len(self)))
-
     def transition_counts(self) -> dict[str, int]:
         kinds, counts = np.unique(self.transitions, return_counts=True)
         return {str(k): int(c) for k, c in zip(kinds, counts)}
-
-
-def _pack_chain(samples: list[WeightedSample], energy_evals: int) -> JumpChain:
-    n = len(samples)
-    dim = samples[0].state.dim if n else 0
-    chain = JumpChain(
-        positions=np.empty((n, dim)),
-        momenta=np.empty((n, dim)),
-        holding_times=np.empty(n),
-        transitions=np.empty(n, dtype="<U1"),
-        gradient_evals=np.empty(n, dtype=np.int64),
-        energy_evals=energy_evals,
-    )
-    for i, s in enumerate(samples):
-        chain.positions[i] = s.state.x
-        chain.momenta[i] = s.state.v
-        chain.holding_times[i] = s.holding_time
-        chain.transitions[i] = s.transition_out.value
-        chain.gradient_evals[i] = s.cumulative_gradient_evals
-    return chain
 
 
 def sample_chain(config: SamplerConfig, ef: EnergyFunction, init: PhaseState) -> JumpChain:
     """Generate ``config.n_samples`` weighted samples starting from ``init``.
 
     The first recorded state is ``init`` itself.  If the integrator fails,
-    the raised :class:`IntegrationError` carries the samples collected so
-    far as ``partial_chain``.
+    the raised :class:`IntegrationError` carries the rows recorded so far
+    as ``partial_chain``.
     """
     counter = CountingEnergy(ef)
     rng = np.random.default_rng(config.seed)
-    samples: list[WeightedSample] = []
-    zeta = init
+    n, dim = config.n_samples, init.dim
+    positions, momenta = np.empty((n, dim)), np.empty((n, dim))
+    holding_times = np.empty(n)
+    transitions = np.empty(n, dtype="<U1")
+    gradient_evals = np.empty(n, dtype=np.int64)
+    i = 0
     try:
-        cache = init_cache(zeta, config, counter)
-        for _ in range(config.n_samples):
-            zeta, sample, cache = step(zeta, cache, config, counter, rng)
-            samples.append(sample)
+        cache = init_cache(init, config, counter)
+        for i in range(n):
+            x, v, _, _, _ = cache.current
+            positions[i] = x
+            momenta[i] = v
+            kind, holding_times[i] = step(cache, config, counter, rng)
+            transitions[i] = kind.value
+            gradient_evals[i] = counter.gradient_calls
     except IntegrationError as err:
-        err.partial_chain = _pack_chain(samples, counter.energy_calls)
+        err.partial_chain = JumpChain(
+            positions[:i].copy(), momenta[:i].copy(), holding_times[:i].copy(),
+            transitions[:i].copy(), gradient_evals[:i].copy(), counter.energy_calls,
+        )
         raise
-    return _pack_chain(samples, counter.energy_calls)
-
-
-ChainLike = Union[JumpChain, Sequence[WeightedSample]]
-
-
-def _positions_and_weights(samples: ChainLike) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(samples, JumpChain):
-        return samples.positions, samples.holding_times
-    samples = list(samples)
-    if not samples:
-        raise ValueError("empty sample sequence")
-    positions = np.stack([s.state.x for s in samples])
-    weights = np.array([s.holding_time for s in samples])
-    return positions, weights
+    return JumpChain(
+        positions, momenta, holding_times, transitions, gradient_evals, counter.energy_calls
+    )
 
 
 def systematic_resample_indices(
@@ -407,22 +350,17 @@ def systematic_resample_indices(
     return np.searchsorted(cum, points, side="right")
 
 
-def resample(samples: ChainLike, n_out: int, rng: np.random.Generator) -> list[PhaseState]:
+def resample(chain: JumpChain, n_out: int, rng: np.random.Generator) -> list[PhaseState]:
     """Resample visited states using holding times as importance weights."""
-    positions, weights = _positions_and_weights(samples)
-    if isinstance(samples, JumpChain):
-        momenta = samples.momenta
-    else:
-        momenta = np.stack([s.state.v for s in samples])
-    if positions.shape[0] == 0:
+    if len(chain) == 0:
         raise ValueError("cannot resample an empty chain")
-    idx = systematic_resample_indices(weights, n_out, rng)
-    return [PhaseState(positions[i], momenta[i]) for i in idx]
+    idx = systematic_resample_indices(chain.holding_times, n_out, rng)
+    return [PhaseState(chain.positions[i], chain.momenta[i]) for i in idx]
 
 
-def weighted_moments(samples: ChainLike) -> tuple[np.ndarray, np.ndarray]:
+def weighted_moments(chain: JumpChain) -> tuple[np.ndarray, np.ndarray]:
     """Holding-time-weighted mean and central covariance of the positions."""
-    positions, weights = _positions_and_weights(samples)
+    positions, weights = chain.positions, chain.holding_times
     if positions.shape[0] == 0:
         raise ValueError("cannot take moments of an empty chain")
     total = weights.sum()

@@ -296,7 +296,7 @@ def test_criterion_8_holding_time_law():
     config = SamplerConfig(epsilon=1.0, steps=3, beta=0.5, n_samples=1, seed=0)
     state = PhaseState([-1.69921191, -1.02124494], [-0.01153306, -1.48537518])
     cache = init_cache(state, config, ef)
-    rates = compute_rates(state, cache, config, ef)
+    rates = compute_rates(cache, config)
     rng = np.random.default_rng(808)
     mins = np.array([min(draw_waiting_times(rates, rng)) for _ in range(100_000)])
     rel_err = abs(mins.mean() - 1.0 / rates.total) * rates.total

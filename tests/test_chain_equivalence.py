@@ -1,0 +1,408 @@
+"""The array-native chain loops against the object-based loops they replaced.
+
+The reference below is the former ``step``/``sample_chain`` of
+``jumphmc.jump`` and ``hmc_chain`` of ``jumphmc.hmc``, kept verbatim apart
+from imports, docstrings and the names ``reference_sample_chain`` and
+``reference_hmc_chain``.  It builds one ``WeightedSample``, one
+``TransitionRates`` and several ``PhaseState`` objects per step and packs
+them into arrays at the end.  The rewrite performs the same floating-point
+operations and draws the same random numbers, so every chain array must
+be equal, not merely close.
+"""
+
+from __future__ import annotations
+
+import math
+import sys
+from dataclasses import dataclass
+from typing import NamedTuple, Optional
+
+import numpy as np
+import pytest
+
+from jumphmc import (
+    DiagonalGaussian,
+    EnergyFunction,
+    GaussianParams,
+    HmcChain,
+    HmcConfig,
+    IntegrationError,
+    JumpChain,
+    PhaseState,
+    RoughWell,
+    SamplerConfig,
+    Transition,
+    hmc_chain,
+    sample_chain,
+)
+from jumphmc.energy import CountingEnergy, kinetic_energy
+from jumphmc.phase import (
+    flip,
+    leapfrog_inverse_with_grad,
+    leapfrog_with_grad,
+    randomize_momentum,
+)
+
+# ---------------------------------------------------------------------------
+# reference: the object-based jump loop
+
+
+@dataclass(frozen=True)
+class TransitionRates:
+    gamma_L: float
+    gamma_F: float
+    beta: float
+    log_gamma_L: Optional[float] = None
+    log_gamma_F: Optional[float] = None
+
+    def __post_init__(self):
+        if self.log_gamma_L is None:
+            object.__setattr__(self, "log_gamma_L", _log(self.gamma_L))
+        if self.log_gamma_F is None:
+            object.__setattr__(self, "log_gamma_F", _log(self.gamma_F))
+
+    @property
+    def total(self) -> float:
+        return self.gamma_L + self.gamma_F + self.beta
+
+
+_MAX_LOG = math.log(sys.float_info.max)
+
+
+def _exp(log_value: float) -> float:
+    return math.exp(log_value) if log_value <= _MAX_LOG else math.inf
+
+
+def _log(rate: float) -> float:
+    return math.log(rate) if rate > 0 else -math.inf
+
+
+@dataclass(frozen=True)
+class WeightedSample:
+    state: PhaseState
+    holding_time: float
+    transition_out: Transition
+    cumulative_gradient_evals: int
+
+
+class _Node(NamedTuple):
+    state: PhaseState
+    potential: float
+    h: float
+    grad: np.ndarray
+
+
+@dataclass
+class StateCache:
+    current: _Node
+    forward: _Node
+    backward: _Node
+    last_transition: Optional[Transition] = None
+
+    @property
+    def state(self) -> PhaseState:
+        return self.current.state
+
+
+def _flipped(node: _Node) -> _Node:
+    return node._replace(state=flip(node.state))
+
+
+def _make_node(state: PhaseState, grad: np.ndarray, ef: EnergyFunction) -> _Node:
+    with np.errstate(over="ignore", invalid="ignore"):
+        potential = ef.energy(state.x)
+        h = potential + kinetic_energy(state.v)
+    if not np.isfinite(h):
+        raise IntegrationError("non-finite energy encountered", state=state)
+    return _Node(state, potential, h, grad)
+
+
+def init_cache(zeta: PhaseState, config: SamplerConfig, ef: EnergyFunction) -> StateCache:
+    params = config.leapfrog_params
+    g0 = ef.gradient(zeta.x)
+    current = _make_node(zeta, g0, ef)
+    fwd_state, fwd_grad = leapfrog_with_grad(zeta, params, ef, grad0=g0)
+    bwd_state, bwd_grad = leapfrog_inverse_with_grad(zeta, params, ef, grad0=g0)
+    return StateCache(
+        current=current,
+        forward=_make_node(fwd_state, fwd_grad, ef),
+        backward=_make_node(bwd_state, bwd_grad, ef),
+    )
+
+
+def compute_rates(
+    zeta: PhaseState, cache: StateCache, config: SamplerConfig, ef: EnergyFunction
+) -> TransitionRates:
+    cur = cache.current
+    if cur.state is not zeta and not (
+        np.array_equal(cur.state.x, zeta.x) and np.array_equal(cur.state.v, zeta.v)
+    ):
+        raise ValueError("cache is not consistent with the supplied state")
+    if not (
+        math.isfinite(cur.h) and math.isfinite(cache.forward.h) and math.isfinite(cache.backward.h)
+    ):
+        raise IntegrationError("non-finite energy in neighbor cache", state=zeta)
+    log_gamma_L = -0.5 * (cache.forward.h - cur.h)
+    a = -0.5 * (cache.backward.h - cur.h)
+    log_gamma_F = a + math.log(-math.expm1(log_gamma_L - a)) if a > log_gamma_L else -math.inf
+    return TransitionRates(
+        _exp(log_gamma_L), _exp(log_gamma_F), config.beta, log_gamma_L, log_gamma_F
+    )
+
+
+_RACE_KINDS = (Transition.L, Transition.F, Transition.R)
+
+
+def _log_waiting_times(rates: TransitionRates, rng: np.random.Generator) -> list[float]:
+    draws = rng.standard_exponential(3).tolist()
+    log_rates = (rates.log_gamma_L, rates.log_gamma_F, _log(rates.beta))
+    return [math.log(max(d, sys.float_info.min)) - lr for d, lr in zip(draws, log_rates)]
+
+
+def _holding_time(log_wait: float) -> float:
+    return max(_exp(log_wait), sys.float_info.min)
+
+
+def step(
+    zeta: PhaseState,
+    cache: StateCache,
+    config: SamplerConfig,
+    ef: EnergyFunction,
+    rng: np.random.Generator,
+) -> tuple[PhaseState, WeightedSample, StateCache]:
+    params = config.leapfrog_params
+    rates = compute_rates(zeta, cache, config, ef)
+    log_waits = _log_waiting_times(rates, rng)
+    shortest = min(log_waits)
+    kind = _RACE_KINDS[log_waits.index(shortest)]
+
+    cur, fwd, bwd = cache.current, cache.forward, cache.backward
+    if kind is Transition.L:
+        nxt = fwd.state
+        new_current, new_backward = fwd, cur
+        new_forward = _make_node(*leapfrog_with_grad(nxt, params, ef, grad0=fwd.grad), ef)
+    elif kind is Transition.F:
+        new_current, new_forward, new_backward = _flipped(cur), _flipped(bwd), _flipped(fwd)
+        nxt = new_current.state
+    else:
+        nxt = randomize_momentum(zeta, rng)
+        new_current = _Node(nxt, cur.potential, cur.potential + kinetic_energy(nxt.v), cur.grad)
+        new_forward = _make_node(*leapfrog_with_grad(nxt, params, ef, grad0=cur.grad), ef)
+        new_backward = _make_node(*leapfrog_inverse_with_grad(nxt, params, ef, grad0=cur.grad), ef)
+    next_cache = StateCache(new_current, new_forward, new_backward, last_transition=kind)
+
+    sample = WeightedSample(
+        state=zeta,
+        holding_time=_holding_time(shortest),
+        transition_out=kind,
+        cumulative_gradient_evals=getattr(ef, "gradient_calls", 0),
+    )
+    return nxt, sample, next_cache
+
+
+def _pack_chain(samples: list[WeightedSample], energy_evals: int) -> JumpChain:
+    n = len(samples)
+    dim = samples[0].state.dim if n else 0
+    chain = JumpChain(
+        positions=np.empty((n, dim)),
+        momenta=np.empty((n, dim)),
+        holding_times=np.empty(n),
+        transitions=np.empty(n, dtype="<U1"),
+        gradient_evals=np.empty(n, dtype=np.int64),
+        energy_evals=energy_evals,
+    )
+    for i, s in enumerate(samples):
+        chain.positions[i] = s.state.x
+        chain.momenta[i] = s.state.v
+        chain.holding_times[i] = s.holding_time
+        chain.transitions[i] = s.transition_out.value
+        chain.gradient_evals[i] = s.cumulative_gradient_evals
+    return chain
+
+
+def reference_sample_chain(
+    config: SamplerConfig, ef: EnergyFunction, init: PhaseState
+) -> JumpChain:
+    counter = CountingEnergy(ef)
+    rng = np.random.default_rng(config.seed)
+    samples: list[WeightedSample] = []
+    zeta = init
+    try:
+        cache = init_cache(zeta, config, counter)
+        for _ in range(config.n_samples):
+            zeta, sample, cache = step(zeta, cache, config, counter, rng)
+            samples.append(sample)
+    except IntegrationError as err:
+        err.partial_chain = _pack_chain(samples, counter.energy_calls)
+        raise
+    return _pack_chain(samples, counter.energy_calls)
+
+
+# ---------------------------------------------------------------------------
+# reference: the object-based control loop
+
+
+class _Walker(NamedTuple):
+    state: PhaseState
+    potential: float
+    grad: np.ndarray
+
+
+def _mh_step(
+    walker: _Walker, config: HmcConfig, ef: EnergyFunction, rng: np.random.Generator
+) -> tuple[_Walker, bool]:
+    proposal, end_grad = leapfrog_with_grad(
+        walker.state, config.leapfrog_params, ef, grad0=walker.grad
+    )
+    h_cur = walker.potential + kinetic_energy(walker.state.v)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pot_prop = ef.energy(proposal.x)
+        h_prop = pot_prop + kinetic_energy(proposal.v)
+    if not np.isfinite(h_prop):
+        raise IntegrationError("non-finite proposal energy", state=proposal)
+    d_h = h_prop - h_cur
+    u = rng.random()
+    accepted = d_h <= 0 or u < np.exp(-d_h)
+    if accepted:
+        walker = _Walker(proposal, pot_prop, end_grad)
+    else:
+        walker = _Walker(flip(walker.state), walker.potential, walker.grad)
+    if rng.random() < config.beta:
+        walker = _Walker(
+            PhaseState(walker.state.x, rng.standard_normal(walker.state.dim)),
+            walker.potential,
+            walker.grad,
+        )
+    return walker, accepted
+
+
+def reference_hmc_chain(config: HmcConfig, ef: EnergyFunction, init: PhaseState) -> HmcChain:
+    counter = CountingEnergy(ef)
+    rng = np.random.default_rng(config.seed)
+    n, dim = config.n_samples, init.dim
+    chain = HmcChain(
+        positions=np.empty((n, dim)),
+        momenta=np.empty((n, dim)),
+        gradient_evals=np.empty(n, dtype=np.int64),
+        accepted=np.empty(n, dtype=bool),
+    )
+    walker = _Walker(init, counter.energy(init.x), counter.gradient(init.x))
+    for i in range(n):
+        try:
+            walker, accepted = _mh_step(walker, config, counter, rng)
+        except IntegrationError as err:
+            err.partial_chain = HmcChain(
+                positions=chain.positions[:i].copy(),
+                momenta=chain.momenta[:i].copy(),
+                gradient_evals=chain.gradient_evals[:i].copy(),
+                accepted=chain.accepted[:i].copy(),
+                energy_evals=counter.energy_calls,
+            )
+            raise
+        chain.positions[i] = walker.state.x
+        chain.momenta[i] = walker.state.v
+        chain.gradient_evals[i] = counter.gradient_calls
+        chain.accepted[i] = accepted
+    chain.energy_evals = counter.energy_calls
+    return chain
+
+
+# ---------------------------------------------------------------------------
+# the comparisons
+
+JUMP_FIELDS = ("positions", "momenta", "holding_times", "transitions", "gradient_evals")
+HMC_FIELDS = ("positions", "momenta", "gradient_evals", "accepted")
+
+
+def assert_same_chain(new, ref, fields):
+    for name in fields:
+        a, b = getattr(new, name), getattr(ref, name)
+        assert a.dtype == b.dtype, name
+        np.testing.assert_array_equal(a, b, err_msg=name)
+    assert new.energy_evals == ref.energy_evals
+
+
+def rough_start(seed=1):
+    return PhaseState(np.zeros(2), np.random.default_rng(seed).standard_normal(2))
+
+
+BENCH_GAUSSIAN = DiagonalGaussian(GaussianParams(np.logspace(0.0, 2.0, 50)))
+
+
+@pytest.mark.parametrize(
+    "config, ef, init",
+    [
+        # the published rough-well setting: about 40% of transitions are F
+        (SamplerConfig(3.0, 25, 0.012314, 3000, seed=0), RoughWell(), rough_start()),
+        (SamplerConfig(3.0, 25, 0.012314, 3000, seed=7), RoughWell(), rough_start(3)),
+        (SamplerConfig(1.0, 10, 0.2, 2000, seed=2), RoughWell(),
+         PhaseState([40.0, -15.0], [0.5, 2.0])),
+        # the 50-D Gaussian of the benchmark
+        (SamplerConfig(0.1, 20, 0.1, 1500, seed=4), BENCH_GAUSSIAN,
+         PhaseState(np.zeros(50), np.random.default_rng(5).standard_normal(50))),
+        # far starts, where the energy drop along L overflows exp
+        (SamplerConfig(1.9, 5, 0.01, 3000, seed=0), DiagonalGaussian.isotropic(2),
+         PhaseState(np.array([300.0, 300.0]), np.zeros(2))),
+        (SamplerConfig(1.99, 50, 0.01, 3000, seed=0), DiagonalGaussian.isotropic(2),
+         PhaseState(np.array([1e4, 0.0]), np.zeros(2))),
+    ],
+    ids=["rough-published-0", "rough-published-7", "rough-off-mode", "gaussian-50d",
+         "far-300-300", "far-1e4-0"],
+)
+def test_jump_chain_matches_object_loop(config, ef, init):
+    new = sample_chain(config, ef, init)
+    ref = reference_sample_chain(config, ef, init)
+    assert_same_chain(new, ref, JUMP_FIELDS)
+    assert set(new.transition_counts()) == {"L", "F", "R"}  # every cache rule ran
+
+
+@pytest.mark.parametrize(
+    "config, ef, init",
+    [
+        # the control at its published rough-well setting
+        (HmcConfig(0.591686, 25, 0.429956, 3000, seed=0), RoughWell(), rough_start()),
+        (HmcConfig(0.591686, 25, 0.429956, 3000, seed=9), RoughWell(), rough_start(4)),
+        (HmcConfig(0.1, 20, 0.1, 1500, seed=4), BENCH_GAUSSIAN,
+         PhaseState(np.zeros(50), np.random.default_rng(5).standard_normal(50))),
+    ],
+    ids=["rough-published-0", "rough-published-9", "gaussian-50d"],
+)
+def test_control_chain_matches_object_loop(config, ef, init):
+    new = hmc_chain(config, ef, init)
+    ref = reference_hmc_chain(config, ef, init)
+    assert_same_chain(new, ref, HMC_FIELDS)
+
+
+class WalledGaussian(EnergyFunction):
+    """A quadratic bowl whose energy is infinite outside |x| < 2."""
+
+    dim = 1
+
+    def energy(self, x):
+        return 0.5 * float(x[0] ** 2) if abs(x[0]) < 2.0 else np.inf
+
+    def gradient(self, x):
+        return np.asarray(x, dtype=float)
+
+
+@pytest.mark.parametrize(
+    "run, reference, config, fields",
+    [
+        (sample_chain, reference_sample_chain,
+         SamplerConfig(epsilon=0.8, steps=4, beta=0.5, n_samples=10_000, seed=12), JUMP_FIELDS),
+        (hmc_chain, reference_hmc_chain,
+         HmcConfig(epsilon=0.8, steps=4, beta=0.5, n_samples=10_000, seed=12), HMC_FIELDS),
+    ],
+    ids=["jump", "control"],
+)
+def test_partial_chain_matches_object_loop(run, reference, config, fields):
+    init = PhaseState([0.0], [0.1])
+    with pytest.raises(IntegrationError) as new:
+        run(config, WalledGaussian(), init)
+    with pytest.raises(IntegrationError) as ref:
+        reference(config, WalledGaussian(), init)
+    assert str(new.value) == str(ref.value)
+    np.testing.assert_array_equal(new.value.state.x, ref.value.state.x)
+    np.testing.assert_array_equal(new.value.state.v, ref.value.state.v)
+    assert 0 < len(new.value.partial_chain) < config.n_samples
+    assert_same_chain(new.value.partial_chain, ref.value.partial_chain, fields)

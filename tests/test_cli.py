@@ -100,7 +100,9 @@ class TestSample:
         path.write_text("{not json")
         assert main(["sample", str(path)]) == 1
 
-    def test_integration_failure_exits_2_with_partial_output(self, tmp_path):
+    def test_integration_failure_exits_2_with_partial_output(self, tmp_path, capsys):
+        # the chain start itself overflows: nothing is written, and the
+        # message says so
         cfg = write_config(
             tmp_path / "c.json",
             {
@@ -115,6 +117,46 @@ class TestSample:
         )
         out = tmp_path / "boom"
         assert main(["sample", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "no samples were written" in err and "partial output" not in err
+        assert not Path(f"{out}.csv").exists() and not Path(f"{out}.json").exists()
+
+        # epsilon * sqrt(precision) = 3 is past the stability limit of 2, and
+        # after 2035 races a 184-step trajectory from a redrawn momentum
+        # overflows: the rows before it are written
+        cfg = write_config(
+            tmp_path / "c.json",
+            {
+                "sampler": "mjhmc",
+                "model": {"name": "gaussian", "precision_diag": [1.0]},
+                "epsilon": 3.0,
+                "steps": 184,
+                "beta": 0.3,
+                "n_samples": 5000,
+                "seed": 2,
+            },
+        )
+        assert main(["sample", cfg, "--out", str(out)]) == 2
+        assert f"partial output in {out}.csv" in capsys.readouterr().err
+        _, rows = read_csv_rows(f"{out}.csv")
+        assert 0 < len(rows) < 5000
+        meta = json.loads(Path(f"{out}.json").read_text())
+        assert meta["counts"]["n_samples"] == len(rows)
+
+    @pytest.mark.parametrize("sampler", ["mjhmc", "hmc"])
+    def test_infinite_start_exits_2(self, tmp_path, sampler, capsys):
+        # 1e400 parses as inf: the start's energy is nan, a numerical error
+        cfg = dict(GAUSSIAN_SAMPLE, sampler=sampler, beta=0.5, model={"name": "rough_well"})
+        text = json.dumps(dict(cfg, init_position=[0.0, 0.0])).replace("[0.0, 0.0]", "[1e400, 0]")
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        assert main(["sample", str(path), "--out", str(tmp_path / "inf")]) == 2
+        assert "no samples were written" in capsys.readouterr().err
+
+    def test_wrong_length_init_position_rejected(self, tmp_path, capsys):
+        cfg = dict(GAUSSIAN_SAMPLE, model={"name": "rough_well"}, init_position=[0, 0, 0])
+        assert main(["sample", write_config(tmp_path / "c.json", cfg)]) == 1
+        assert "init_position" in capsys.readouterr().err
 
 
 class TestSpectralGap:

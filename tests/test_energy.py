@@ -72,6 +72,25 @@ def test_rough_well_gradient_is_nan_at_infinite_coordinate():
     assert g[1] == pytest.approx(2.0 / 10000.0 - math.pi / 4.0, rel=1e-12)
 
 
+def test_rough_well_energy_is_nan_at_infinite_coordinate():
+    # as np.cos(inf) is nan; math.cos(inf) would raise ValueError instead
+    assert math.isnan(RoughWell().energy([np.inf, 2.0]))
+    assert math.isnan(RoughWell().energy([0.0, -np.inf]))
+
+
+def test_rough_well_energy_matches_numpy_formula():
+    # the ripple runs on floats with math.cos; it equals the numpy formula
+    # it replaced bit for bit, far from the mode too
+    params = RoughWellParams()
+    ef = RoughWell(params)
+    rng = np.random.default_rng(7)
+    for scale in (1.0, 1e2, 1e5, 1e12, 1e100):
+        for x in rng.standard_normal((2000, 2)) * scale:
+            ref = (0.5 / params.sigma1**2 * float(np.dot(x, x))
+                   + float(np.sum(np.cos(np.pi / params.sigma2 * x))))
+            assert ef.energy(x) == ref
+
+
 def test_rough_well_dimension_error():
     with pytest.raises(DimensionError):
         RoughWell().energy(np.zeros(3))

@@ -23,7 +23,7 @@ from jumphmc import (
     systematic_resample_indices,
     weighted_moments,
 )
-from jumphmc.jump import StateCache, _Node
+from jumphmc.jump import JumpChain, StateCache
 from jumphmc.phase import leapfrog_inverse_with_grad, leapfrog_with_grad
 
 LN2 = np.log(2.0)
@@ -31,12 +31,11 @@ LN2 = np.log(2.0)
 
 def pinned_cache(h_cur, h_fwd, h_bwd):
     """A synthetic cache with prescribed total energies."""
-    g = np.zeros(1)
-    state = PhaseState([0.0], [0.0])
-    return state, StateCache(
-        current=_Node(state, h_cur, h_cur, g),
-        forward=_Node(PhaseState([1.0], [0.0]), h_fwd, h_fwd, g),
-        backward=_Node(PhaseState([-1.0], [0.0]), h_bwd, h_bwd, g),
+    g, v = np.zeros(1), np.zeros(1)
+    return StateCache(
+        current=(np.array([0.0]), v, g, h_cur, h_cur),
+        forward=(np.array([1.0]), v, g, h_fwd, h_fwd),
+        backward=(np.array([-1.0]), v, g, h_bwd, h_bwd),
     )
 
 
@@ -46,50 +45,44 @@ GAUSS_2D = DiagonalGaussian.isotropic(2)
 
 class TestComputeRates:
     def test_flat_energy(self):
-        state, cache = pinned_cache(1.0, 1.0, 1.0)
-        r = compute_rates(state, cache, CFG, GAUSS_2D)
+        cache = pinned_cache(1.0, 1.0, 1.0)
+        r = compute_rates(cache, CFG)
         assert r.gamma_L == pytest.approx(1.0)
         assert r.gamma_F == 0.0
         assert r.beta == CFG.beta
 
     def test_uphill_forward(self):
-        state, cache = pinned_cache(0.0, 2 * LN2, 0.0)
-        r = compute_rates(state, cache, CFG, GAUSS_2D)
+        cache = pinned_cache(0.0, 2 * LN2, 0.0)
+        r = compute_rates(cache, CFG)
         assert r.gamma_L == pytest.approx(0.5)
         assert r.gamma_F == pytest.approx(0.5)
 
     def test_downhill_rate_above_one(self):
         # rates are Poisson rates, not probabilities: values above 1 are legal
-        state, cache = pinned_cache(0.0, -2 * LN2, 2 * LN2)
-        r = compute_rates(state, cache, CFG, GAUSS_2D)
+        cache = pinned_cache(0.0, -2 * LN2, 2 * LN2)
+        r = compute_rates(cache, CFG)
         assert r.gamma_L == pytest.approx(2.0)
         assert r.gamma_F == 0.0
-
-    def test_inconsistent_cache_rejected(self):
-        _, cache = pinned_cache(0.0, 0.0, 0.0)
-        other = PhaseState([9.0], [0.0])
-        with pytest.raises(ValueError):
-            compute_rates(other, cache, CFG, GAUSS_2D)
 
 
 class TestWaitingTimes:
     def test_zero_flip_rate_never_wins(self):
         rng = np.random.default_rng(0)
-        rates = TransitionRates(gamma_L=1.0, gamma_F=0.0, beta=0.5)
+        rates = TransitionRates(log_gamma_L=0.0, log_gamma_F=-np.inf, beta=0.5)
         for _ in range(100):
             _, w_f, _ = draw_waiting_times(rates, rng)
             assert w_f == np.inf
 
     def test_min_is_exponential_with_total_rate(self):
         rng = np.random.default_rng(1)
-        rates = TransitionRates(gamma_L=0.7, gamma_F=0.3, beta=0.5)
+        rates = TransitionRates(log_gamma_L=np.log(0.7), log_gamma_F=np.log(0.3), beta=0.5)
         mins = np.array([min(draw_waiting_times(rates, rng)) for _ in range(100_000)])
         assert mins.mean() == pytest.approx(1.0 / rates.total, rel=0.02)
 
     def test_two_way_race_fractions(self):
         # competing exponentials with rates (1, 3): second arm wins 75%
         rng = np.random.default_rng(2)
-        rates = TransitionRates(gamma_L=1.0, gamma_F=3.0, beta=1e-300)
+        rates = TransitionRates(log_gamma_L=0.0, log_gamma_F=np.log(3.0), beta=1e-300)
         n = 100_000
         wins = 0
         for _ in range(n):
@@ -121,16 +114,17 @@ class TestStep:
         config = SamplerConfig(epsilon=1.0, steps=3, beta=0.5, n_samples=1, seed=0)
         state = PhaseState([-1.69921191, -1.02124494], [-0.01153306, -1.48537518])
         cache = init_cache(state, config, ef)
-        rates = compute_rates(state, cache, config, ef)
+        rates = compute_rates(cache, config)
         probs = np.array([rates.gamma_L, rates.gamma_F, rates.beta]) / rates.total
         assert rates.gamma_F > 0.1  # the state genuinely exercises all three arms
 
         rng = np.random.default_rng(5)
         n = 100_000
         counts = {Transition.L: 0, Transition.F: 0, Transition.R: 0}
+        nodes = (cache.current, cache.forward, cache.backward)
         for _ in range(n):
-            _, sample, _ = step(state, cache, config, ef, rng)
-            counts[sample.transition_out] += 1
+            kind, _ = step(StateCache(*nodes), config, ef, rng)  # step updates its cache
+            counts[kind] += 1
         freqs = np.array([counts[Transition.L], counts[Transition.F], counts[Transition.R]]) / n
         sigma = np.sqrt(probs * (1 - probs) / n)
         np.testing.assert_array_less(np.abs(freqs - probs), 3 * sigma)
@@ -143,12 +137,12 @@ class TestStep:
         state = PhaseState(np.array([0.5, -0.2]), np.array([1.0, 0.3]))
         cache = init_cache(state, config, ef)
         for _ in range(200):
-            new_state, sample, new_cache = step(state, cache, config, ef, rng)
-            if sample.transition_out is Transition.L:
-                assert new_cache.backward.h == cache.current.h
-                assert new_cache.backward.state is cache.current.state
-                assert new_cache.current.h == cache.forward.h
-            state, cache = new_state, new_cache
+            current, forward = cache.current, cache.forward
+            kind, _ = step(cache, config, ef, rng)
+            if kind is Transition.L:
+                assert cache.backward[4] == current[4]
+                assert cache.backward is current
+                assert cache.current[4] == forward[4]
 
 
 class TestSampleChain:
@@ -219,18 +213,28 @@ class TestSampleChain:
         config = SamplerConfig(epsilon=1.0, steps=3, beta=0.5, n_samples=1, seed=0)
         state = PhaseState([-1.69921191, -1.02124494], [-0.01153306, -1.48537518])
         cache = init_cache(state, config, ef)
-        rates = compute_rates(state, cache, config, ef)
+        rates = compute_rates(cache, config)
         rng = np.random.default_rng(7)
         mins = np.array([min(draw_waiting_times(rates, rng)) for _ in range(20_000)])
         assert mins.mean() == pytest.approx(1.0 / rates.total, rel=0.02)
 
-    def test_chain_sample_accessor_roundtrip(self):
+    def test_chain_rows_replay_step(self):
+        # row i holds the state step() left, its holding time, the kind and
+        # the cumulative cost: replaying the races reproduces every row
         config = SamplerConfig(epsilon=0.5, steps=2, beta=0.3, n_samples=50, seed=2)
-        chain = sample_chain(config, GAUSS_2D, PhaseState(np.zeros(2), np.ones(2)))
-        s = chain.sample(7)
-        np.testing.assert_array_equal(s.state.x, chain.positions[7])
-        assert s.holding_time == chain.holding_times[7]
-        assert s.transition_out.value == chain.transitions[7]
+        init = PhaseState(np.zeros(2), np.ones(2))
+        chain = sample_chain(config, GAUSS_2D, init)
+        ef = CountingEnergy(GAUSS_2D)
+        rng = np.random.default_rng(config.seed)
+        cache = init_cache(init, config, ef)
+        for i in range(len(chain)):
+            x, v, _, _, _ = cache.current
+            kind, holding_time = step(cache, config, ef, rng)
+            np.testing.assert_array_equal(chain.positions[i], x)
+            np.testing.assert_array_equal(chain.momenta[i], v)
+            assert chain.holding_times[i] == holding_time
+            assert chain.transitions[i] == kind.value
+            assert chain.gradient_evals[i] == ef.gradient_calls
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -277,12 +281,14 @@ class TestWeightedMoments:
     def test_uniform_weights_reduce_to_ordinary_moments(self):
         rng = np.random.default_rng(4)
         positions = rng.normal(size=(500, 2))
-        samples = [
-            # build WeightedSample-like records through the public chain API
-            type("S", (), {"state": PhaseState(p, np.zeros(2)), "holding_time": 1.0})()
-            for p in positions
-        ]
-        mean, cov = weighted_moments(samples)
+        chain = JumpChain(
+            positions=positions,
+            momenta=np.zeros((500, 2)),
+            holding_times=np.ones(500),
+            transitions=np.full(500, "L"),
+            gradient_evals=np.arange(500),
+        )
+        mean, cov = weighted_moments(chain)
         np.testing.assert_allclose(mean, positions.mean(axis=0), rtol=1e-12)
         np.testing.assert_allclose(cov, np.cov(positions.T, ddof=0), rtol=1e-10)
 
@@ -334,11 +340,13 @@ class TestCacheRules:
         config = SamplerConfig(epsilon=1.0, steps=3, beta=0.5, n_samples=1, seed=0)
         params = config.leapfrog_params
         state = PINNED_ROUGH
-        cache = init_cache(state, config, ef)
+        fresh = init_cache(state, config, ef)
+        nodes = (fresh.current, fresh.forward, fresh.backward)
         for seed in range(100):
             calls = (ef.gradient_calls, ef.energy_calls)
-            nxt, sample, new_cache = step(state, cache, config, ef, np.random.default_rng(seed))
-            if sample.transition_out is Transition.F:
+            cache = StateCache(*nodes)
+            kind, _ = step(cache, config, ef, np.random.default_rng(seed))
+            if kind is Transition.F:
                 break
         else:
             pytest.fail("no F transition in 100 races")
@@ -348,13 +356,15 @@ class TestCacheRules:
         g0 = ef.inner.gradient(state.x)
         fwd, fwd_g = leapfrog_with_grad(flipped, params, ef.inner, grad0=g0)
         bwd, bwd_g = leapfrog_inverse_with_grad(flipped, params, ef.inner, grad0=g0)
-        for node, (ref, ref_g) in ((new_cache.forward, (fwd, fwd_g)), (new_cache.backward, (bwd, bwd_g))):
-            np.testing.assert_array_equal(node.state.x, ref.x)
-            np.testing.assert_array_equal(node.state.v, ref.v)
-            np.testing.assert_array_equal(node.grad, ref_g)
-            assert node.h == joint_energy(ref, ef.inner)
-        np.testing.assert_array_equal(nxt.v, -state.v)
-        assert new_cache.current.h == cache.current.h
+        for (x, v, g, _, h), (ref, ref_g) in (
+            (cache.forward, (fwd, fwd_g)), (cache.backward, (bwd, bwd_g))
+        ):
+            np.testing.assert_array_equal(x, ref.x)
+            np.testing.assert_array_equal(v, ref.v)
+            np.testing.assert_array_equal(g, ref_g)
+            assert h == joint_energy(ref, ef.inner)
+        np.testing.assert_array_equal(cache.current[1], -state.v)
+        assert cache.current[4] == nodes[0][4]
 
     def test_flip_after_leapfrog_retraces_exactly(self):
         # L, F, L returns to the flipped start: the F rule hands the stored
@@ -397,25 +407,25 @@ class TestCacheRules:
 
 class TestRateOverflow:
     def test_overflowing_forward_rate_is_finite_in_log(self):
-        state, cache = pinned_cache(0.0, -4000.0, 0.0)
-        r = compute_rates(state, cache, CFG, GAUSS_2D)
+        cache = pinned_cache(0.0, -4000.0, 0.0)
+        r = compute_rates(cache, CFG)
         assert r.log_gamma_L == 2000.0
         assert r.gamma_L == np.inf
         assert r.gamma_F == 0.0 and r.log_gamma_F == -np.inf
 
     def test_flip_rate_from_two_overflowing_exponentials(self):
         # gamma_F = e^1001 - e^1000: both terms overflow, their log does not
-        state, cache = pinned_cache(0.0, -2000.0, -2002.0)
-        r = compute_rates(state, cache, CFG, GAUSS_2D)
+        cache = pinned_cache(0.0, -2000.0, -2002.0)
+        r = compute_rates(cache, CFG)
         assert r.log_gamma_F == pytest.approx(1001.0 + np.log1p(-np.exp(-1.0)), rel=1e-15)
 
     def test_race_consumes_three_exponentials(self):
-        state, cache = pinned_cache(0.0, -4000.0, 0.0)
+        cache = pinned_cache(0.0, -4000.0, 0.0)
         rng, ref = np.random.default_rng(3), np.random.default_rng(3)
-        _, sample, _ = step(state, cache, CFG, DiagonalGaussian.isotropic(1), rng)
+        kind, holding_time = step(cache, CFG, DiagonalGaussian.isotropic(1), rng)
         ref.standard_exponential(3)
-        assert sample.transition_out is Transition.L
-        assert sample.holding_time == np.finfo(float).tiny
+        assert kind is Transition.L
+        assert holding_time == np.finfo(float).tiny
         assert rng.random() == ref.random()
 
     @pytest.mark.parametrize(
