@@ -19,15 +19,12 @@ problem you care about.
 import numpy as np
 
 from jumphmc import (
-    HmcConfig,
     PhaseState,
     RoughWell,
-    SamplerConfig,
     autocorrelation,
     fit_decay,
-    hmc_chain,
-    sample_chain,
-    systematic_resample_indices,
+    run_chain,
+    unweighted_samples,
 )
 from jumphmc.chainio import write_autocorr_csv
 
@@ -37,28 +34,21 @@ init = PhaseState(np.zeros(2), np.random.default_rng(5).standard_normal(2))
 # settings found by demos/04-style random search under this exact protocol;
 # note the jump sampler tunes to a larger step and much rarer momentum
 # corruption than the control
-mj_config = SamplerConfig(epsilon=2.546, steps=42, beta=0.0168, n_samples=8000, seed=11)
-hmc_config = HmcConfig(epsilon=1.286, steps=29, beta=0.288, n_samples=12000, seed=12)
-
 print("running the jump sampler ...")
-mj = sample_chain(mj_config, ef, init)
-idx = systematic_resample_indices(mj.holding_times, len(mj), np.random.default_rng(13))
+mj = run_chain("mjhmc", epsilon=2.546, steps=42, beta=0.0168, n_samples=8000, seed=11,
+               ef=ef, init=init)
 
 print("running the discrete-time control ...")
-hc = hmc_chain(hmc_config, ef, init)
+hc = run_chain("hmc", epsilon=1.286, steps=29, beta=0.288, n_samples=12000, seed=12,
+               ef=ef, init=init)
 
-budget = min(
-    mj.gradient_evals[-1] - mj.gradient_evals[0],
-    hc.gradient_evals[-1] - hc.gradient_evals[0],
-)
+budget = min(c.gradient_evals[-1] - c.gradient_evals[0] for c in (mj, hc))
 max_lag = 0.10 * float(budget)
+# the jump chain is resampled by holding time; the control is already unweighted
+rng = np.random.default_rng(13)
 series = {
-    "jump process": autocorrelation(
-        mj.positions[idx], mj.gradient_evals[idx], max_lag_evals=max_lag
-    ),
-    "control": autocorrelation(
-        hc.positions, hc.gradient_evals, max_lag_evals=max_lag
-    ),
+    name: autocorrelation(*unweighted_samples(chain, rng), max_lag_evals=max_lag)
+    for name, chain in (("jump process", mj), ("control", hc))
 }
 
 print(f"\nshared budget: {int(budget)} gradient evaluations, lags up to {int(max_lag)}")

@@ -22,9 +22,9 @@ from .errors import (
     DimensionError,
     IntegrationError,
 )
-from .hmc import HmcChain, HmcConfig, hmc_chain, hmc_step
+from .hmc import HmcConfig, hmc_chain, hmc_step
 from .jump import (
-    JumpChain,
+    Chain,
     SamplerConfig,
     StateCache,
     Transition,
@@ -66,6 +66,14 @@ from .phase import (
     leapfrog_inverse,
     randomize_momentum,
 )
-from .tuner import SearchSpace, TrialRecord, TuningEvalConfig, evaluate_trial, random_search
+from .tuner import (
+    SearchSpace,
+    TrialRecord,
+    TuningEvalConfig,
+    evaluate_trial,
+    random_search,
+    run_chain,
+    unweighted_samples,
+)
 
 __version__ = "0.1.0"

@@ -14,11 +14,8 @@ from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-import numpy as np
-
 from .diagnostics import AutocorrSeries, DecayFit
-from .hmc import HmcChain
-from .jump import JumpChain
+from .jump import Chain
 from .ladder import GapExperimentResult
 from .tuner import TrialRecord
 
@@ -76,14 +73,15 @@ def _format_float(x: float) -> str:
 
 def write_chain_csv(
     path: Union[str, Path],
-    chain: Union[JumpChain, HmcChain],
+    chain: Chain,
     config: Optional[Mapping] = None,
     seed: Optional[int] = None,
 ) -> None:
     """Chain rows: step, positions, momenta, holding time, transition, cost.
 
-    Control chains have no holding times or transition kinds; those columns
-    are fixed at 1 and empty so the two samplers share one format.
+    A control chain's rows carry equal weight and its accept/reject kinds
+    are not jump transitions, so its holding-time and transition columns
+    are written as 1 and empty; the two samplers share one format.
     """
     dim = chain.positions.shape[1]
     columns = (
@@ -92,14 +90,12 @@ def write_chain_csv(
         + [f"v{d}" for d in range(dim)]
         + ["holding_time", "transition", "gradient_evals"]
     )
-    positions = np.asarray(chain.positions, dtype=float)
-    momenta = np.asarray(chain.momenta, dtype=float)
     evals = chain.gradient_evals.tolist()
-    if isinstance(chain, JumpChain):
+    if chain.sampler == "hmc":
+        holding, transitions = repeat("1"), repeat("")
+    else:
         holding = map(_format_float, chain.holding_times.tolist())
         transitions = map(str, chain.transitions.tolist())
-    else:
-        holding, transitions = repeat("1"), repeat("")
 
     # Row by row: a tolist() of the whole chain would hold every float as an
     # object at once.
@@ -107,8 +103,8 @@ def write_chain_csv(
         for i, (h, t, e) in enumerate(zip(holding, transitions, evals)):
             yield [
                 str(i),
-                *map(repr, positions[i].tolist()),
-                *map(repr, momenta[i].tolist()),
+                *map(repr, chain.positions[i].tolist()),
+                *map(repr, chain.momenta[i].tolist()),
                 h,
                 t,
                 str(int(e)),
@@ -119,7 +115,7 @@ def write_chain_csv(
 
 def write_chain_metadata(
     path: Union[str, Path],
-    chain: Union[JumpChain, HmcChain],
+    chain: Chain,
     config: Mapping,
     seed: int,
 ) -> None:
@@ -129,11 +125,11 @@ def write_chain_metadata(
         "gradient_evals": int(chain.gradient_evals[-1]) if len(chain) else 0,
         "energy_evals": int(chain.energy_evals),
     }
-    if isinstance(chain, JumpChain):
+    if chain.sampler == "hmc":
+        counts["acceptance_rate"] = chain.acceptance_rate
+    else:
         counts["transitions"] = chain.transition_counts()
         counts["total_system_time"] = float(chain.holding_times.sum())
-    else:
-        counts["acceptance_rate"] = chain.acceptance_rate
     meta = {
         "format": f"jumphmc chain metadata v{FORMAT_VERSION}",
         "config": dict(config),

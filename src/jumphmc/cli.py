@@ -29,9 +29,7 @@ from .chainio import (
 )
 from .diagnostics import autocorrelation, fit_decay, tuning_objective
 from .energy import DiagonalGaussian, EnergyFunction, GaussianParams, RoughWell, RoughWellParams
-from .errors import DegenerateLadderError, IntegrationError
-from .hmc import HmcConfig, hmc_chain
-from .jump import SamplerConfig, sample_chain, systematic_resample_indices
+from .errors import DecayFitError, DegenerateChainError, DegenerateLadderError, IntegrationError
 from .ladder import (
     DEFAULT_LADDER_SIZES,
     Ladder,
@@ -44,7 +42,7 @@ from .ladder import (
     spectral_distance,
 )
 from .phase import LeapfrogParams, PhaseState, flip, leapfrog
-from .tuner import SearchSpace, TuningEvalConfig, random_search
+from .tuner import SearchSpace, TuningEvalConfig, random_search, run_chain, unweighted_samples
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -226,32 +224,23 @@ def cmd_sample(config: dict, out: Optional[str]) -> int:
     meta_config = {k: v for k, v in fields.items() if k != "out"}
     meta_config["seed"] = seed
     csv_path, json_path = f"{prefix}.csv", f"{prefix}.json"
+    failure = None
     try:
-        if fields["sampler"] == "mjhmc":
-            cfg = SamplerConfig(
-                epsilon=fields["epsilon"], steps=fields["steps"], beta=fields["beta"],
-                n_samples=fields["n_samples"], seed=chain_seed,
-            )
-            chain = sample_chain(cfg, ef, init)
-        else:
-            if not fields["beta"] <= 1:
-                raise ConfigError("sample config.beta: must be in (0, 1] for the hmc sampler")
-            cfg = HmcConfig(
-                epsilon=fields["epsilon"], steps=fields["steps"], beta=fields["beta"],
-                n_samples=fields["n_samples"], seed=chain_seed,
-            )
-            chain = hmc_chain(cfg, ef, init)
+        chain = run_chain(
+            fields["sampler"], fields["epsilon"], fields["steps"], fields["beta"],
+            fields["n_samples"], chain_seed, ef, init,
+        )
+    except ValueError as err:
+        raise ConfigError(f"sample config: {err}") from err
     except IntegrationError as err:
-        if err.partial_chain is not None and len(err.partial_chain):
-            write_chain_csv(csv_path, err.partial_chain, config=meta_config, seed=seed)
-            write_chain_metadata(json_path, err.partial_chain, meta_config, seed)
-            written = f"partial output in {csv_path}"
-        else:
-            written = "no samples were written"
-        print(f"error: integration failure: {err} ({written})", file=sys.stderr)
+        chain, failure = err.partial_chain, err  # the rows recorded before the failure
+    if len(chain):
+        write_chain_csv(csv_path, chain, config=meta_config, seed=seed)
+        write_chain_metadata(json_path, chain, meta_config, seed)
+    if failure is not None:
+        written = f"partial output in {csv_path}" if len(chain) else "no samples were written"
+        print(f"error: integration failure: {failure} ({written})", file=sys.stderr)
         return EXIT_NUMERICAL
-    write_chain_csv(csv_path, chain, config=meta_config, seed=seed)
-    write_chain_metadata(json_path, chain, meta_config, seed)
     print(f"wrote {csv_path} and {json_path} ({len(chain)} samples)")
     return EXIT_OK
 
@@ -299,42 +288,32 @@ def cmd_autocorr(config: dict, out: Optional[str]) -> int:
     seed = fields.get("seed", 0)
     n_lags = fields.get("n_lags", 200)
     prefix = out or fields.get("out", "autocorr")
-    if fields["hmc"]["beta"] > 1:
-        raise ConfigError("autocorr config.hmc.beta: must be in (0, 1]")
     init_seed, mj_seed, hmc_seed, resample_seed = _derived_seeds(seed, 4)
     init = _initial_state(ef, None, init_seed)
+    resample_rng = np.random.default_rng(resample_seed)
 
     meta_config = {k: v for k, v in fields.items() if k != "out"}
     meta_config["seed"] = seed
-    try:
-        mj_cfg = SamplerConfig(n_samples=fields["n_samples"], seed=mj_seed, **fields["mjhmc"])
-        mj_chain = sample_chain(mj_cfg, ef, init)
-        hmc_cfg = HmcConfig(n_samples=fields["n_samples"], seed=hmc_seed, **fields["hmc"])
-        h_chain = hmc_chain(hmc_cfg, ef, init)
-    except IntegrationError as err:
-        print(f"error: integration failure: {err}", file=sys.stderr)
-        return EXIT_NUMERICAL
-
-    idx = systematic_resample_indices(
-        mj_chain.holding_times, len(mj_chain), np.random.default_rng(resample_seed)
-    )
-    mj_positions, mj_evals = mj_chain.positions[idx], mj_chain.gradient_evals[idx]
+    samples = {}
+    for name, chain_seed in (("mjhmc", mj_seed), ("hmc", hmc_seed)):
+        try:
+            chain = run_chain(
+                name, n_samples=fields["n_samples"], seed=chain_seed, ef=ef, init=init,
+                **fields[name],
+            )
+        except ValueError as err:
+            raise ConfigError(f"autocorr config.{name}: {err}") from err
+        except IntegrationError as err:
+            print(f"error: integration failure: {err}", file=sys.stderr)
+            return EXIT_NUMERICAL
+        samples[name] = unweighted_samples(chain, resample_rng)
     # One shared lag grid so the two series are directly comparable.
     max_lag = fields.get("max_lag_evals")
     if max_lag is None:
-        span = min(
-            mj_evals[-1] - mj_evals[0],
-            h_chain.gradient_evals[-1] - h_chain.gradient_evals[0],
-        )
-        max_lag = 0.10 * float(span)
-    series = {}
+        max_lag = 0.10 * float(min(evals[-1] - evals[0] for _, evals in samples.values()))
     fits = {}
-    for name, positions, evals in (
-        ("mjhmc", mj_positions, mj_evals),
-        ("hmc", h_chain.positions, h_chain.gradient_evals),
-    ):
+    for name, (positions, evals) in samples.items():
         s = autocorrelation(positions, evals, max_lag_evals=max_lag, n_lags=n_lags)
-        series[name] = s
         fits[name] = fit_decay(s)
         write_autocorr_csv(f"{prefix}_{name}.csv", s, config=meta_config, seed=seed)
     fit_path = f"{prefix}_fits.json"
@@ -583,7 +562,7 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except (IntegrationError, DegenerateLadderError) as err:
+    except (IntegrationError, DegenerateLadderError, DegenerateChainError, DecayFitError) as err:
         print(f"numerical error: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from .energy import CountingEnergy, EnergyFunction, kinetic_energy
 from .errors import IntegrationError
+from .jump import Chain, record_chain
 from .phase import LeapfrogParams, PhaseState
 
 
@@ -85,53 +86,22 @@ def hmc_step(
     return PhaseState(x, v), counter.gradient_calls
 
 
-@dataclass
-class HmcChain:
-    """A completed control run: post-step states with cumulative costs."""
-
-    positions: np.ndarray
-    momenta: np.ndarray
-    gradient_evals: np.ndarray
-    accepted: np.ndarray
-    energy_evals: int = 0
-
-    def __len__(self) -> int:
-        return self.positions.shape[0]
-
-    @property
-    def acceptance_rate(self) -> float:
-        return float(np.mean(self.accepted))
-
-
-def hmc_chain(config: HmcConfig, ef: EnergyFunction, init: PhaseState) -> HmcChain:
+def hmc_chain(config: HmcConfig, ef: EnergyFunction, init: PhaseState) -> Chain:
     """Iterate :func:`hmc_step` ``config.n_samples`` times with cost accounting.
 
-    The cached gradient at the current position is carried between steps, so
-    each step costs the gradient evaluations of exactly one leapfrog
-    application.
+    Row i is the state after step i, with holding time 1 and transition L
+    (accepted) or F (rejected).  The cached gradient at the current position
+    is carried between steps, so each step costs the gradient evaluations of
+    exactly one leapfrog application.
     """
-    counter = CountingEnergy(ef)
-    rng = np.random.default_rng(config.seed)
-    n, dim = config.n_samples, init.dim
-    positions, momenta = np.empty((n, dim)), np.empty((n, dim))
-    gradient_evals = np.empty(n, dtype=np.int64)
-    accepted = np.empty(n, dtype=bool)
-    x, v = init.x, init.v
-    potential = counter.energy(x)
-    grad = counter.gradient(x)
-    i = 0
-    try:
-        for i in range(n):
-            x, v, grad, potential, accepted[i] = _mh_step(
+
+    def rows(counter, rng):
+        x, v = init.x, init.v
+        potential, grad = counter.energy(x), counter.gradient(x)
+        while True:
+            x, v, grad, potential, accepted = _mh_step(
                 x, v, grad, potential, config, counter, rng
             )
-            positions[i] = x
-            momenta[i] = v
-            gradient_evals[i] = counter.gradient_calls
-    except IntegrationError as err:
-        err.partial_chain = HmcChain(
-            positions[:i].copy(), momenta[:i].copy(), gradient_evals[:i].copy(),
-            accepted[:i].copy(), counter.energy_calls,
-        )
-        raise
-    return HmcChain(positions, momenta, gradient_evals, accepted, counter.energy_calls)
+            yield x, v, 1.0, "L" if accepted else "F"
+
+    return record_chain("hmc", rows, ef, init.dim, config.n_samples, config.seed)

@@ -22,6 +22,7 @@ import enum
 import math
 import sys
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -270,14 +271,19 @@ def step(
 
 
 @dataclass
-class JumpChain:
-    """A completed jump-process run, stored as packed arrays.
+class Chain:
+    """A completed run of either sampler, stored as packed arrays.
 
-    Row i is the i-th visited state with its holding time, the transition
-    that ended the visit, and the cumulative gradient-evaluation count after
-    that visit's bookkeeping.
+    ``sampler`` is "mjhmc" for the jump sampler and "hmc" for the
+    discrete-time control.  Row i is the i-th recorded state with its
+    holding time, the kind of the transition that ended it, and the
+    cumulative gradient-evaluation count after that row's bookkeeping.  A
+    control row is the state after one step: its holding time is 1, and its
+    transition is L when the proposal was accepted and F when it was
+    rejected, which is the flip-on-reject move.
     """
 
+    sampler: str
     positions: np.ndarray
     momenta: np.ndarray
     holding_times: np.ndarray
@@ -292,40 +298,61 @@ class JumpChain:
         kinds, counts = np.unique(self.transitions, return_counts=True)
         return {str(k): int(c) for k, c in zip(kinds, counts)}
 
+    @property
+    def accepted(self) -> np.ndarray:
+        """Which rows end in an L transition: the control's accepted proposals."""
+        return self.transitions == "L"
 
-def sample_chain(config: SamplerConfig, ef: EnergyFunction, init: PhaseState) -> JumpChain:
+    @property
+    def acceptance_rate(self) -> float:
+        return float(np.mean(self.accepted))
+
+
+def record_chain(
+    sampler: str, rows: Callable, ef: EnergyFunction, dim: int, n: int, seed: int
+) -> Chain:
+    """Record the first ``n`` rows of a chain; the one loop of both samplers.
+
+    ``rows(counter, rng)`` yields ``(x, v, holding_time, kind)`` per row,
+    evaluating the target through ``counter`` and drawing from ``rng``,
+    which is seeded with ``seed``.  Each row's gradient count is read from
+    ``counter`` once the row is produced.  If producing row i raises
+    :class:`IntegrationError`, the error carries rows ``[:i]`` as
+    ``partial_chain``.
+    """
+    counter = CountingEnergy(ef)
+    produce = rows(counter, np.random.default_rng(seed))
+    arrays = (
+        np.empty((n, dim)), np.empty((n, dim)), np.empty(n),
+        np.empty(n, dtype="<U1"), np.empty(n, dtype=np.int64),
+    )
+    positions, momenta, holding_times, transitions, gradient_evals = arrays
+    try:
+        for i in range(n):
+            positions[i], momenta[i], holding_times[i], transitions[i] = next(produce)
+            gradient_evals[i] = counter.gradient_calls
+    except IntegrationError as err:
+        err.partial_chain = Chain(sampler, *(a[:i].copy() for a in arrays), counter.energy_calls)
+        raise
+    return Chain(sampler, *arrays, counter.energy_calls)
+
+
+def sample_chain(config: SamplerConfig, ef: EnergyFunction, init: PhaseState) -> Chain:
     """Generate ``config.n_samples`` weighted samples starting from ``init``.
 
     The first recorded state is ``init`` itself.  If the integrator fails,
     the raised :class:`IntegrationError` carries the rows recorded so far
     as ``partial_chain``.
     """
-    counter = CountingEnergy(ef)
-    rng = np.random.default_rng(config.seed)
-    n, dim = config.n_samples, init.dim
-    positions, momenta = np.empty((n, dim)), np.empty((n, dim))
-    holding_times = np.empty(n)
-    transitions = np.empty(n, dtype="<U1")
-    gradient_evals = np.empty(n, dtype=np.int64)
-    i = 0
-    try:
+
+    def rows(counter, rng):
         cache = init_cache(init, config, counter)
-        for i in range(n):
+        while True:
             x, v, _, _, _ = cache.current
-            positions[i] = x
-            momenta[i] = v
-            kind, holding_times[i] = step(cache, config, counter, rng)
-            transitions[i] = kind.value
-            gradient_evals[i] = counter.gradient_calls
-    except IntegrationError as err:
-        err.partial_chain = JumpChain(
-            positions[:i].copy(), momenta[:i].copy(), holding_times[:i].copy(),
-            transitions[:i].copy(), gradient_evals[:i].copy(), counter.energy_calls,
-        )
-        raise
-    return JumpChain(
-        positions, momenta, holding_times, transitions, gradient_evals, counter.energy_calls
-    )
+            kind, holding_time = step(cache, config, counter, rng)
+            yield x, v, holding_time, kind.value
+
+    return record_chain("mjhmc", rows, ef, init.dim, config.n_samples, config.seed)
 
 
 def systematic_resample_indices(
@@ -347,10 +374,11 @@ def systematic_resample_indices(
     cum /= cum[-1]
     cum[-1] = 1.0
     points = (rng.random() + np.arange(n_out)) / n_out
-    return np.searchsorted(cum, points, side="right")
+    # an offset just below 1 can round the last point up to 1.0
+    return np.minimum(np.searchsorted(cum, points, side="right"), weights.size - 1)
 
 
-def resample(chain: JumpChain, n_out: int, rng: np.random.Generator) -> list[PhaseState]:
+def resample(chain: Chain, n_out: int, rng: np.random.Generator) -> list[PhaseState]:
     """Resample visited states using holding times as importance weights."""
     if len(chain) == 0:
         raise ValueError("cannot resample an empty chain")
@@ -358,7 +386,7 @@ def resample(chain: JumpChain, n_out: int, rng: np.random.Generator) -> list[Pha
     return [PhaseState(chain.positions[i], chain.momenta[i]) for i in idx]
 
 
-def weighted_moments(chain: JumpChain) -> tuple[np.ndarray, np.ndarray]:
+def weighted_moments(chain: Chain) -> tuple[np.ndarray, np.ndarray]:
     """Holding-time-weighted mean and central covariance of the positions."""
     positions, weights = chain.positions, chain.holding_times
     if positions.shape[0] == 0:

@@ -2,7 +2,10 @@
 
 Random search is enough at this problem scale and keeps the harness
 dependency free; trials are independent, reproducible via per-trial derived
-seeds, and failed integrations are recorded rather than fatal.
+seeds, and failed integrations are recorded rather than fatal.  A control
+that rejects every proposal never moves, so its trial scores 0.0, the worst
+finite decay rate, instead of failing.  :func:`run_chain` is the one run
+path of both samplers, shared with the CLI.
 """
 
 from __future__ import annotations
@@ -16,10 +19,8 @@ from .diagnostics import autocorrelation, fit_decay, tuning_objective
 from .energy import EnergyFunction
 from .errors import DecayFitError, DegenerateChainError, IntegrationError
 from .hmc import HmcConfig, hmc_chain
-from .jump import SamplerConfig, sample_chain, systematic_resample_indices
+from .jump import Chain, SamplerConfig, sample_chain, systematic_resample_indices
 from .phase import PhaseState
-
-SAMPLER_KINDS = ("mjhmc", "hmc")
 
 
 @dataclass(frozen=True)
@@ -74,6 +75,37 @@ class TuningEvalConfig:
             raise ValueError("n_samples must be at least 10")
 
 
+def run_chain(
+    sampler: str, epsilon: float, steps: int, beta: float, n_samples: int, seed: int,
+    ef: EnergyFunction, init: PhaseState,
+) -> Chain:
+    """Run one chain of either sampler kind from ``init``.
+
+    ``beta`` is a rate for the jump sampler and a per-step probability in
+    (0, 1] for the control.  Invalid hyperparameters raise ValueError
+    before anything is sampled.
+    """
+    if sampler == "mjhmc":
+        return sample_chain(SamplerConfig(epsilon, steps, beta, n_samples, seed), ef, init)
+    if sampler == "hmc":
+        return hmc_chain(HmcConfig(epsilon, steps, beta, n_samples, seed), ef, init)
+    raise ValueError(f"unknown sampler kind: {sampler!r}")
+
+
+def unweighted_samples(chain: Chain, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The unweighted ``(positions, gradient_evals)`` that autocorrelation needs.
+
+    A jump chain is resampled systematically by holding time with ``rng``.
+    A control chain is returned as it is, with no draw from ``rng``: its
+    rows already carry equal weight, and a unit-weight resample is not the
+    identity at every offset.
+    """
+    if chain.sampler == "hmc":
+        return chain.positions, chain.gradient_evals
+    idx = systematic_resample_indices(chain.holding_times, len(chain), rng)
+    return chain.positions[idx], chain.gradient_evals[idx]
+
+
 def evaluate_trial(
     sampler: str,
     epsilon: float,
@@ -87,43 +119,31 @@ def evaluate_trial(
     """Run one chain at the given setting and score its decay rate.
 
     ``aux_seed`` drives the non-chain randomness (initial momentum and, for
-    the jump sampler, the holding-time resampling).
+    the jump sampler, the holding-time resampling).  A chain of F rows only
+    turned back every move it proposed (a control rejecting every proposal),
+    so it never decayed and scores 0.0; any other chain without variance
+    fails, as do integration and fit failures.
     """
-    if sampler not in SAMPLER_KINDS:
-        raise ValueError(f"unknown sampler kind: {sampler!r}")
     aux_rng = np.random.default_rng(aux_seed)
     init = PhaseState(np.zeros(ef.dim), aux_rng.standard_normal(ef.dim))
+    objective = None
     try:
-        if sampler == "mjhmc":
-            config = SamplerConfig(
-                epsilon=epsilon, steps=steps, beta=beta,
-                n_samples=eval_config.n_samples, seed=chain_seed,
-            )
-            chain = sample_chain(config, ef, init)
-            idx = systematic_resample_indices(chain.holding_times, len(chain), aux_rng)
-            positions = chain.positions[idx]
-            evals = chain.gradient_evals[idx]
-        else:
-            config = HmcConfig(
-                epsilon=epsilon, steps=steps, beta=beta,
-                n_samples=eval_config.n_samples, seed=chain_seed,
-            )
-            chain = hmc_chain(config, ef, init)
-            positions = chain.positions
-            evals = chain.gradient_evals
+        chain = run_chain(
+            sampler, epsilon, steps, beta, eval_config.n_samples, chain_seed, ef, init
+        )
         series = autocorrelation(
-            positions, evals,
+            *unweighted_samples(chain, aux_rng),
             max_lag_evals=eval_config.max_lag_evals, n_lags=eval_config.n_lags,
         )
         objective = tuning_objective(fit_decay(series))
-    except (IntegrationError, DecayFitError, DegenerateChainError):
-        return TrialRecord(
-            epsilon=epsilon, beta=beta, steps=steps,
-            sampler=sampler, seed=chain_seed, status="failed",
-        )
+    except DegenerateChainError:
+        if np.all(chain.transitions == "F"):
+            objective = 0.0
+    except (IntegrationError, DecayFitError):
+        pass
     return TrialRecord(
-        epsilon=epsilon, beta=beta, steps=steps,
-        sampler=sampler, seed=chain_seed, status="ok", objective=objective,
+        epsilon=epsilon, beta=beta, steps=steps, sampler=sampler, seed=chain_seed,
+        status="failed" if objective is None else "ok", objective=objective,
     )
 
 
@@ -142,8 +162,6 @@ def random_search(
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    if sampler not in SAMPLER_KINDS:
-        raise ValueError(f"unknown sampler kind: {sampler!r}")
     master = np.random.default_rng(seed)
     trials = []
     for _ in range(budget):

@@ -5,7 +5,9 @@ The reference below is the former ``step``/``sample_chain`` of
 from imports, docstrings and the names ``reference_sample_chain`` and
 ``reference_hmc_chain``.  It builds one ``WeightedSample``, one
 ``TransitionRates`` and several ``PhaseState`` objects per step and packs
-them into arrays at the end.  The rewrite performs the same floating-point
+them into arrays at the end; both references now pack into the one
+``Chain`` record (the control's accepted flags become L/F kinds with unit
+holding times), with their loops untouched.  The rewrite performs the same floating-point
 operations and draws the same random numbers, so every chain array must
 be equal, not merely close.
 """
@@ -21,13 +23,12 @@ import numpy as np
 import pytest
 
 from jumphmc import (
+    Chain,
     DiagonalGaussian,
     EnergyFunction,
     GaussianParams,
-    HmcChain,
     HmcConfig,
     IntegrationError,
-    JumpChain,
     PhaseState,
     RoughWell,
     SamplerConfig,
@@ -200,10 +201,11 @@ def step(
     return nxt, sample, next_cache
 
 
-def _pack_chain(samples: list[WeightedSample], energy_evals: int) -> JumpChain:
+def _pack_chain(samples: list[WeightedSample], energy_evals: int) -> Chain:
     n = len(samples)
     dim = samples[0].state.dim if n else 0
-    chain = JumpChain(
+    chain = Chain(
+        sampler="mjhmc",
         positions=np.empty((n, dim)),
         momenta=np.empty((n, dim)),
         holding_times=np.empty(n),
@@ -222,7 +224,7 @@ def _pack_chain(samples: list[WeightedSample], energy_evals: int) -> JumpChain:
 
 def reference_sample_chain(
     config: SamplerConfig, ef: EnergyFunction, init: PhaseState
-) -> JumpChain:
+) -> Chain:
     counter = CountingEnergy(ef)
     rng = np.random.default_rng(config.seed)
     samples: list[WeightedSample] = []
@@ -276,46 +278,51 @@ def _mh_step(
     return walker, accepted
 
 
-def reference_hmc_chain(config: HmcConfig, ef: EnergyFunction, init: PhaseState) -> HmcChain:
+def _control_chain(positions, momenta, gradient_evals, accepted, energy_evals=0) -> Chain:
+    """The former control record as a Chain: unit holding times, L if accepted, F if not."""
+    return Chain(
+        "hmc", positions, momenta, np.ones(len(positions)), np.where(accepted, "L", "F"),
+        gradient_evals, energy_evals,
+    )
+
+
+def reference_hmc_chain(config: HmcConfig, ef: EnergyFunction, init: PhaseState) -> Chain:
     counter = CountingEnergy(ef)
     rng = np.random.default_rng(config.seed)
     n, dim = config.n_samples, init.dim
-    chain = HmcChain(
-        positions=np.empty((n, dim)),
-        momenta=np.empty((n, dim)),
-        gradient_evals=np.empty(n, dtype=np.int64),
-        accepted=np.empty(n, dtype=bool),
-    )
+    positions = np.empty((n, dim))
+    momenta = np.empty((n, dim))
+    gradient_evals = np.empty(n, dtype=np.int64)
+    accepts = np.empty(n, dtype=bool)
     walker = _Walker(init, counter.energy(init.x), counter.gradient(init.x))
     for i in range(n):
         try:
             walker, accepted = _mh_step(walker, config, counter, rng)
         except IntegrationError as err:
-            err.partial_chain = HmcChain(
-                positions=chain.positions[:i].copy(),
-                momenta=chain.momenta[:i].copy(),
-                gradient_evals=chain.gradient_evals[:i].copy(),
-                accepted=chain.accepted[:i].copy(),
+            err.partial_chain = _control_chain(
+                positions=positions[:i].copy(),
+                momenta=momenta[:i].copy(),
+                gradient_evals=gradient_evals[:i].copy(),
+                accepted=accepts[:i].copy(),
                 energy_evals=counter.energy_calls,
             )
             raise
-        chain.positions[i] = walker.state.x
-        chain.momenta[i] = walker.state.v
-        chain.gradient_evals[i] = counter.gradient_calls
-        chain.accepted[i] = accepted
-    chain.energy_evals = counter.energy_calls
-    return chain
+        positions[i] = walker.state.x
+        momenta[i] = walker.state.v
+        gradient_evals[i] = counter.gradient_calls
+        accepts[i] = accepted
+    return _control_chain(positions, momenta, gradient_evals, accepts, counter.energy_calls)
 
 
 # ---------------------------------------------------------------------------
 # the comparisons
 
-JUMP_FIELDS = ("positions", "momenta", "holding_times", "transitions", "gradient_evals")
-HMC_FIELDS = ("positions", "momenta", "gradient_evals", "accepted")
+FIELDS = ("positions", "momenta", "holding_times", "transitions", "gradient_evals", "accepted")
 
 
-def assert_same_chain(new, ref, fields):
-    for name in fields:
+def assert_same_chain(new, ref):
+    assert new.sampler == ref.sampler
+    for name in FIELDS:
         a, b = getattr(new, name), getattr(ref, name)
         assert a.dtype == b.dtype, name
         np.testing.assert_array_equal(a, b, err_msg=name)
@@ -352,7 +359,7 @@ BENCH_GAUSSIAN = DiagonalGaussian(GaussianParams(np.logspace(0.0, 2.0, 50)))
 def test_jump_chain_matches_object_loop(config, ef, init):
     new = sample_chain(config, ef, init)
     ref = reference_sample_chain(config, ef, init)
-    assert_same_chain(new, ref, JUMP_FIELDS)
+    assert_same_chain(new, ref)
     assert set(new.transition_counts()) == {"L", "F", "R"}  # every cache rule ran
 
 
@@ -370,7 +377,7 @@ def test_jump_chain_matches_object_loop(config, ef, init):
 def test_control_chain_matches_object_loop(config, ef, init):
     new = hmc_chain(config, ef, init)
     ref = reference_hmc_chain(config, ef, init)
-    assert_same_chain(new, ref, HMC_FIELDS)
+    assert_same_chain(new, ref)
 
 
 class WalledGaussian(EnergyFunction):
@@ -386,16 +393,16 @@ class WalledGaussian(EnergyFunction):
 
 
 @pytest.mark.parametrize(
-    "run, reference, config, fields",
+    "run, reference, config",
     [
         (sample_chain, reference_sample_chain,
-         SamplerConfig(epsilon=0.8, steps=4, beta=0.5, n_samples=10_000, seed=12), JUMP_FIELDS),
+         SamplerConfig(epsilon=0.8, steps=4, beta=0.5, n_samples=10_000, seed=12)),
         (hmc_chain, reference_hmc_chain,
-         HmcConfig(epsilon=0.8, steps=4, beta=0.5, n_samples=10_000, seed=12), HMC_FIELDS),
+         HmcConfig(epsilon=0.8, steps=4, beta=0.5, n_samples=10_000, seed=12)),
     ],
     ids=["jump", "control"],
 )
-def test_partial_chain_matches_object_loop(run, reference, config, fields):
+def test_partial_chain_matches_object_loop(run, reference, config):
     init = PhaseState([0.0], [0.1])
     with pytest.raises(IntegrationError) as new:
         run(config, WalledGaussian(), init)
@@ -405,4 +412,4 @@ def test_partial_chain_matches_object_loop(run, reference, config, fields):
     np.testing.assert_array_equal(new.value.state.x, ref.value.state.x)
     np.testing.assert_array_equal(new.value.state.v, ref.value.state.v)
     assert 0 < len(new.value.partial_chain) < config.n_samples
-    assert_same_chain(new.value.partial_chain, ref.value.partial_chain, fields)
+    assert_same_chain(new.value.partial_chain, ref.value.partial_chain)

@@ -24,7 +24,7 @@ from jumphmc.chainio import (
     write_gap_csv,
     write_trials_csv,
 )
-from jumphmc.jump import JumpChain
+from jumphmc.jump import Chain
 from jumphmc.tuner import TrialRecord
 
 CONFIG = {"model": "rough_well", "epsilon": 3.0}
@@ -55,7 +55,7 @@ def reference_write_chain_csv(path, chain, config=None, seed=None):
         + [f"v{d}" for d in range(dim)]
         + ["holding_time", "transition", "gradient_evals"]
     )
-    is_jump = isinstance(chain, JumpChain)
+    is_jump = chain.sampler == "mjhmc"
 
     def rows():
         for i in range(len(chain)):
@@ -146,7 +146,8 @@ def test_control_chain(tmp_path, init):
 def test_wide_chain_without_header_extras(tmp_path):
     rng = np.random.default_rng(0)
     n, dim = 50, 7
-    chain = JumpChain(
+    chain = Chain(
+        sampler="mjhmc",
         positions=rng.standard_normal((n, dim)) * 10.0 ** rng.integers(-300, 300, (n, dim)),
         momenta=rng.standard_normal((n, dim)),
         holding_times=np.exp(rng.standard_normal(n) * 50),

@@ -153,6 +153,13 @@ class TestSample:
         assert main(["sample", str(path), "--out", str(tmp_path / "inf")]) == 2
         assert "no samples were written" in capsys.readouterr().err
 
+    def test_control_beta_above_one_rejected(self, tmp_path, capsys):
+        cfg = dict(GAUSSIAN_SAMPLE, sampler="hmc", beta=1.5)
+        out = tmp_path / "hmc"
+        assert main(["sample", write_config(tmp_path / "c.json", cfg), "--out", str(out)]) == 1
+        assert "config error: sample config: beta must lie in (0, 1]" in capsys.readouterr().err
+        assert not Path(f"{out}.csv").exists()
+
     def test_wrong_length_init_position_rejected(self, tmp_path, capsys):
         cfg = dict(GAUSSIAN_SAMPLE, model={"name": "rough_well"}, init_position=[0, 0, 0])
         assert main(["sample", write_config(tmp_path / "c.json", cfg)]) == 1
@@ -236,6 +243,36 @@ class TestAutocorr:
         fits = json.loads(Path(f"{out}_fits.json").read_text())
         assert set(fits["fits"]) == {"mjhmc", "hmc"}
 
+    def test_frozen_control_exits_2(self, tmp_path, capsys):
+        # the control rejects every proposal, so its autocorrelation is
+        # undefined: a numerical error, not a traceback
+        cfg = write_config(
+            tmp_path / "c.json",
+            {
+                "model": {"name": "rough_well"},
+                "mjhmc": {"epsilon": 0.5, "steps": 4, "beta": 0.3},
+                "hmc": {"epsilon": 4.847, "steps": 34, "beta": 0.712},
+                "n_samples": 400,
+                "seed": 3,
+            },
+        )
+        assert main(["autocorr", cfg, "--out", str(tmp_path / "ac")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error:") and err.count("\n") == 1
+
+    def test_control_beta_above_one_rejected(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path / "c.json",
+            {
+                "model": {"name": "gaussian", "precision_diag": [1.0]},
+                "mjhmc": {"epsilon": 0.5, "steps": 4, "beta": 0.3},
+                "hmc": {"epsilon": 0.5, "steps": 4, "beta": 1.5},
+                "n_samples": 100,
+            },
+        )
+        assert main(["autocorr", cfg, "--out", str(tmp_path / "ac")]) == 1
+        assert "autocorr config.hmc: beta must lie in (0, 1]" in capsys.readouterr().err
+
     def test_deterministic(self, tmp_path):
         cfg = write_config(
             tmp_path / "c.json",
@@ -292,6 +329,27 @@ class TestTune:
         assert best["epsilon"] == pytest.approx(0.4)
         assert best["beta"] == pytest.approx(0.3)
         assert best["steps"] == 5
+
+    def test_frozen_control_trials_score_zero(self, tmp_path):
+        # all three drawn step sizes (2.20, 3.61, 4.85) freeze the control on
+        # the rough well; frozen trials score 0.0 instead of failing the run
+        cfg = write_config(
+            tmp_path / "c.json",
+            {
+                "sampler": "hmc",
+                "model": {"name": "rough_well"},
+                "budget": 3,
+                "eval": {"n_samples": 400},
+                "seed": 932021496,
+            },
+        )
+        out = tmp_path / "t"
+        assert main(["tune", cfg, "--out", str(out)]) == 0
+        _, rows = read_csv_rows(f"{out}_trials.csv")
+        assert [(r[5], r[6]) for r in rows] == [("ok", "0.0")] * 3
+        best = json.loads(Path(f"{out}_best.json").read_text())
+        assert best["best"]["objective"] == 0.0
+        assert best["n_failed"] == 0
 
 
 class TestCheck:

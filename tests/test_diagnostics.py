@@ -6,16 +6,13 @@ from jumphmc import (
     DecayFit,
     DecayFitError,
     DegenerateChainError,
-    HmcConfig,
     PhaseState,
     RoughWell,
-    SamplerConfig,
     autocorrelation,
     fit_decay,
-    hmc_chain,
-    sample_chain,
-    systematic_resample_indices,
+    run_chain,
     tuning_objective,
+    unweighted_samples,
 )
 
 
@@ -259,21 +256,9 @@ def _model_series():
 
 def _rough_well_series(sampler, epsilon):
     """Autocorrelation at 120 lags of a short rough-well chain, as a tuning trial scores it."""
-    ef = RoughWell()
     init = PhaseState(np.zeros(2), np.array([0.4, -0.9]))
-    if sampler == "mjhmc":
-        chain = sample_chain(
-            SamplerConfig(epsilon=epsilon, steps=10, beta=0.1, n_samples=400, seed=5), ef, init,
-        )
-        idx = systematic_resample_indices(
-            chain.holding_times, len(chain), np.random.default_rng(6)
-        )
-        positions, evals = chain.positions[idx], chain.gradient_evals[idx]
-    else:
-        chain = hmc_chain(
-            HmcConfig(epsilon=epsilon, steps=10, beta=0.1, n_samples=400, seed=5), ef, init,
-        )
-        positions, evals = chain.positions, chain.gradient_evals
+    chain = run_chain(sampler, epsilon, 10, 0.1, 400, 5, RoughWell(), init)
+    positions, evals = unweighted_samples(chain, np.random.default_rng(6))
     return autocorrelation(positions, evals, n_lags=120)
 
 

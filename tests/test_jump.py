@@ -23,7 +23,7 @@ from jumphmc import (
     systematic_resample_indices,
     weighted_moments,
 )
-from jumphmc.jump import JumpChain, StateCache
+from jumphmc.jump import Chain, StateCache
 from jumphmc.phase import leapfrog_inverse_with_grad, leapfrog_with_grad
 
 LN2 = np.log(2.0)
@@ -276,12 +276,24 @@ class TestResample:
         with pytest.raises(ValueError):
             systematic_resample_indices(np.array([]), 5, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("n", [2, 400, 3000])
+    def test_offset_just_below_one_stays_in_range(self, n):
+        # (u + n - 1) / n rounds to 1.0 at u = 1 - 2**-53, where searchsorted
+        # alone returns n, one past the last weight
+        class TopOffset:
+            def random(self):
+                return 1.0 - 2.0**-53
+
+        idx = systematic_resample_indices(np.ones(n), n, TopOffset())
+        assert idx.max() == n - 1
+
 
 class TestWeightedMoments:
     def test_uniform_weights_reduce_to_ordinary_moments(self):
         rng = np.random.default_rng(4)
         positions = rng.normal(size=(500, 2))
-        chain = JumpChain(
+        chain = Chain(
+            sampler="mjhmc",
             positions=positions,
             momenta=np.zeros((500, 2)),
             holding_times=np.ones(500),

@@ -3,11 +3,13 @@ import pytest
 
 from jumphmc import (
     DiagonalGaussian,
+    PhaseState,
     RoughWell,
     SearchSpace,
     TuningEvalConfig,
     evaluate_trial,
     random_search,
+    run_chain,
 )
 
 GAUSS_1D = DiagonalGaussian.isotropic(1)
@@ -70,6 +72,17 @@ def test_failed_trials_are_recorded_not_fatal():
     space = SearchSpace(epsilon_range=(80.0, 100.0), beta_range=(0.1, 0.2), steps_range=(30, 50))
     with pytest.raises(RuntimeError):
         random_search(space, 3, "mjhmc", GAUSS_1D, FAST_EVAL, seed=0)
+
+
+def test_frozen_control_scores_zero_decay():
+    # far past the rough well's stability limit the control rejects every
+    # proposal, so its positions never vary: no decay, but no failure either
+    ef, eval_cfg = RoughWell(), TuningEvalConfig(n_samples=400)
+    init = PhaseState(np.zeros(2), np.random.default_rng(0).standard_normal(2))
+    assert run_chain("hmc", 4.847, 34, 0.712, 400, 0, ef, init).acceptance_rate == 0.0
+    trial = evaluate_trial("hmc", 4.847, 0.712, 34, ef, eval_cfg, chain_seed=0, aux_seed=0)
+    assert trial.status == "ok"
+    assert trial.objective == 0.0
 
 
 def test_unknown_sampler_rejected():
