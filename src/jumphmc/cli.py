@@ -3,7 +3,8 @@
 Commands: sample | spectral-gap | autocorr | tune | check.  Each command
 reads one JSON config file (validated up front, unknown keys rejected) with
 optional --seed and --out overrides, so an experiment is reproducible from
-its config alone.  Exit codes: 0 success, 1 usage or config error,
+its config alone.  A command refuses, before any work, an output path that
+is its own config file.  Exit codes: 0 success, 1 usage or config error,
 2 numerical failure, 3 check-suite failure.
 """
 
@@ -180,6 +181,16 @@ def _load_config(path: Optional[str]) -> dict:
     return config
 
 
+def _refuse_config_overwrite(config_path: Optional[str], *paths: str) -> None:
+    """Raise if a path the command will write is its own config file."""
+    if config_path is None:
+        return
+    config_file = Path(config_path).resolve()
+    for path in paths:
+        if Path(path).resolve() == config_file:
+            raise ConfigError(f"output path {path} would overwrite the config file")
+
+
 def _derived_seeds(seed: int, n: int) -> list:
     return [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(n)]
 
@@ -194,7 +205,7 @@ def _initial_state(ef: EnergyFunction, position, seed: int) -> PhaseState:
 # commands
 
 
-def cmd_sample(config: dict, out: Optional[str]) -> int:
+def cmd_sample(config: dict, out: Optional[str], config_path: Optional[str]) -> int:
     fields = _require(
         config,
         {
@@ -224,6 +235,7 @@ def cmd_sample(config: dict, out: Optional[str]) -> int:
     meta_config = {k: v for k, v in fields.items() if k != "out"}
     meta_config["seed"] = seed
     csv_path, json_path = f"{prefix}.csv", f"{prefix}.json"
+    _refuse_config_overwrite(config_path, csv_path, json_path)
     failure = None
     try:
         chain = run_chain(
@@ -245,7 +257,7 @@ def cmd_sample(config: dict, out: Optional[str]) -> int:
     return EXIT_OK
 
 
-def cmd_spectral_gap(config: dict, out: Optional[str]) -> int:
+def cmd_spectral_gap(config: dict, out: Optional[str], config_path: Optional[str]) -> int:
     fields = _require(
         config,
         {
@@ -262,6 +274,7 @@ def cmd_spectral_gap(config: dict, out: Optional[str]) -> int:
     draws = fields.get("draws_per_size", 250)
     seed = fields.get("seed", 0)
     path = out or fields.get("out", "spectral_gap.csv")
+    _refuse_config_overwrite(config_path, path)
     result = random_ladder_experiment(sizes=sizes, draws_per_size=draws, seed=seed)
     meta = {"sizes": sizes, "draws_per_size": draws, "seed": seed}
     write_gap_csv(path, result, config=meta, seed=seed)
@@ -269,7 +282,7 @@ def cmd_spectral_gap(config: dict, out: Optional[str]) -> int:
     return EXIT_OK
 
 
-def cmd_autocorr(config: dict, out: Optional[str]) -> int:
+def cmd_autocorr(config: dict, out: Optional[str], config_path: Optional[str]) -> int:
     fields = _require(
         config,
         {
@@ -288,6 +301,8 @@ def cmd_autocorr(config: dict, out: Optional[str]) -> int:
     seed = fields.get("seed", 0)
     n_lags = fields.get("n_lags", 200)
     prefix = out or fields.get("out", "autocorr")
+    fit_path = f"{prefix}_fits.json"
+    _refuse_config_overwrite(config_path, f"{prefix}_mjhmc.csv", f"{prefix}_hmc.csv", fit_path)
     init_seed, mj_seed, hmc_seed, resample_seed = _derived_seeds(seed, 4)
     init = _initial_state(ef, None, init_seed)
     resample_rng = np.random.default_rng(resample_seed)
@@ -316,7 +331,6 @@ def cmd_autocorr(config: dict, out: Optional[str]) -> int:
         s = autocorrelation(positions, evals, max_lag_evals=max_lag, n_lags=n_lags)
         fits[name] = fit_decay(s)
         write_autocorr_csv(f"{prefix}_{name}.csv", s, config=meta_config, seed=seed)
-    fit_path = f"{prefix}_fits.json"
     Path(fit_path).write_text(
         json.dumps(
             {
@@ -333,7 +347,7 @@ def cmd_autocorr(config: dict, out: Optional[str]) -> int:
     return EXIT_OK
 
 
-def cmd_tune(config: dict, out: Optional[str]) -> int:
+def cmd_tune(config: dict, out: Optional[str], config_path: Optional[str]) -> int:
     fields = _require(
         config,
         {
@@ -350,6 +364,8 @@ def cmd_tune(config: dict, out: Optional[str]) -> int:
     ef = parse_model(fields["model"])
     seed = fields.get("seed", 0)
     prefix = out or fields.get("out", "tune")
+    trials_path, best_path = f"{prefix}_trials.csv", f"{prefix}_best.json"
+    _refuse_config_overwrite(config_path, trials_path, best_path)
 
     space_fields = _require(
         fields.get("space", {}),
@@ -394,7 +410,6 @@ def cmd_tune(config: dict, out: Optional[str]) -> int:
     except RuntimeError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
-    trials_path, best_path = f"{prefix}_trials.csv", f"{prefix}_best.json"
     write_trials_csv(trials_path, trials, config=meta_config, seed=seed)
     Path(best_path).write_text(
         json.dumps(
@@ -481,7 +496,7 @@ def _run_check_suite(seed: int, balance_ladders: int, similarity_ladders: int,
     return results
 
 
-def cmd_check(config: dict, out: Optional[str]) -> int:
+def cmd_check(config: dict, out: Optional[str], config_path: Optional[str]) -> int:
     fields = _require(
         config,
         {
@@ -558,7 +573,7 @@ def main(argv=None) -> int:
         config = _load_config(args.config)
         if args.seed is not None:
             config["seed"] = args.seed
-        return _COMMANDS[args.command](config, args.out)
+        return _COMMANDS[args.command](config, args.out, args.config)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG

@@ -115,8 +115,8 @@ def autocorrelation(
     return AutocorrSeries(lags=grid, values=rho[idx])
 
 
-_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 _BATCH_ROWS = 64  # b candidates per lockstep batch; bounds the (rows, n_lags) temporaries
+_NEWTON_ITERS = 64  # safety cap: bisection alone reaches the tolerance in about 30
 
 
 def fit_decay(series: AutocorrSeries, grid_points: int = 60) -> DecayFit:
@@ -124,18 +124,22 @@ def fit_decay(series: AutocorrSeries, grid_points: int = 60) -> DecayFit:
 
     The model with r = -a + ib is exp(-a n) cos(b n).  The decay and
     oscillation rates couple in a curved valley, so the fit profiles the
-    decay rate out: for any oscillation rate b, the best decay rate a(b) is
-    found by golden-section search (bracketed on a coarse log-spaced grid),
-    and the 1D profile objective is then minimized over b.  Candidate b
-    values combine a log-spaced grid with a dense linear sweep (the profile
-    has basins of width ~pi/n_max that a log grid alone would skip); the
-    winning basin is refined by a re-centered shrinking window to relative
-    tolerance 1e-6.  The reported fit is the best candidate ever evaluated.
+    decay rate out (variable projection): for any oscillation rate b, the
+    best decay rate a(b) is bracketed on a coarse log-spaced grid and then
+    found by a safeguarded Newton iteration on the closed-form derivative in
+    a, and the 1D profile objective is minimized over b.  Candidate b values
+    combine a log-spaced grid with a dense linear sweep (the profile has
+    basins of width ~pi/n_max that a log grid alone would skip); the
+    winning basin is refined by a re-centered window, quartered each round,
+    to relative tolerance 1e-6.  The reported fit is the best candidate ever
+    evaluated.
 
-    The golden searches of a batch of b candidates (the grid in blocks,
-    then each refinement round) run in lockstep on arrays, one row per
-    candidate, each row stopping at its own tolerance; every row takes the
-    same floating-point steps as a search of that candidate alone.
+    The Newton iterations of a batch of b candidates run in lockstep on
+    arrays, one row per candidate.  Each row starts at its best grid point,
+    shrinks its grid bracket by the sign of the derivative, bisects when the
+    curvature is not positive or the Newton step leaves the bracket, and
+    stops at its own tolerance; the decay rate never leaves the bracket, so
+    it is never negative.
     """
     lags = series.lags
     values = series.values
@@ -147,76 +151,99 @@ def fit_decay(series: AutocorrSeries, grid_points: int = 60) -> DecayFit:
     n_min = np.min(lags[1:])
     a_floor = 0.01 / n_max
     a_grid = np.concatenate([[0.0], np.geomspace(a_floor, 20.0 / n_min, grid_points)])
+    # The grid's last point closes the bracket of the one before it: where the
+    # profile keeps falling past the grid, the search then starts at the end.
+    a_grid = np.append(a_grid, 2.0 * a_grid[-1])
+    # Bracket ends of grid point j are a_ends[j] and a_ends[j + 2].
+    a_ends = np.concatenate([[0.0], a_grid, a_grid[-1:]])
     decays = np.exp(-np.multiply.outer(a_grid, lags))
+    decays_sq = decays * decays
+    v_dot_v = values @ values
+    # Exceeds the rounding error of an expanded squared error (below) plus
+    # that of a direct one: each is at most a few n_lags * eps * (n_lags + v.v).
+    slack = 16.0 * lags.size * np.finfo(float).eps * (lags.size + v_dot_v)
+    lags_sq = lags * lags
 
     best = {"a": 0.0, "b": 0.0, "val": np.inf}
 
-    def objective(a: np.ndarray, cos_part: np.ndarray) -> np.ndarray:
-        """Squared error at decay rate a[i] against the oscillation cos_part[i]."""
-        err = np.exp(-a[:, None] * lags)
-        err *= cos_part
-        err -= values
-        err *= err
-        return err.sum(axis=1)
+    def grid_errors(cos_part: np.ndarray) -> np.ndarray:
+        """Squared errors on the a grid against each oscillation cos_part[i].
+
+        Expanded into matrix products as c^2 . d^2 - 2 (c v) . d + v . v, the
+        errors preselect the grid points within slack of a row's least error
+        (about one per row); only those are summed directly, and the rest are
+        inf, so each row's argmin and least error are those of the direct
+        sums.  An overflowing v . v leaves a row no point: its direct sums
+        overflow too.
+        """
+        with np.errstate(invalid="ignore"):
+            approx = (cos_part * cos_part) @ decays_sq.T
+            approx -= 2.0 * ((cos_part * values) @ decays.T)
+            approx += v_dot_v
+            near_i, near_j = np.nonzero(approx - approx.min(axis=1, keepdims=True) <= slack)
+        resid = decays[near_j] * cos_part[near_i]
+        resid -= values
+        errs = np.full(approx.shape, np.inf)
+        errs[near_i, near_j] = np.einsum("ij,ij->i", resid, resid)
+        return errs
+
+    def newton_terms(a: np.ndarray, cos_part: np.ndarray) -> tuple:
+        """f, f' and f'' in a at decay rates a[i] against the oscillations cos_part[i].
+
+        With m = exp(-a n) cos(b n) and r = m - v:
+        f = sum r^2,  f' = -2 sum r n m,  f'' = 2 sum n^2 m (m + r).
+        """
+        m = np.multiply.outer(-a, lags)
+        np.exp(m, out=m)
+        m *= cos_part
+        r = m - values
+        f = np.einsum("ij,ij->i", r, r)
+        r *= m
+        grad = -2.0 * (r @ lags)
+        m *= m
+        r += m
+        return f, grad, 2.0 * (r @ lags_sq)
 
     def profile(bs: np.ndarray) -> np.ndarray:
-        """min_a objective(a, b) for each b in bs, refining a around its grid bracket."""
-        k = bs.size
-        cos_part = np.empty((k, lags.size))
-        lo, hi, a_j, err_j = np.empty(k), np.empty(k), np.empty(k), np.empty(k)
-        vals = np.full(k, np.inf)
-        ok = np.zeros(k, dtype=bool)
-        for i, b in enumerate(bs):
-            cos_part[i] = np.cos(b * lags)
-            errs = decays * cos_part[i]
-            errs -= values
-            errs *= errs
-            errs = errs.sum(axis=1)
-            # Finite values, decays and cosines leave no NaN in errs, so
-            # argmin is nanargmin, and an infinite minimum means no finite error.
-            j = int(errs.argmin())
-            if not np.isfinite(errs[j]):
-                continue
-            ok[i] = True
-            lo[i] = a_grid[j - 1] if j > 0 else 0.0
-            hi[i] = a_grid[j + 1] if j + 1 < a_grid.size else 2.0 * a_grid[-1]
-            a_j[i], err_j[i] = a_grid[j], errs[j]
-        rows = np.flatnonzero(ok)
+        """The least squared error over a for each b in bs, refining a in its grid bracket."""
+        cos_part = np.cos(np.multiply.outer(bs, lags))
+        errs = grid_errors(cos_part)
+        # An infinite minimum means no finite error.
+        j = errs.argmin(axis=1)
+        err_j = errs[np.arange(bs.size), j]
+        vals = np.full(bs.size, np.inf)
+        rows = np.flatnonzero(np.isfinite(err_j))
         if rows.size == 0:
             return vals
-        cos_part, lo, hi, a_j, err_j = cos_part[rows], lo[rows], hi[rows], a_j[rows], err_j[rows]
+        j, err_j, cos_part = j[rows], err_j[rows], cos_part[rows]
+        a_j, lo, hi = a_grid[j], a_ends[j], a_ends[j + 2]
 
-        # Golden-section search in a, all rows in lockstep; a row leaves the
-        # batch once its bracket is no wider than its own tolerance.
+        # Safeguarded Newton on f'(a), all rows in lockstep; a row leaves the
+        # batch once its step or its bracket is no wider than its tolerance.
         tol = 1e-8 * np.maximum(hi, a_floor)
-        c = hi - _INVPHI * (hi - lo)
-        d = lo + _INVPHI * (hi - lo)
-        fc, fd = objective(c, cos_part), objective(d, cos_part)
-        a, val = np.empty(rows.size), np.empty(rows.size)
+        a = a_j
+        a_out, val = np.empty(rows.size), np.empty(rows.size)
         live = np.arange(rows.size)
-        while True:
-            running = (hi - lo) > tol
-            if not running.all():
-                stop = ~running
-                at_c = fc[stop] < fd[stop]
-                a[live[stop]] = np.where(at_c, c[stop], d[stop])
-                val[live[stop]] = np.where(at_c, fc[stop], fd[stop])
-                if not running.any():
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for it in range(_NEWTON_ITERS):
+                f, grad, curv = newton_terms(a, cos_part)
+                hi = np.where(grad > 0, a, hi)
+                lo = np.where(grad < 0, a, lo)
+                step = grad / curv
+                newton = a - step
+                inside = (curv > 0) & (newton > lo) & (newton < hi)
+                a_next = np.where(inside, newton, 0.5 * (lo + hi))
+                done = ((curv > 0) & (np.abs(step) <= tol)) | (hi - lo <= tol)
+                done |= it + 1 == _NEWTON_ITERS
+                a_out[live[done]], val[live[done]] = a[done], f[done]
+                if done.all():
                     break
-                live, lo, hi, c, d, fc, fd, tol, cos_part = (
-                    v[running] for v in (live, lo, hi, c, d, fc, fd, tol, cos_part)
+                keep = ~done
+                live, a, lo, hi, tol, cos_part = (
+                    v[keep] for v in (live, a_next, lo, hi, tol, cos_part)
                 )
-            left = fc < fd
-            hi = np.where(left, d, hi)
-            lo = np.where(left, lo, c)
-            x = np.where(left, hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo))
-            fx = objective(x, cos_part)
-            c, d, fc, fd = (
-                np.where(left, x, d), np.where(left, c, x),
-                np.where(left, fx, fd), np.where(left, fc, fx),
-            )
         on_grid = err_j < val
-        a = np.where(on_grid, a_j, a)
+        a = np.where(on_grid, a_j, a_out)
         val = np.where(on_grid, err_j, val)
         vals[rows] = val
 
@@ -236,14 +263,15 @@ def fit_decay(series: AutocorrSeries, grid_points: int = 60) -> DecayFit:
     if not np.any(np.isfinite(profile_vals)):
         raise DecayFitError("no candidate produced a finite objective")
 
-    # Shrinking-window refinement of b on the profile; windows never extend
-    # below zero, so the pure-decay boundary stays reachable.
+    # Refinement of b on the profile: each round's window spans the last
+    # round's best point and its two neighbours.  Windows never extend below
+    # zero, so the pure-decay boundary stays reachable.
     b = best["b"]
     width = max(float(np.diff(b_grid).max()), b_floor)
     for _ in range(60):
         profile(np.linspace(max(0.0, b - width), b + width, 9))
         b = best["b"]
-        width *= 0.5
+        width *= 0.25
         if width <= 1e-6 * max(b, b_floor):
             break
     return DecayFit(r_real=-best["a"], r_imag=best["b"], residual=best["val"])

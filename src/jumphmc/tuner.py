@@ -2,10 +2,13 @@
 
 Random search is enough at this problem scale and keeps the harness
 dependency free; trials are independent, reproducible via per-trial derived
-seeds, and failed integrations are recorded rather than fatal.  A control
-that rejects every proposal never moves, so its trial scores 0.0, the worst
-finite decay rate, instead of failing.  :func:`run_chain` is the one run
-path of both samplers, shared with the CLI.
+seeds, and failed integrations are recorded rather than fatal.  A chain
+that never decorrelates scores 0.0, the worst finite decay rate, instead of
+failing: a control that rejects every proposal, or a jump chain whose
+holding-time resample puts every draw on one state.  A jump chain of
+momentum resamples only (R rows) still fails: far past stability its
+trajectories leave every L and F rate at exactly 0.  :func:`run_chain` is
+the one run path of both samplers, shared with the CLI.
 """
 
 from __future__ import annotations
@@ -119,10 +122,10 @@ def evaluate_trial(
     """Run one chain at the given setting and score its decay rate.
 
     ``aux_seed`` drives the non-chain randomness (initial momentum and, for
-    the jump sampler, the holding-time resampling).  A chain of F rows only
-    turned back every move it proposed (a control rejecting every proposal),
-    so it never decayed and scores 0.0; any other chain without variance
-    fails, as do integration and fit failures.
+    the jump sampler, the holding-time resampling).  A chain whose scored
+    positions have no variance never decayed and scores 0.0, unless every
+    row is R: such a jump chain never ran a trajectory it could accept, so
+    it fails, as do integration and fit failures.
     """
     aux_rng = np.random.default_rng(aux_seed)
     init = PhaseState(np.zeros(ef.dim), aux_rng.standard_normal(ef.dim))
@@ -137,7 +140,7 @@ def evaluate_trial(
         )
         objective = tuning_objective(fit_decay(series))
     except DegenerateChainError:
-        if np.all(chain.transitions == "F"):
+        if not np.all(chain.transitions == "R"):
             objective = 0.0
     except (IntegrationError, DecayFitError):
         pass

@@ -13,6 +13,16 @@ def write_config(path, obj):
     return str(path)
 
 
+def assert_config_kept(tmp_path, capsys, argv):
+    """The command exits 1 over an output path that is its config, and writes nothing."""
+    cfg = Path(argv[1])
+    before = cfg.read_bytes()
+    assert main(argv) == 1
+    assert "would overwrite the config file" in capsys.readouterr().err
+    assert cfg.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [cfg.name]
+
+
 GAUSSIAN_SAMPLE = {
     "sampler": "mjhmc",
     "model": {"name": "gaussian", "precision_diag": [1.0, 1.0]},
@@ -165,6 +175,12 @@ class TestSample:
         assert main(["sample", write_config(tmp_path / "c.json", cfg)]) == 1
         assert "init_position" in capsys.readouterr().err
 
+    def test_out_over_config_rejected(self, tmp_path, monkeypatch, capsys):
+        # the relative prefix "cfg" resolves to the config's own directory
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path / "cfg.json", GAUSSIAN_SAMPLE)
+        assert_config_kept(tmp_path, capsys, ["sample", cfg, "--out", "cfg"])
+
 
 class TestSpectralGap:
     def test_small_experiment(self, tmp_path):
@@ -197,6 +213,12 @@ class TestSpectralGap:
     def test_invalid_sizes_rejected(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", {"sizes": [2]})
         assert main(["spectral-gap", cfg]) == 1
+
+    def test_out_over_config_rejected(self, tmp_path, capsys):
+        # here the config names itself as the output in its own "out" key
+        path = tmp_path / "gaps.json"
+        cfg = write_config(path, {"sizes": [5], "draws_per_size": 2, "out": str(path)})
+        assert_config_kept(tmp_path, capsys, ["spectral-gap", cfg])
 
 
 class TestAutocorr:
@@ -291,6 +313,18 @@ class TestAutocorr:
         assert Path(f"{a}_mjhmc.csv").read_bytes() == Path(f"{b}_mjhmc.csv").read_bytes()
         assert Path(f"{a}_hmc.csv").read_bytes() == Path(f"{b}_hmc.csv").read_bytes()
 
+    def test_out_over_config_rejected(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path / "ac_fits.json",
+            {
+                "model": {"name": "gaussian", "precision_diag": [1.0]},
+                "mjhmc": {"epsilon": 0.5, "steps": 4, "beta": 0.3},
+                "hmc": {"epsilon": 0.5, "steps": 4, "beta": 0.4},
+                "n_samples": 100,
+            },
+        )
+        assert_config_kept(tmp_path, capsys, ["autocorr", cfg, "--out", str(tmp_path / "ac")])
+
 
 class TestTune:
     def test_budget_one(self, tmp_path):
@@ -350,6 +384,18 @@ class TestTune:
         best = json.loads(Path(f"{out}_best.json").read_text())
         assert best["best"]["objective"] == 0.0
         assert best["n_failed"] == 0
+
+    def test_out_over_config_rejected(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path / "t_best.json",
+            {
+                "sampler": "mjhmc",
+                "model": {"name": "gaussian", "precision_diag": [1.0]},
+                "budget": 1,
+                "eval": {"n_samples": 500, "n_lags": 30},
+            },
+        )
+        assert_config_kept(tmp_path, capsys, ["tune", cfg, "--out", str(tmp_path / "t")])
 
 
 class TestCheck:

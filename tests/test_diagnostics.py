@@ -8,6 +8,7 @@ from jumphmc import (
     DegenerateChainError,
     PhaseState,
     RoughWell,
+    SearchSpace,
     autocorrelation,
     fit_decay,
     run_chain,
@@ -159,7 +160,7 @@ class TestTuningObjective:
 
 
 # Reference: the scalar fit with one golden search per b candidate, kept
-# verbatim from before the lockstep version.
+# verbatim from before the lockstep and Newton versions.
 def _golden_min(f, lo, hi, tol):
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     c = hi - invphi * (hi - lo)
@@ -262,34 +263,44 @@ def _rough_well_series(sampler, epsilon):
     return autocorrelation(positions, evals, n_lags=120)
 
 
+def assert_matches_reference(fit, ref):
+    """The fit's complex rate is within 1e-6 of the reference's, or its residual is no larger.
+
+    The second branch covers flat valleys, where the golden-section
+    reference stops at a residual it cannot tell from the true minimum.
+    """
+    r, r_ref = complex(fit.r_real, fit.r_imag), complex(ref.r_real, ref.r_imag)
+    assert abs(r - r_ref) <= 1e-6 * abs(r_ref) or fit.residual <= ref.residual
+
+
 class TestLockstepFitMatchesScalarFit:
-    """The lockstep fit reproduces the one-search-per-candidate fit bit for bit."""
+    """The Newton fit agrees with the one-golden-search-per-candidate fit."""
 
     @pytest.mark.parametrize("name", sorted(_model_series()))
     def test_model_series(self, name):
         series = AutocorrSeries(*_model_series()[name])
-        assert fit_decay(series) == reference_fit_decay(series)
+        assert_matches_reference(fit_decay(series), reference_fit_decay(series))
 
     @pytest.mark.parametrize("sampler", ["mjhmc", "hmc"])
     @pytest.mark.parametrize("epsilon", [0.1, 0.6, 1.5, 3.0])
     def test_rough_well_series(self, sampler, epsilon):
         series = _rough_well_series(sampler, epsilon)
-        assert fit_decay(series) == reference_fit_decay(series)
+        assert_matches_reference(fit_decay(series), reference_fit_decay(series))
 
     def test_constant_series_brackets_at_zero_decay(self):
         n = np.arange(0, 1001, 10, dtype=float)
         series = AutocorrSeries(n, np.ones(n.size))
         fit = fit_decay(series)
-        assert fit == reference_fit_decay(series)
+        assert_matches_reference(fit, reference_fit_decay(series))
         assert fit.r_real == 0.0 and fit.r_imag == 0.0 and fit.residual == 0.0
 
     def test_decay_beyond_grid_top(self):
-        # a = 5 is past the grid's top 20 / n_min = 2, so the bracket is the
-        # last grid point and its upper end 2 * a_grid[-1]
+        # a = 5 is past the grid's top 20 / n_min = 2, so the search starts
+        # at the grid's closing point 2 * a_grid[-1]
         n = np.arange(0, 1001, 10, dtype=float)
         series = AutocorrSeries(n, np.exp(-5.0 * n))
         fit = fit_decay(series)
-        assert fit == reference_fit_decay(series)
+        assert_matches_reference(fit, reference_fit_decay(series))
         assert -fit.r_real > 2.0
 
     def test_pure_oscillation(self):
@@ -297,7 +308,7 @@ class TestLockstepFitMatchesScalarFit:
         n = np.arange(0, 1001, 10, dtype=float)
         series = AutocorrSeries(n, np.cos(0.05 * n))
         fit = fit_decay(series)
-        assert fit == reference_fit_decay(series)
+        assert_matches_reference(fit, reference_fit_decay(series))
         assert fit.r_imag == pytest.approx(0.05, rel=1e-6)
         assert 0.0 <= -fit.r_real < 0.01 / n[-1]
 
@@ -308,3 +319,23 @@ class TestLockstepFitMatchesScalarFit:
         for fit in (fit_decay, reference_fit_decay):
             with np.errstate(over="ignore"), pytest.raises(DecayFitError, match="no candidate"):
                 fit(series)
+
+
+def test_rough_well_trial_fits_have_nonnegative_rates():
+    # series scored like tuning trials, at settings drawn like SearchSpace's
+    space, rng = SearchSpace(), np.random.default_rng(11)
+    fits = []
+    while len(fits) < 60:
+        sampler = ("mjhmc", "hmc")[len(fits) % 2]
+        epsilon, beta, steps = space.draw(rng)
+        init = PhaseState(np.zeros(2), rng.standard_normal(2))
+        chain = run_chain(sampler, epsilon, steps, beta, 400, int(rng.integers(2**32)),
+                          RoughWell(), init)
+        try:
+            series = autocorrelation(*unweighted_samples(chain, rng), n_lags=120)
+        except DegenerateChainError:
+            continue  # a frozen chain has no series to fit
+        fits.append(fit_decay(series))
+    for fit in fits:
+        assert np.isfinite(fit.r_real) and fit.r_real <= 0.0
+        assert fit.r_imag >= 0.0

@@ -68,7 +68,10 @@ def test_best_minimizes_over_ok_trials():
 
 
 def test_failed_trials_are_recorded_not_fatal():
-    # a space far beyond the stability limit guarantees integration failures
+    # far beyond the stability limit every trial fails: at seed 0 the first
+    # two are jump chains of R rows only (their trajectories leave every L and
+    # F rate at exactly 0, so the positions never vary) and the third raises
+    # IntegrationError
     space = SearchSpace(epsilon_range=(80.0, 100.0), beta_range=(0.1, 0.2), steps_range=(30, 50))
     with pytest.raises(RuntimeError):
         random_search(space, 3, "mjhmc", GAUSS_1D, FAST_EVAL, seed=0)
@@ -83,6 +86,18 @@ def test_frozen_control_scores_zero_decay():
     trial = evaluate_trial("hmc", 4.847, 0.712, 34, ef, eval_cfg, chain_seed=0, aux_seed=0)
     assert trial.status == "ok"
     assert trial.objective == 0.0
+
+
+@pytest.mark.parametrize("seed, index", [(1222383955, 2), (3669447255, 0)])
+def test_frozen_jump_resample_scores_zero_decay(seed, index):
+    # past the rough well's stability limit a jump chain that moved can still
+    # put every holding-time resampled draw on one state: no decay, no failure
+    _, trials = random_search(
+        SearchSpace(), 3, "mjhmc", RoughWell(), TuningEvalConfig(n_samples=400), seed=seed
+    )
+    assert trials[index].epsilon > 4.4
+    assert trials[index].status == "ok"
+    assert trials[index].objective == 0.0
 
 
 def test_unknown_sampler_rejected():
