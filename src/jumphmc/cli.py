@@ -28,7 +28,7 @@ from .chainio import (
     write_gap_csv,
     write_trials_csv,
 )
-from .diagnostics import autocorrelation, fit_decay, tuning_objective
+from .diagnostics import MIN_FIT_LAGS, MIN_SAMPLES, autocorrelation, fit_decay, tuning_objective
 from .energy import DiagonalGaussian, EnergyFunction, GaussianParams, RoughWell, RoughWellParams
 from .errors import DecayFitError, DegenerateChainError, DegenerateLadderError, IntegrationError
 from .ladder import (
@@ -96,6 +96,18 @@ def _int(x) -> int:
     if isinstance(x, bool) or int(x) != x:
         raise ValueError("must be an integer")
     return int(x)
+
+
+def _int_at_least(low: int):
+    """A checker for integers of at least ``low``."""
+
+    def check(x) -> int:
+        x = _int(x)
+        if x < low:
+            raise ValueError(f"must be at least {low}")
+        return x
+
+    return check
 
 
 def _string(x) -> str:
@@ -289,8 +301,8 @@ def cmd_autocorr(config: dict, out: Optional[str], config_path: Optional[str]) -
             "model": (True, lambda x: x),
             "mjhmc": (True, _hyper_triple),
             "hmc": (True, _hyper_triple),
-            "n_samples": (True, _positive_int),
-            "n_lags": (False, _positive_int),
+            "n_samples": (True, _int_at_least(MIN_SAMPLES)),
+            "n_lags": (False, _int_at_least(MIN_FIT_LAGS)),
             "max_lag_evals": (False, _positive_number),
             "seed": (False, _int),
             "out": (False, _string),
@@ -395,11 +407,14 @@ def cmd_tune(config: dict, out: Optional[str], config_path: Optional[str]) -> in
         },
         "tune config.eval",
     )
-    eval_config = TuningEvalConfig(
-        n_samples=eval_fields.get("n_samples", 4000),
-        n_lags=eval_fields.get("n_lags", 120),
-        max_lag_evals=eval_fields.get("max_lag_evals"),
-    )
+    try:
+        eval_config = TuningEvalConfig(
+            n_samples=eval_fields.get("n_samples", 4000),
+            n_lags=eval_fields.get("n_lags", 120),
+            max_lag_evals=eval_fields.get("max_lag_evals"),
+        )
+    except ValueError as err:
+        raise ConfigError(f"tune config.eval: {err}") from err
 
     meta_config = {k: v for k, v in fields.items() if k != "out"}
     meta_config["seed"] = seed

@@ -16,6 +16,9 @@ import numpy as np
 
 from .errors import DecayFitError, DegenerateChainError
 
+MIN_SAMPLES = 10  # shortest chain autocorrelation accepts
+MIN_FIT_LAGS = 4  # fewest lags fit_decay accepts
+
 
 @dataclass(frozen=True)
 class AutocorrSeries:
@@ -82,8 +85,8 @@ def autocorrelation(
     if x.ndim == 1:
         x = x[:, None]
     n = x.shape[0]
-    if n < 10:
-        raise ValueError("need a chain of at least 10 samples")
+    if n < MIN_SAMPLES:
+        raise ValueError(f"need a chain of at least {MIN_SAMPLES} samples")
     evals = np.asarray(gradient_evals, dtype=float)
     if evals.shape != (n,):
         raise ValueError("gradient_evals must have one entry per sample")
@@ -119,6 +122,53 @@ _BATCH_ROWS = 64  # b candidates per lockstep batch; bounds the (rows, n_lags) t
 _NEWTON_ITERS = 64  # safety cap: bisection alone reaches the tolerance in about 30
 
 
+def _safeguarded_newton(terms, x, lo, hi, tol):
+    """Minimize one function per row in lockstep, each inside its bracket [lo, hi].
+
+    ``terms(x, live)`` returns f, f' and f'' at x[i] for the rows live[i].  A
+    row shrinks its bracket by the sign of f', bisects when the curvature is
+    not positive or the Newton step leaves the bracket, and stops once its
+    step or its bracket is no wider than its tolerance.  x never leaves the
+    bracket.  Returns each row's last x and its f.
+    """
+    x_out, f_out = np.empty(x.size), np.empty(x.size)
+    live = np.arange(x.size)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for it in range(_NEWTON_ITERS):
+            f, grad, curv = terms(x, live)
+            hi = np.where(grad > 0, x, hi)
+            lo = np.where(grad < 0, x, lo)
+            step = grad / curv
+            newton = x - step
+            inside = (curv > 0) & (newton > lo) & (newton < hi)
+            x_next = np.where(inside, newton, 0.5 * (lo + hi))
+            done = ((curv > 0) & (np.abs(step) <= tol)) | (hi - lo <= tol)
+            done |= it + 1 == _NEWTON_ITERS
+            x_out[live[done]], f_out[live[done]] = x[done], f[done]
+            if done.all():
+                break
+            keep = ~done
+            live, x, lo, hi, tol = (v[keep] for v in (live, x_next, lo, hi, tol))
+    return x_out, f_out
+
+
+def _band_bound(values: np.ndarray, edge_1: np.ndarray, edge_2: np.ndarray) -> np.ndarray:
+    """Squared distance of the series from the band between two model edges, per row.
+
+    Wherever the model lies between edge_1[i, n] and edge_2[i, n] at every
+    lag n, its squared error against ``values`` is at least bound[i].
+    """
+    with np.errstate(over="ignore"):
+        gap = np.clip(values, np.minimum(edge_1, edge_2), np.maximum(edge_1, edge_2))
+        gap -= values
+        return np.einsum("ij,ij->i", gap, gap)
+
+
+def _may_win(bound: np.ndarray, known: float, slack: float) -> np.ndarray:
+    """Rows whose bound does not rule out beating ``known``; a NaN bound keeps its row."""
+    return ~(bound > known + slack)
+
+
 def fit_decay(series: AutocorrSeries, grid_points: int = 60) -> DecayFit:
     """Least-squares fit of Re[exp(r n)] to the autocorrelation series.
 
@@ -127,24 +177,32 @@ def fit_decay(series: AutocorrSeries, grid_points: int = 60) -> DecayFit:
     decay rate out (variable projection): for any oscillation rate b, the
     best decay rate a(b) is bracketed on a coarse log-spaced grid and then
     found by a safeguarded Newton iteration on the closed-form derivative in
-    a, and the 1D profile objective is minimized over b.  Candidate b values
-    combine a log-spaced grid with a dense linear sweep (the profile has
-    basins of width ~pi/n_max that a log grid alone would skip); the
-    winning basin is refined by a re-centered window, quartered each round,
-    to relative tolerance 1e-6.  The reported fit is the best candidate ever
-    evaluated.
+    a, and the 1D profile p(b) = min_a f(a, b) is minimized over b.
+    Candidate b values combine a log-spaced grid with a dense linear sweep
+    (the profile has basins of width ~pi/n_max that a log grid alone would
+    skip).  The sweep's winner is refined by a safeguarded Newton iteration
+    on p(b) inside a window of one sweep spacing either side.  Each step
+    solves a(b) by Newton from the last a, and takes p' and p'' from the
+    quadratic model of f in (a, b) with a eliminated:
+    p' = f_b - f_ab f_a / f_aa and p'' = f_bb - f_ab^2 / f_aa, or f_b and
+    f_bb where the model's a lies outside the grid's range.  The reported
+    fit is the best candidate ever evaluated.
 
-    The Newton iterations of a batch of b candidates run in lockstep on
-    arrays, one row per candidate.  Each row starts at its best grid point,
-    shrinks its grid bracket by the sign of the derivative, bisects when the
-    curvature is not positive or the Newton step leaves the bracket, and
-    stops at its own tolerance; the decay rate never leaves the bracket, so
-    it is never negative.
+    The sweep skips every candidate that provably cannot beat the least
+    error already known, with two bounds.  For a >= 0 the model lies
+    between 0 and cos(b n), and for a in a grid bracket [lo, hi] between
+    cos(b n) exp(-hi n) and cos(b n) exp(-lo n); the squared distance of
+    the series from such a band is at most the squared error.  A candidate
+    is skipped only when its bound exceeds the known error by more than
+    rounding, so the sweep's winner is the one a full sweep finds.  The
+    Newton iterations of the remaining candidates run in lockstep on
+    arrays, one row per candidate, each starting at its best grid point.
+    Neither rate is ever negative.
     """
     lags = series.lags
     values = series.values
-    if lags.size < 4:
-        raise ValueError("need at least 4 lags to fit")
+    if lags.size < MIN_FIT_LAGS:
+        raise ValueError(f"need at least {MIN_FIT_LAGS} lags to fit")
     if not np.all(np.isfinite(values)):
         raise DecayFitError("autocorrelation series contains non-finite values")
     n_max = lags[-1]
@@ -154,13 +212,12 @@ def fit_decay(series: AutocorrSeries, grid_points: int = 60) -> DecayFit:
     # The grid's last point closes the bracket of the one before it: where the
     # profile keeps falling past the grid, the search then starts at the end.
     a_grid = np.append(a_grid, 2.0 * a_grid[-1])
-    # Bracket ends of grid point j are a_ends[j] and a_ends[j + 2].
-    a_ends = np.concatenate([[0.0], a_grid, a_grid[-1:]])
     decays = np.exp(-np.multiply.outer(a_grid, lags))
     decays_sq = decays * decays
     v_dot_v = values @ values
     # Exceeds the rounding error of an expanded squared error (below) plus
     # that of a direct one: each is at most a few n_lags * eps * (n_lags + v.v).
+    # A bound counts only when it exceeds the least known error by more.
     slack = 16.0 * lags.size * np.finfo(float).eps * (lags.size + v_dot_v)
     lags_sq = lags * lags
 
@@ -204,76 +261,94 @@ def fit_decay(series: AutocorrSeries, grid_points: int = 60) -> DecayFit:
         r += m
         return f, grad, 2.0 * (r @ lags_sq)
 
-    def profile(bs: np.ndarray) -> np.ndarray:
-        """The least squared error over a for each b in bs, refining a in its grid bracket."""
+    def profile(bs: np.ndarray) -> None:
+        """Offer each b in bs as a candidate, with its least squared error over a."""
         cos_part = np.cos(np.multiply.outer(bs, lags))
         errs = grid_errors(cos_part)
         # An infinite minimum means no finite error.
         j = errs.argmin(axis=1)
         err_j = errs[np.arange(bs.size), j]
-        vals = np.full(bs.size, np.inf)
-        rows = np.flatnonzero(np.isfinite(err_j))
+        j_lo, j_hi = np.maximum(j - 1, 0), np.minimum(j + 1, a_grid.size - 1)
+        edge_hi, edge_lo = decays[j_hi], decays[j_lo]
+        edge_hi *= cos_part
+        edge_lo *= cos_part
+        bound = _band_bound(values, edge_hi, edge_lo)
+        known = min(best["val"], err_j.min())
+        rows = np.flatnonzero(np.isfinite(err_j) & _may_win(bound, known, slack))
         if rows.size == 0:
-            return vals
+            return
         j, err_j, cos_part = j[rows], err_j[rows], cos_part[rows]
-        a_j, lo, hi = a_grid[j], a_ends[j], a_ends[j + 2]
-
-        # Safeguarded Newton on f'(a), all rows in lockstep; a row leaves the
-        # batch once its step or its bracket is no wider than its tolerance.
-        tol = 1e-8 * np.maximum(hi, a_floor)
-        a = a_j
-        a_out, val = np.empty(rows.size), np.empty(rows.size)
-        live = np.arange(rows.size)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for it in range(_NEWTON_ITERS):
-                f, grad, curv = newton_terms(a, cos_part)
-                hi = np.where(grad > 0, a, hi)
-                lo = np.where(grad < 0, a, lo)
-                step = grad / curv
-                newton = a - step
-                inside = (curv > 0) & (newton > lo) & (newton < hi)
-                a_next = np.where(inside, newton, 0.5 * (lo + hi))
-                done = ((curv > 0) & (np.abs(step) <= tol)) | (hi - lo <= tol)
-                done |= it + 1 == _NEWTON_ITERS
-                a_out[live[done]], val[live[done]] = a[done], f[done]
-                if done.all():
-                    break
-                keep = ~done
-                live, a, lo, hi, tol, cos_part = (
-                    v[keep] for v in (live, a_next, lo, hi, tol, cos_part)
-                )
+        a_j, lo, hi = a_grid[j], a_grid[j_lo[rows]], a_grid[j_hi[rows]]
+        a, val = _safeguarded_newton(
+            lambda a, live: newton_terms(a, cos_part[live]),
+            a_j, lo, hi, 1e-8 * np.maximum(hi, a_floor),
+        )
         on_grid = err_j < val
-        a = np.where(on_grid, a_j, a_out)
+        a = np.where(on_grid, a_j, a)
         val = np.where(on_grid, err_j, val)
-        vals[rows] = val
 
         # The first strict improvement in candidate order, as a sequential scan finds it.
         i = int(np.argmin(np.where(val < best["val"], val, np.inf)))
         if val[i] < best["val"]:
             best.update(a=float(a[i]), b=float(bs[rows[i]]), val=float(val[i]))
-        return vals
 
     b_floor = 0.1 / n_max
     b_coarse = np.concatenate([[0.0], np.geomspace(b_floor, np.pi / n_min, grid_points)])
     b_dense = np.arange(0.0, np.pi / n_min, 0.5 * np.pi / n_max)
     b_grid = np.unique(np.concatenate([b_coarse, b_dense]))
-    profile_vals = np.concatenate(
-        [profile(b_grid[i:i + _BATCH_ROWS]) for i in range(0, b_grid.size, _BATCH_ROWS)]
-    )
-    if not np.any(np.isfinite(profile_vals)):
+    # The first bound needs no a: it drops a candidate whose band from 0 to
+    # cos(b n) lies farther from the series than the best b = 0 grid point.
+    pure_decay = grid_errors(np.ones((1, lags.size))).min()
+    kept = []
+    for i in range(0, b_grid.size, _BATCH_ROWS):
+        bs = b_grid[i:i + _BATCH_ROWS]
+        cos_part = np.cos(np.multiply.outer(bs, lags))
+        bound = _band_bound(values, 0.0, cos_part)
+        kept.append(bs[(bs == 0.0) | _may_win(bound, pure_decay, slack)])
+    b_kept = np.concatenate(kept)
+    for i in range(0, b_kept.size, _BATCH_ROWS):
+        profile(b_kept[i:i + _BATCH_ROWS])
+    if not np.isfinite(best["val"]):
         raise DecayFitError("no candidate produced a finite objective")
 
-    # Refinement of b on the profile: each round's window spans the last
-    # round's best point and its two neighbours.  Windows never extend below
-    # zero, so the pure-decay boundary stays reachable.
-    b = best["b"]
+    # Refinement: safeguarded Newton on the profile p(b) within one sweep
+    # spacing of the winner.  The window never extends below zero, so the
+    # pure-decay boundary stays reachable; a stays in the grid's range.
+    b0 = best["b"]
     width = max(float(np.diff(b_grid).max()), b_floor)
-    for _ in range(60):
-        profile(np.linspace(max(0.0, b - width), b + width, 9))
-        b = best["b"]
-        width *= 0.25
-        if width <= 1e-6 * max(b, b_floor):
-            break
+    a_last = np.array([best["a"]])
+    a_tol = np.array([1e-8 * max(best["a"], a_floor)])
+
+    def profile_terms(b: np.ndarray, live: np.ndarray) -> tuple:
+        """p, p' and p'' at the one candidate b[0]; each point evaluated is offered as a fit."""
+        cos_b = np.cos(b[0] * lags)
+        a, _ = _safeguarded_newton(
+            lambda a, live: newton_terms(a, cos_b), a_last, np.zeros(1), a_grid[-1:], a_tol
+        )
+        a_last[:] = a
+        decay = np.exp(-a[0] * lags)
+        m = decay * cos_b
+        r = m - values
+        m_b = -lags * decay * np.sin(b[0] * lags)  # d m / d b;  d m / d a = -n m
+        f = r @ r
+        f_a = -2.0 * ((lags * m) @ r)
+        f_aa = 2.0 * ((lags_sq * m) @ (m + r))
+        f_ab = -2.0 * ((lags * m_b) @ (m + r))
+        f_b = 2.0 * (r @ m_b)
+        f_bb = 2.0 * (m_b @ m_b - (lags_sq * m) @ r)
+        if f < best["val"]:
+            best.update(a=float(a[0]), b=float(b[0]), val=float(f))
+        # Eliminate a from the local quadratic model, unless its minimum in a
+        # lies outside the range, where a(b) stays at the edge.
+        if f_aa > 0 and 0.0 <= a[0] - f_a / f_aa <= a_grid[-1]:
+            f_b -= f_ab * f_a / f_aa
+            f_bb -= f_ab * f_ab / f_aa
+        return np.array([f]), np.array([f_b]), np.array([f_bb])
+
+    _safeguarded_newton(
+        profile_terms, np.array([b0]), np.array([max(0.0, b0 - width)]), np.array([b0 + width]),
+        np.array([1e-8 * max(b0, b_floor)]),
+    )
     return DecayFit(r_real=-best["a"], r_imag=best["b"], residual=best["val"])
 
 

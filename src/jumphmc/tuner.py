@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .diagnostics import autocorrelation, fit_decay, tuning_objective
+from .diagnostics import MIN_FIT_LAGS, MIN_SAMPLES, autocorrelation, fit_decay, tuning_objective
 from .energy import EnergyFunction
 from .errors import DecayFitError, DegenerateChainError, IntegrationError
 from .hmc import HmcConfig, hmc_chain
@@ -74,8 +74,10 @@ class TuningEvalConfig:
     max_lag_evals: Optional[float] = None
 
     def __post_init__(self):
-        if self.n_samples < 10:
-            raise ValueError("n_samples must be at least 10")
+        if self.n_samples < MIN_SAMPLES:
+            raise ValueError(f"n_samples must be at least {MIN_SAMPLES}")
+        if self.n_lags < MIN_FIT_LAGS:
+            raise ValueError(f"n_lags must be at least {MIN_FIT_LAGS}")
 
 
 def run_chain(

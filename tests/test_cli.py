@@ -326,6 +326,25 @@ class TestAutocorr:
         assert_config_kept(tmp_path, capsys, ["autocorr", cfg, "--out", str(tmp_path / "ac")])
 
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [("n_lags", 2, "autocorr config.n_lags: must be at least 4"),
+         ("n_samples", 5, "autocorr config.n_samples: must be at least 10")],
+    )
+    def test_too_short_to_fit_rejected_before_sampling(self, tmp_path, capsys, key, value, message):
+        config = {
+            "model": {"name": "gaussian", "precision_diag": [1.0]},
+            "mjhmc": {"epsilon": 0.5, "steps": 4, "beta": 0.3},
+            "hmc": {"epsilon": 0.5, "steps": 4, "beta": 0.5},
+            "n_samples": 100,
+        }
+        cfg = write_config(tmp_path / "c.json", {**config, key: value})
+        assert main(["autocorr", cfg, "--out", str(tmp_path / "ac")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"config error: {message}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
+
 class TestTune:
     def test_budget_one(self, tmp_path):
         cfg = write_config(
@@ -396,6 +415,26 @@ class TestTune:
             },
         )
         assert_config_kept(tmp_path, capsys, ["tune", cfg, "--out", str(tmp_path / "t")])
+
+
+    @pytest.mark.parametrize(
+        "evaluation, message",
+        [({"n_samples": 5}, "tune config.eval: n_samples must be at least 10"),
+         ({"n_lags": 3}, "tune config.eval: n_lags must be at least 4")],
+    )
+    def test_too_short_to_fit_rejected_before_sampling(self, tmp_path, capsys, evaluation, message):
+        cfg = write_config(
+            tmp_path / "c.json",
+            {
+                "sampler": "mjhmc",
+                "model": {"name": "gaussian", "precision_diag": [1.0]},
+                "budget": 1,
+                "eval": evaluation,
+            },
+        )
+        assert main(["tune", cfg, "--out", str(tmp_path / "t")]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
 
 
 class TestCheck:

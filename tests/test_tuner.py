@@ -35,6 +35,14 @@ def test_space_draw_respects_bounds():
         assert 3 <= steps <= 7
 
 
+def test_eval_config_rejects_what_cannot_be_fit():
+    with pytest.raises(ValueError, match="n_samples must be at least 10"):
+        TuningEvalConfig(n_samples=9)
+    with pytest.raises(ValueError, match="n_lags must be at least 4"):
+        TuningEvalConfig(n_lags=3)
+    TuningEvalConfig(n_samples=10, n_lags=4)
+
+
 def test_budget_one_returns_the_single_trial():
     best, trials = random_search(SearchSpace(), 1, "mjhmc", GAUSS_1D, FAST_EVAL, seed=0)
     assert len(trials) == 1
