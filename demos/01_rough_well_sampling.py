@@ -17,8 +17,8 @@ from jumphmc import (
     PhaseState,
     RoughWell,
     SamplerConfig,
-    resample,
     sample_chain,
+    systematic_resample_indices,
     weighted_moments,
 )
 from jumphmc.chainio import write_chain_csv
@@ -56,8 +56,8 @@ print(f"  redraw share        {counts.get('R', 0) / len(chain):.3f} "
       f"(Poisson-clock prediction {expected_r:.3f})")
 
 print("\n--- resampling to an unweighted chain ---")
-states = resample(chain, 10_000, np.random.default_rng(2))
-xs = np.array([s.x for s in states])
+idx = systematic_resample_indices(chain.holding_times, 10_000, np.random.default_rng(2))
+xs = chain.positions[idx]
 print(f"  resampled std       {np.round(xs.std(axis=0), 1)}")
 
 write_chain_csv("rough_well_chain.csv", chain, config=config.__dict__, seed=config.seed)

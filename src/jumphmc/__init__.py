@@ -22,17 +22,12 @@ from .errors import (
     DimensionError,
     IntegrationError,
 )
-from .hmc import HmcConfig, hmc_chain, hmc_step
+from .hmc import HmcConfig, hmc_chain
 from .jump import (
     Chain,
     SamplerConfig,
     StateCache,
-    Transition,
-    TransitionRates,
-    compute_rates,
-    draw_waiting_times,
     init_cache,
-    resample,
     sample_chain,
     step,
     systematic_resample_indices,
@@ -58,14 +53,7 @@ from .ladder import (
     spectral_distance,
     spectral_gap,
 )
-from .phase import (
-    LeapfrogParams,
-    PhaseState,
-    flip,
-    leapfrog,
-    leapfrog_inverse,
-    randomize_momentum,
-)
+from .phase import LeapfrogParams, PhaseState
 from .tuner import (
     SearchSpace,
     TrialRecord,

@@ -261,9 +261,11 @@ def fit_decay(series: AutocorrSeries, grid_points: int = 60) -> DecayFit:
         r += m
         return f, grad, 2.0 * (r @ lags_sq)
 
-    def profile(bs: np.ndarray) -> None:
-        """Offer each b in bs as a candidate, with its least squared error over a."""
-        cos_part = np.cos(np.multiply.outer(bs, lags))
+    def profile(bs: np.ndarray, cos_part: np.ndarray) -> None:
+        """Offer each b in bs as a candidate, with its least squared error over a.
+
+        ``cos_part[i]`` is cos(bs[i] n), computed once by the first bound.
+        """
         errs = grid_errors(cos_part)
         # An infinite minimum means no finite error.
         j = errs.argmin(axis=1)
@@ -299,15 +301,16 @@ def fit_decay(series: AutocorrSeries, grid_points: int = 60) -> DecayFit:
     # The first bound needs no a: it drops a candidate whose band from 0 to
     # cos(b n) lies farther from the series than the best b = 0 grid point.
     pure_decay = grid_errors(np.ones((1, lags.size))).min()
-    kept = []
+    b_kept, cos_kept = [], []
     for i in range(0, b_grid.size, _BATCH_ROWS):
         bs = b_grid[i:i + _BATCH_ROWS]
         cos_part = np.cos(np.multiply.outer(bs, lags))
-        bound = _band_bound(values, 0.0, cos_part)
-        kept.append(bs[(bs == 0.0) | _may_win(bound, pure_decay, slack)])
-    b_kept = np.concatenate(kept)
+        keep = (bs == 0.0) | _may_win(_band_bound(values, 0.0, cos_part), pure_decay, slack)
+        b_kept.append(bs[keep])
+        cos_kept.append(cos_part[keep])
+    b_kept, cos_kept = np.concatenate(b_kept), np.concatenate(cos_kept)
     for i in range(0, b_kept.size, _BATCH_ROWS):
-        profile(b_kept[i:i + _BATCH_ROWS])
+        profile(b_kept[i:i + _BATCH_ROWS], cos_kept[i:i + _BATCH_ROWS])
     if not np.isfinite(best["val"]):
         raise DecayFitError("no candidate produced a finite objective")
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import CountingEnergy, EnergyFunction, kinetic_energy
+from .energy import EnergyFunction, kinetic_energy
 from .errors import IntegrationError
 from .jump import Chain, record_chain
 from .phase import LeapfrogParams, PhaseState
@@ -37,10 +37,6 @@ class HmcConfig:
         if self.n_samples < 1:
             raise ValueError("n_samples must be at least 1")
         LeapfrogParams(self.epsilon, self.steps)
-
-    @property
-    def leapfrog_params(self) -> LeapfrogParams:
-        return LeapfrogParams(self.epsilon, self.steps)
 
 
 def _mh_step(
@@ -75,19 +71,8 @@ def _mh_step(
     return x, v, grad, potential, accepted
 
 
-def hmc_step(
-    zeta: PhaseState, config: HmcConfig, ef: EnergyFunction, rng: np.random.Generator
-) -> tuple[PhaseState, int]:
-    """One propose/accept/corrupt step; returns the new state and gradient evals used."""
-    counter = CountingEnergy(ef)
-    potential = counter.energy(zeta.x)
-    grad = counter.gradient(zeta.x)
-    x, v, _, _, _ = _mh_step(zeta.x, zeta.v, grad, potential, config, counter, rng)
-    return PhaseState(x, v), counter.gradient_calls
-
-
 def hmc_chain(config: HmcConfig, ef: EnergyFunction, init: PhaseState) -> Chain:
-    """Iterate :func:`hmc_step` ``config.n_samples`` times with cost accounting.
+    """Run ``config.n_samples`` propose/accept/corrupt steps with cost accounting.
 
     Row i is the state after step i, with holding time 1 and transition L
     (accepted) or F (rejected).  The cached gradient at the current position

@@ -13,12 +13,11 @@ differences the outgoing rates are
 and a step is an exponential race between the three arms.  The time spent
 waiting in each state (the holding time) doubles as an importance weight,
 so visited states plus holding times can be resampled into an unweighted
-chain.
+chain (:func:`systematic_resample_indices`).
 """
 
 from __future__ import annotations
 
-import enum
 import math
 import sys
 from dataclasses import dataclass
@@ -30,15 +29,6 @@ from .energy import CountingEnergy, EnergyFunction, kinetic_energy
 from .errors import IntegrationError
 from .phase import LeapfrogParams, PhaseState
 
-
-class Transition(enum.Enum):
-    """Which arm of the exponential race fired."""
-
-    L = "L"
-    F = "F"
-    R = "R"
-
-
 _MAX_LOG = math.log(sys.float_info.max)
 _TINY = sys.float_info.min
 
@@ -46,36 +36,6 @@ _TINY = sys.float_info.min
 def _exp(log_value: float) -> float:
     """``math.exp`` that saturates to inf instead of raising on overflow."""
     return math.exp(log_value) if log_value <= _MAX_LOG else math.inf
-
-
-def _log(rate: float) -> float:
-    return math.log(rate) if rate > 0 else -math.inf
-
-
-@dataclass(frozen=True)
-class TransitionRates:
-    """Outgoing Poisson rates from the current state.
-
-    The race runs on the log-rates, which stay finite where a rate
-    overflows a float; ``gamma_L`` and ``gamma_F`` are their exponentials
-    and read inf there.
-    """
-
-    log_gamma_L: float
-    log_gamma_F: float
-    beta: float
-
-    @property
-    def gamma_L(self) -> float:
-        return _exp(self.log_gamma_L)
-
-    @property
-    def gamma_F(self) -> float:
-        return _exp(self.log_gamma_F)
-
-    @property
-    def total(self) -> float:
-        return self.gamma_L + self.gamma_F + self.beta
 
 
 @dataclass(frozen=True)
@@ -94,10 +54,6 @@ class SamplerConfig:
         if self.n_samples < 1:
             raise ValueError("n_samples must be at least 1")
         LeapfrogParams(self.epsilon, self.steps)  # validates epsilon/steps
-
-    @property
-    def leapfrog_params(self) -> LeapfrogParams:
-        return LeapfrogParams(self.epsilon, self.steps)
 
 
 def _node(x: np.ndarray, v: np.ndarray, grad: np.ndarray, ef: EnergyFunction) -> tuple:
@@ -199,12 +155,7 @@ def _log_rates(cache: StateCache) -> tuple[float, float]:
     return log_gamma_L, log_gamma_F
 
 
-def compute_rates(cache: StateCache, config: SamplerConfig) -> TransitionRates:
-    """Outgoing rates from the cache's current state (see :func:`_log_rates`)."""
-    return TransitionRates(*_log_rates(cache), config.beta)
-
-
-_RACE_KINDS = (Transition.L, Transition.F, Transition.R)
+_RACE_KINDS = ("L", "F", "R")
 
 
 def _log_waiting_times(
@@ -218,7 +169,7 @@ def _log_waiting_times(
     exact-zero draw is raised to the smallest normal float.
     """
     draws = rng.standard_exponential(3).tolist()
-    log_rates = (log_gamma_L, log_gamma_F, _log(beta))
+    log_rates = (log_gamma_L, log_gamma_F, math.log(beta))
     return [math.log(max(d, _TINY)) - lr for d, lr in zip(draws, log_rates)]
 
 
@@ -234,36 +185,24 @@ def _holding_time(log_wait: float) -> float:
     return max(_exp(log_wait), _TINY)
 
 
-def draw_waiting_times(
-    rates: TransitionRates, rng: np.random.Generator
-) -> tuple[float, float, float]:
-    """Draw the three competing exponential waiting times (L, F, R).
-
-    A zero rate yields an infinite waiting time; every time is strictly
-    positive (see :func:`_holding_time`).
-    """
-    log_waits = _log_waiting_times(rates.log_gamma_L, rates.log_gamma_F, rates.beta, rng)
-    return tuple(_holding_time(lw) for lw in log_waits)
-
-
 def step(
     cache: StateCache, config: SamplerConfig, ef: EnergyFunction, rng: np.random.Generator
-) -> tuple[Transition, float]:
+) -> tuple[str, float]:
     """Run one exponential race from the cache's current state and move to the winner.
 
-    Returns the winning kind and the holding time of the state left.  The
-    race compares log waiting times, so it is exact even where a rate
-    overflows.  Ties (a measure-zero event) resolve with the fixed priority
-    L > F > R.  The cache is updated in place by the rule of the winning
-    kind (see :class:`StateCache`): an L transition costs one leapfrog
-    integration, an F transition none, an R transition two.
+    Returns the winning kind, "L", "F" or "R", and the holding time of the
+    state left.  The race compares log waiting times, so it is exact even
+    where a rate overflows.  Ties (a measure-zero event) resolve with the
+    fixed priority L > F > R.  The cache is updated in place by the rule of
+    the winning kind (see :class:`StateCache`): an L transition costs one
+    leapfrog integration, an F transition none, an R transition two.
     """
     log_waits = _log_waiting_times(*_log_rates(cache), config.beta, rng)
     shortest = min(log_waits)
     kind = _RACE_KINDS[log_waits.index(shortest)]
-    if kind is Transition.L:
+    if kind == "L":
         cache.leap(ef, config.epsilon, config.steps)
-    elif kind is Transition.F:
+    elif kind == "F":
         cache.flip()
     else:
         cache.redraw(ef, config.epsilon, config.steps, rng)
@@ -350,7 +289,7 @@ def sample_chain(config: SamplerConfig, ef: EnergyFunction, init: PhaseState) ->
         while True:
             x, v, _, _, _ = cache.current
             kind, holding_time = step(cache, config, counter, rng)
-            yield x, v, holding_time, kind.value
+            yield x, v, holding_time, kind
 
     return record_chain("mjhmc", rows, ef, init.dim, config.n_samples, config.seed)
 
@@ -376,14 +315,6 @@ def systematic_resample_indices(
     points = (rng.random() + np.arange(n_out)) / n_out
     # an offset just below 1 can round the last point up to 1.0
     return np.minimum(np.searchsorted(cum, points, side="right"), weights.size - 1)
-
-
-def resample(chain: Chain, n_out: int, rng: np.random.Generator) -> list[PhaseState]:
-    """Resample visited states using holding times as importance weights."""
-    if len(chain) == 0:
-        raise ValueError("cannot resample an empty chain")
-    idx = systematic_resample_indices(chain.holding_times, n_out, rng)
-    return [PhaseState(chain.positions[i], chain.momenta[i]) for i in idx]
 
 
 def weighted_moments(chain: Chain) -> tuple[np.ndarray, np.ndarray]:

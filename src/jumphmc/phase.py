@@ -1,10 +1,12 @@
-"""Phase-space operators: leapfrog integration, momentum flip, momentum redraw.
+"""Phase-space states and the leapfrog integrator on them.
 
-The three operators act on joint position/momentum states.  Leapfrog (L)
-advances approximate Hamiltonian dynamics, the flip (F) negates momentum,
-and the randomization (R) redraws momentum from its standard-normal
-marginal.  L and F are volume preserving and satisfy F L F L = I, which
-gives the inverse integrator L^-1 = F L F for free.
+A :class:`PhaseState` is a joint position/momentum point.  The leapfrog
+operator L advances approximate Hamiltonian dynamics; the steps themselves
+run in the target's ``trajectory``, and :func:`leapfrog_with_grad` is the
+one adapter from a state to that kernel.  L is volume preserving and, with
+the momentum flip F (v -> -v), satisfies F L F L = I, so the inverse
+integrator is L^-1 = F L F.  The samplers apply F and the momentum redraw
+R directly to their cached arrays (see :class:`~jumphmc.jump.StateCache`).
 """
 
 from __future__ import annotations
@@ -63,11 +65,6 @@ class LeapfrogParams:
             raise ValueError("steps must be at least 1")
 
 
-def flip(zeta: PhaseState) -> PhaseState:
-    """Negate the momentum, reversing the direction of travel."""
-    return PhaseState(zeta.x, -zeta.v)
-
-
 def leapfrog_with_grad(
     zeta: PhaseState,
     params: LeapfrogParams,
@@ -94,31 +91,3 @@ def leapfrog_with_grad(
             grad0 = ef.gradient(zeta.x)
     x, v, g = ef.trajectory(zeta.x, zeta.v, grad0, params.epsilon, params.steps)
     return PhaseState(x, v), g
-
-
-def leapfrog(zeta: PhaseState, params: LeapfrogParams, ef: "EnergyFunction") -> PhaseState:
-    """Apply the leapfrog operator L: ``params.steps`` symplectic steps of size epsilon."""
-    state, _ = leapfrog_with_grad(zeta, params, ef)
-    return state
-
-
-def leapfrog_inverse(zeta: PhaseState, params: LeapfrogParams, ef: "EnergyFunction") -> PhaseState:
-    """Apply L^-1 = F L F: integrate backwards along the trajectory."""
-    state, _ = leapfrog_inverse_with_grad(zeta, params, ef)
-    return state
-
-
-def leapfrog_inverse_with_grad(
-    zeta: PhaseState,
-    params: LeapfrogParams,
-    ef: "EnergyFunction",
-    grad0: Optional[np.ndarray] = None,
-) -> tuple[PhaseState, np.ndarray]:
-    """As :func:`leapfrog_with_grad` but for L^-1; gradients reuse the same positions."""
-    forward, g = leapfrog_with_grad(flip(zeta), params, ef, grad0=grad0)
-    return flip(forward), g
-
-
-def randomize_momentum(zeta: PhaseState, rng: np.random.Generator) -> PhaseState:
-    """Replace the momentum with a fresh standard-normal draw; position unchanged."""
-    return PhaseState(zeta.x, rng.standard_normal(zeta.dim))

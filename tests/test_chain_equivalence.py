@@ -3,7 +3,9 @@
 The reference below is the former ``step``/``sample_chain`` of
 ``jumphmc.jump`` and ``hmc_chain`` of ``jumphmc.hmc``, kept verbatim apart
 from imports, docstrings and the names ``reference_sample_chain`` and
-``reference_hmc_chain``.  It builds one ``WeightedSample``, one
+``reference_hmc_chain``; the former ``config.leapfrog_params`` property
+reads ``LeapfrogParams(config.epsilon, config.steps)``.  The former phase
+operators and ``Transition`` it uses are copied unchanged below.  It builds one ``WeightedSample``, one
 ``TransitionRates`` and several ``PhaseState`` objects per step and packs
 them into arrays at the end; both references now pack into the one
 ``Chain`` record (the control's accepted flags become L/F kinds with unit
@@ -14,6 +16,7 @@ be equal, not merely close.
 
 from __future__ import annotations
 
+import enum
 import math
 import sys
 from dataclasses import dataclass
@@ -32,17 +35,44 @@ from jumphmc import (
     PhaseState,
     RoughWell,
     SamplerConfig,
-    Transition,
     hmc_chain,
     sample_chain,
 )
 from jumphmc.energy import CountingEnergy, kinetic_energy
-from jumphmc.phase import (
-    flip,
-    leapfrog_inverse_with_grad,
-    leapfrog_with_grad,
-    randomize_momentum,
-)
+from jumphmc.phase import LeapfrogParams, leapfrog_with_grad
+
+# ---------------------------------------------------------------------------
+# the former phase operators and transition kinds
+
+
+class Transition(enum.Enum):
+    """Which arm of the exponential race fired."""
+
+    L = "L"
+    F = "F"
+    R = "R"
+
+
+def flip(zeta: PhaseState) -> PhaseState:
+    """Negate the momentum, reversing the direction of travel."""
+    return PhaseState(zeta.x, -zeta.v)
+
+
+def leapfrog_inverse_with_grad(
+    zeta: PhaseState,
+    params: LeapfrogParams,
+    ef: EnergyFunction,
+    grad0: Optional[np.ndarray] = None,
+) -> tuple[PhaseState, np.ndarray]:
+    """As :func:`leapfrog_with_grad` but for L^-1; gradients reuse the same positions."""
+    forward, g = leapfrog_with_grad(flip(zeta), params, ef, grad0=grad0)
+    return flip(forward), g
+
+
+def randomize_momentum(zeta: PhaseState, rng: np.random.Generator) -> PhaseState:
+    """Replace the momentum with a fresh standard-normal draw; position unchanged."""
+    return PhaseState(zeta.x, rng.standard_normal(zeta.dim))
+
 
 # ---------------------------------------------------------------------------
 # reference: the object-based jump loop
@@ -119,7 +149,7 @@ def _make_node(state: PhaseState, grad: np.ndarray, ef: EnergyFunction) -> _Node
 
 
 def init_cache(zeta: PhaseState, config: SamplerConfig, ef: EnergyFunction) -> StateCache:
-    params = config.leapfrog_params
+    params = LeapfrogParams(config.epsilon, config.steps)
     g0 = ef.gradient(zeta.x)
     current = _make_node(zeta, g0, ef)
     fwd_state, fwd_grad = leapfrog_with_grad(zeta, params, ef, grad0=g0)
@@ -171,7 +201,7 @@ def step(
     ef: EnergyFunction,
     rng: np.random.Generator,
 ) -> tuple[PhaseState, WeightedSample, StateCache]:
-    params = config.leapfrog_params
+    params = LeapfrogParams(config.epsilon, config.steps)
     rates = compute_rates(zeta, cache, config, ef)
     log_waits = _log_waiting_times(rates, rng)
     shortest = min(log_waits)
@@ -254,7 +284,7 @@ def _mh_step(
     walker: _Walker, config: HmcConfig, ef: EnergyFunction, rng: np.random.Generator
 ) -> tuple[_Walker, bool]:
     proposal, end_grad = leapfrog_with_grad(
-        walker.state, config.leapfrog_params, ef, grad0=walker.grad
+        walker.state, LeapfrogParams(config.epsilon, config.steps), ef, grad0=walker.grad
     )
     h_cur = walker.potential + kinetic_energy(walker.state.v)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -155,12 +155,12 @@ class TestSample:
 
     @pytest.mark.parametrize("sampler", ["mjhmc", "hmc"])
     def test_infinite_start_exits_2(self, tmp_path, sampler, capsys):
-        # 1e400 parses as inf: the start's energy is nan, a numerical error
-        cfg = dict(GAUSSIAN_SAMPLE, sampler=sampler, beta=0.5, model={"name": "rough_well"})
-        text = json.dumps(dict(cfg, init_position=[0.0, 0.0])).replace("[0.0, 0.0]", "[1e400, 0]")
-        path = tmp_path / "c.json"
-        path.write_text(text)
-        assert main(["sample", str(path), "--out", str(tmp_path / "inf")]) == 2
+        # the start is finite but its energy overflows to inf, a numerical
+        # error (an infinite number in the config is a config error instead)
+        cfg = dict(GAUSSIAN_SAMPLE, sampler=sampler, beta=0.5, model={"name": "rough_well"},
+                   init_position=[1e200, 0.0])
+        path = write_config(tmp_path / "c.json", cfg)
+        assert main(["sample", path, "--out", str(tmp_path / "inf")]) == 2
         assert "no samples were written" in capsys.readouterr().err
 
     def test_control_beta_above_one_rejected(self, tmp_path, capsys):
@@ -468,3 +468,35 @@ def test_unknown_command_is_usage_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["frobnicate", "x.json"])
     assert excinfo.value.code == 1
+
+
+TUNE_GAUSSIAN = {
+    "sampler": "mjhmc",
+    "model": {"name": "gaussian", "precision_diag": [1.0]},
+    "budget": 1,
+    "eval": {"n_samples": 500, "n_lags": 30},
+}
+
+
+@pytest.mark.parametrize(
+    "command, config, context",
+    [
+        ("sample", dict(GAUSSIAN_SAMPLE, seed=float("inf")), "sample config.seed"),
+        ("sample", dict(GAUSSIAN_SAMPLE, steps=float("inf")), "sample config.steps"),
+        ("sample", dict(GAUSSIAN_SAMPLE, init_position=[float("nan"), 0.0]),
+         "sample config.init_position"),
+        ("sample", dict(GAUSSIAN_SAMPLE, model={"name": "gaussian",
+                                                "precision_diag": [float("inf"), 1.0]}),
+         "model.precision_diag"),
+        ("tune", dict(TUNE_GAUSSIAN, space={"epsilon": [0.1, float("inf")]}),
+         "tune config.space.epsilon"),
+    ],
+    ids=["seed", "steps", "init_position", "precision_diag", "tune-epsilon"],
+)
+def test_non_finite_number_is_config_error(tmp_path, capsys, command, config, context):
+    # json writes and reads Infinity and NaN, which no field accepts
+    cfg = write_config(tmp_path / "c.json", config)
+    assert main([command, cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {context}: ") and err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["c.json"]

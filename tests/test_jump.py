@@ -10,21 +10,22 @@ from jumphmc import (
     PhaseState,
     RoughWell,
     SamplerConfig,
-    Transition,
-    TransitionRates,
-    compute_rates,
-    draw_waiting_times,
-    flip,
     init_cache,
     joint_energy,
-    resample,
     sample_chain,
     step,
     systematic_resample_indices,
     weighted_moments,
 )
-from jumphmc.jump import Chain, StateCache
-from jumphmc.phase import leapfrog_inverse_with_grad, leapfrog_with_grad
+from jumphmc.jump import (
+    Chain,
+    StateCache,
+    _exp,
+    _holding_time,
+    _log_rates,
+    _log_waiting_times,
+)
+from jumphmc.phase import LeapfrogParams, leapfrog_with_grad
 
 LN2 = np.log(2.0)
 
@@ -39,54 +40,57 @@ def pinned_cache(h_cur, h_fwd, h_bwd):
     )
 
 
+def waiting_times(log_gamma_L, log_gamma_F, beta, rng):
+    """The three competing waiting times (L, F, R) of one race, as the sampler draws them."""
+    return [_holding_time(lw) for lw in _log_waiting_times(log_gamma_L, log_gamma_F, beta, rng)]
+
+
+def total_rate(log_gamma_L, log_gamma_F, beta):
+    return _exp(log_gamma_L) + _exp(log_gamma_F) + beta
+
+
 CFG = SamplerConfig(epsilon=0.5, steps=3, beta=0.25, n_samples=10, seed=0)
 GAUSS_2D = DiagonalGaussian.isotropic(2)
 
 
 class TestComputeRates:
     def test_flat_energy(self):
-        cache = pinned_cache(1.0, 1.0, 1.0)
-        r = compute_rates(cache, CFG)
-        assert r.gamma_L == pytest.approx(1.0)
-        assert r.gamma_F == 0.0
-        assert r.beta == CFG.beta
+        log_gamma_L, log_gamma_F = _log_rates(pinned_cache(1.0, 1.0, 1.0))
+        assert _exp(log_gamma_L) == pytest.approx(1.0)
+        assert _exp(log_gamma_F) == 0.0
 
     def test_uphill_forward(self):
-        cache = pinned_cache(0.0, 2 * LN2, 0.0)
-        r = compute_rates(cache, CFG)
-        assert r.gamma_L == pytest.approx(0.5)
-        assert r.gamma_F == pytest.approx(0.5)
+        log_gamma_L, log_gamma_F = _log_rates(pinned_cache(0.0, 2 * LN2, 0.0))
+        assert _exp(log_gamma_L) == pytest.approx(0.5)
+        assert _exp(log_gamma_F) == pytest.approx(0.5)
 
     def test_downhill_rate_above_one(self):
         # rates are Poisson rates, not probabilities: values above 1 are legal
-        cache = pinned_cache(0.0, -2 * LN2, 2 * LN2)
-        r = compute_rates(cache, CFG)
-        assert r.gamma_L == pytest.approx(2.0)
-        assert r.gamma_F == 0.0
+        log_gamma_L, log_gamma_F = _log_rates(pinned_cache(0.0, -2 * LN2, 2 * LN2))
+        assert _exp(log_gamma_L) == pytest.approx(2.0)
+        assert _exp(log_gamma_F) == 0.0
 
 
 class TestWaitingTimes:
     def test_zero_flip_rate_never_wins(self):
         rng = np.random.default_rng(0)
-        rates = TransitionRates(log_gamma_L=0.0, log_gamma_F=-np.inf, beta=0.5)
         for _ in range(100):
-            _, w_f, _ = draw_waiting_times(rates, rng)
+            _, w_f, _ = waiting_times(0.0, -np.inf, 0.5, rng)
             assert w_f == np.inf
 
     def test_min_is_exponential_with_total_rate(self):
         rng = np.random.default_rng(1)
-        rates = TransitionRates(log_gamma_L=np.log(0.7), log_gamma_F=np.log(0.3), beta=0.5)
-        mins = np.array([min(draw_waiting_times(rates, rng)) for _ in range(100_000)])
-        assert mins.mean() == pytest.approx(1.0 / rates.total, rel=0.02)
+        log_rates = (np.log(0.7), np.log(0.3), 0.5)
+        mins = np.array([min(waiting_times(*log_rates, rng)) for _ in range(100_000)])
+        assert mins.mean() == pytest.approx(1.0 / total_rate(*log_rates), rel=0.02)
 
     def test_two_way_race_fractions(self):
         # competing exponentials with rates (1, 3): second arm wins 75%
         rng = np.random.default_rng(2)
-        rates = TransitionRates(log_gamma_L=0.0, log_gamma_F=np.log(3.0), beta=1e-300)
         n = 100_000
         wins = 0
         for _ in range(n):
-            w_l, w_f, w_r = draw_waiting_times(rates, rng)
+            w_l, w_f, w_r = waiting_times(0.0, np.log(3.0), 1e-300, rng)
             wins += w_f < w_l and w_f < w_r
         sigma = np.sqrt(0.75 * 0.25 / n)
         assert abs(wins / n - 0.75) <= 3 * sigma
@@ -114,18 +118,19 @@ class TestStep:
         config = SamplerConfig(epsilon=1.0, steps=3, beta=0.5, n_samples=1, seed=0)
         state = PhaseState([-1.69921191, -1.02124494], [-0.01153306, -1.48537518])
         cache = init_cache(state, config, ef)
-        rates = compute_rates(cache, config)
-        probs = np.array([rates.gamma_L, rates.gamma_F, rates.beta]) / rates.total
-        assert rates.gamma_F > 0.1  # the state genuinely exercises all three arms
+        log_gamma_L, log_gamma_F = _log_rates(cache)
+        rates = np.array([_exp(log_gamma_L), _exp(log_gamma_F), config.beta])
+        probs = rates / total_rate(log_gamma_L, log_gamma_F, config.beta)
+        assert rates[1] > 0.1  # the state genuinely exercises all three arms
 
         rng = np.random.default_rng(5)
         n = 100_000
-        counts = {Transition.L: 0, Transition.F: 0, Transition.R: 0}
+        counts = {"L": 0, "F": 0, "R": 0}
         nodes = (cache.current, cache.forward, cache.backward)
         for _ in range(n):
             kind, _ = step(StateCache(*nodes), config, ef, rng)  # step updates its cache
             counts[kind] += 1
-        freqs = np.array([counts[Transition.L], counts[Transition.F], counts[Transition.R]]) / n
+        freqs = np.array([counts["L"], counts["F"], counts["R"]]) / n
         sigma = np.sqrt(probs * (1 - probs) / n)
         np.testing.assert_array_less(np.abs(freqs - probs), 3 * sigma)
 
@@ -139,7 +144,7 @@ class TestStep:
         for _ in range(200):
             current, forward = cache.current, cache.forward
             kind, _ = step(cache, config, ef, rng)
-            if kind is Transition.L:
+            if kind == "L":
                 assert cache.backward[4] == current[4]
                 assert cache.backward is current
                 assert cache.current[4] == forward[4]
@@ -212,11 +217,10 @@ class TestSampleChain:
         ef = RoughWell()
         config = SamplerConfig(epsilon=1.0, steps=3, beta=0.5, n_samples=1, seed=0)
         state = PhaseState([-1.69921191, -1.02124494], [-0.01153306, -1.48537518])
-        cache = init_cache(state, config, ef)
-        rates = compute_rates(cache, config)
+        log_rates = (*_log_rates(init_cache(state, config, ef)), config.beta)
         rng = np.random.default_rng(7)
-        mins = np.array([min(draw_waiting_times(rates, rng)) for _ in range(20_000)])
-        assert mins.mean() == pytest.approx(1.0 / rates.total, rel=0.02)
+        mins = np.array([min(waiting_times(*log_rates, rng)) for _ in range(20_000)])
+        assert mins.mean() == pytest.approx(1.0 / total_rate(*log_rates), rel=0.02)
 
     def test_chain_rows_replay_step(self):
         # row i holds the state step() left, its holding time, the kind and
@@ -233,7 +237,7 @@ class TestSampleChain:
             np.testing.assert_array_equal(chain.positions[i], x)
             np.testing.assert_array_equal(chain.momenta[i], v)
             assert chain.holding_times[i] == holding_time
-            assert chain.transitions[i] == kind.value
+            assert chain.transitions[i] == kind
             assert chain.gradient_evals[i] == ef.gradient_calls
 
     def test_config_validation(self):
@@ -262,10 +266,11 @@ class TestResample:
     def test_single_input_copies(self):
         config = SamplerConfig(epsilon=0.5, steps=2, beta=0.5, n_samples=1, seed=0)
         chain = sample_chain(config, GAUSS_2D, PhaseState(np.zeros(2), np.ones(2)))
-        out = resample(chain, 7, np.random.default_rng(0))
+        idx = systematic_resample_indices(chain.holding_times, 7, np.random.default_rng(0))
+        out = chain.positions[idx]
         assert len(out) == 7
-        for s in out:
-            np.testing.assert_array_equal(s.x, chain.positions[0])
+        for x in out:
+            np.testing.assert_array_equal(x, chain.positions[0])
 
     def test_resampled_indices_are_sorted(self):
         rng = np.random.default_rng(3)
@@ -346,11 +351,11 @@ class TestCacheRules:
         assert chain.energy_evals == 3 + counts["L"] + 2 * counts["R"]
 
     def test_flip_swap_matches_recomputation(self):
-        # from a fresh cache, the F rule equals integrating flip(zeta) anew,
+        # from a fresh cache, the F rule equals integrating F zeta anew,
         # bit for bit, and evaluates nothing
         ef = CountingEnergy(RoughWell())
         config = SamplerConfig(epsilon=1.0, steps=3, beta=0.5, n_samples=1, seed=0)
-        params = config.leapfrog_params
+        params = LeapfrogParams(config.epsilon, config.steps)
         state = PINNED_ROUGH
         fresh = init_cache(state, config, ef)
         nodes = (fresh.current, fresh.forward, fresh.backward)
@@ -358,16 +363,17 @@ class TestCacheRules:
             calls = (ef.gradient_calls, ef.energy_calls)
             cache = StateCache(*nodes)
             kind, _ = step(cache, config, ef, np.random.default_rng(seed))
-            if kind is Transition.F:
+            if kind == "F":
                 break
         else:
             pytest.fail("no F transition in 100 races")
         assert (ef.gradient_calls, ef.energy_calls) == calls
 
-        flipped = flip(state)
+        flipped = PhaseState(state.x, -state.v)
         g0 = ef.inner.gradient(state.x)
         fwd, fwd_g = leapfrog_with_grad(flipped, params, ef.inner, grad0=g0)
-        bwd, bwd_g = leapfrog_inverse_with_grad(flipped, params, ef.inner, grad0=g0)
+        bwd, bwd_g = leapfrog_with_grad(state, params, ef.inner, grad0=g0)  # L^-1 F = F L
+        bwd = PhaseState(bwd.x, -bwd.v)
         for (x, v, g, _, h), (ref, ref_g) in (
             (cache.forward, (fwd, fwd_g)), (cache.backward, (bwd, bwd_g))
         ):
@@ -419,24 +425,22 @@ class TestCacheRules:
 
 class TestRateOverflow:
     def test_overflowing_forward_rate_is_finite_in_log(self):
-        cache = pinned_cache(0.0, -4000.0, 0.0)
-        r = compute_rates(cache, CFG)
-        assert r.log_gamma_L == 2000.0
-        assert r.gamma_L == np.inf
-        assert r.gamma_F == 0.0 and r.log_gamma_F == -np.inf
+        log_gamma_L, log_gamma_F = _log_rates(pinned_cache(0.0, -4000.0, 0.0))
+        assert log_gamma_L == 2000.0
+        assert _exp(log_gamma_L) == np.inf
+        assert _exp(log_gamma_F) == 0.0 and log_gamma_F == -np.inf
 
     def test_flip_rate_from_two_overflowing_exponentials(self):
         # gamma_F = e^1001 - e^1000: both terms overflow, their log does not
-        cache = pinned_cache(0.0, -2000.0, -2002.0)
-        r = compute_rates(cache, CFG)
-        assert r.log_gamma_F == pytest.approx(1001.0 + np.log1p(-np.exp(-1.0)), rel=1e-15)
+        _, log_gamma_F = _log_rates(pinned_cache(0.0, -2000.0, -2002.0))
+        assert log_gamma_F == pytest.approx(1001.0 + np.log1p(-np.exp(-1.0)), rel=1e-15)
 
     def test_race_consumes_three_exponentials(self):
         cache = pinned_cache(0.0, -4000.0, 0.0)
         rng, ref = np.random.default_rng(3), np.random.default_rng(3)
         kind, holding_time = step(cache, CFG, DiagonalGaussian.isotropic(1), rng)
         ref.standard_exponential(3)
-        assert kind is Transition.L
+        assert kind == "L"
         assert holding_time == np.finfo(float).tiny
         assert rng.random() == ref.random()
 
@@ -452,7 +456,7 @@ class TestRateOverflow:
         h = chain.holding_times
         assert np.all(np.isfinite(h)) and np.all(h > 0)
         assert np.any(h == np.finfo(float).tiny)  # the clamped, overflowing states
-        out = resample(chain, 100, np.random.default_rng(0))
-        assert len(out) == 100
+        idx = systematic_resample_indices(h, 100, np.random.default_rng(0))
+        assert len(chain.positions[idx]) == 100
         mean, cov = weighted_moments(chain)
         assert np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))

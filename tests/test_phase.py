@@ -11,11 +11,9 @@ from jumphmc import (
     LeapfrogParams,
     PhaseState,
     RoughWell,
-    flip,
+    SamplerConfig,
+    init_cache,
     joint_energy,
-    leapfrog,
-    leapfrog_inverse,
-    randomize_momentum,
 )
 from jumphmc.phase import leapfrog_with_grad
 
@@ -24,6 +22,13 @@ UNIT_1D = DiagonalGaussian.isotropic(1)
 
 def random_states(rng, n, dim=2, scale=2.0):
     return [PhaseState(rng.normal(scale=scale, size=dim), rng.standard_normal(dim)) for _ in range(n)]
+
+
+def backward(state, params, ef):
+    """L^-1 of ``state``: the backward node of a fresh sampler cache."""
+    config = SamplerConfig(params.epsilon, params.steps, beta=1.0, n_samples=1)
+    x, v, _, _, _ = init_cache(state, config, ef).backward
+    return PhaseState(x, v)
 
 
 def test_phase_state_validation():
@@ -59,7 +64,7 @@ def test_leapfrog_params_validation():
 
 def test_tiny_step_is_near_identity():
     state = PhaseState(np.array([1.0, -0.5]), np.array([0.3, 0.7]))
-    out = leapfrog(state, LeapfrogParams(1e-12, 1), RoughWell())
+    out, _ = leapfrog_with_grad(state, LeapfrogParams(1e-12, 1), RoughWell())
     np.testing.assert_allclose(out.x, state.x, atol=1e-10)
     np.testing.assert_allclose(out.v, state.v, atol=1e-10)
 
@@ -67,15 +72,15 @@ def test_tiny_step_is_near_identity():
 def test_harmonic_oscillator_single_step():
     # hand-executed half-kick / drift / half-kick on E = x^2/2 from (1, 0):
     # v_half = -0.05, x' = 0.995, v' = -0.05 - 0.05 * 0.995 = -0.09975
-    out = leapfrog(PhaseState([1.0], [0.0]), LeapfrogParams(0.1, 1), UNIT_1D)
+    out, _ = leapfrog_with_grad(PhaseState([1.0], [0.0]), LeapfrogParams(0.1, 1), UNIT_1D)
     assert out.x[0] == pytest.approx(0.995, rel=1e-15)
     assert out.v[0] == pytest.approx(-0.09975, rel=1e-15)
 
 
 def test_harmonic_oscillator_inverse_recovers_start():
     params = LeapfrogParams(0.1, 1)
-    forward = leapfrog(PhaseState([1.0], [0.0]), params, UNIT_1D)
-    back = leapfrog_inverse(forward, params, UNIT_1D)
+    forward, _ = leapfrog_with_grad(PhaseState([1.0], [0.0]), params, UNIT_1D)
+    back = backward(forward, params, UNIT_1D)
     np.testing.assert_allclose(back.x, [1.0], atol=1e-12)
     np.testing.assert_allclose(back.v, [0.0], atol=1e-12)
 
@@ -90,9 +95,10 @@ def test_flfl_reversibility(epsilon, steps, ef):
     params = LeapfrogParams(epsilon, steps)
     rng = np.random.default_rng(21)
     for state in random_states(rng, 25):
-        back = flip(leapfrog(flip(leapfrog(state, params, ef)), params, ef))
+        fwd, _ = leapfrog_with_grad(state, params, ef)
+        back, _ = leapfrog_with_grad(PhaseState(fwd.x, -fwd.v), params, ef)
         orig = np.concatenate([state.x, state.v])
-        diff = np.concatenate([back.x - state.x, back.v - state.v])
+        diff = np.concatenate([back.x - state.x, -back.v - state.v])
         assert np.linalg.norm(diff) <= 1e-9 * np.linalg.norm(orig)
 
 
@@ -101,7 +107,7 @@ def test_leapfrog_inverse_inverts():
     ef = RoughWell()
     rng = np.random.default_rng(2)
     for state in random_states(rng, 20):
-        round_trip = leapfrog_inverse(leapfrog(state, params, ef), params, ef)
+        round_trip = backward(leapfrog_with_grad(state, params, ef)[0], params, ef)
         orig = np.concatenate([state.x, state.v])
         diff = np.concatenate([round_trip.x - state.x, round_trip.v - state.v])
         assert np.linalg.norm(diff) <= 1e-9 * np.linalg.norm(orig)
@@ -109,7 +115,7 @@ def test_leapfrog_inverse_inverts():
 
 def test_leapfrog_inverse_tiny_step():
     state = PhaseState(np.array([0.4, 0.2]), np.array([-1.0, 0.8]))
-    out = leapfrog_inverse(state, LeapfrogParams(1e-12, 1), RoughWell())
+    out = backward(state, LeapfrogParams(1e-12, 1), RoughWell())
     np.testing.assert_allclose(out.x, state.x, atol=1e-10)
     np.testing.assert_allclose(out.v, state.v, atol=1e-10)
 
@@ -122,7 +128,7 @@ def test_volume_preservation_jacobian():
     h = 1e-6
 
     def apply(z):
-        out = leapfrog(PhaseState(z[:2], z[2:]), params, ef)
+        out, _ = leapfrog_with_grad(PhaseState(z[:2], z[2:]), params, ef)
         return np.concatenate([out.x, out.v])
 
     jac = np.empty((4, 4))
@@ -145,7 +151,7 @@ def test_energy_error_is_second_order():
     def mean_energy_error(epsilon, steps):
         params = LeapfrogParams(epsilon, steps)
         errs = [
-            abs(joint_energy(leapfrog(s, params, ef), ef) - joint_energy(s, ef))
+            abs(joint_energy(leapfrog_with_grad(s, params, ef)[0], ef) - joint_energy(s, ef))
             for s in states
         ]
         return np.mean(errs)
@@ -154,37 +160,68 @@ def test_energy_error_is_second_order():
     assert 3.0 <= ratio <= 5.0
 
 
+class FreeParticle(EnergyFunction):
+    """Zero potential, whose trajectory is a straight line: a cache on it costs no integration."""
+
+    def __init__(self, dim):
+        self.dim = dim
+
+    def energy(self, x):
+        return 0.0
+
+    def gradient(self, x):
+        return np.zeros(self.dim)
+
+    def trajectory(self, x, v, grad, epsilon, steps):
+        return x + epsilon * steps * v, v.copy(), grad
+
+
+def redrawn_momentum(cache, rng):
+    """The momentum R draws: the R rule of the sampler cache, applied in place."""
+    cache.redraw(FreeParticle(cache.current[0].size), 0.1, 1, rng)
+    return cache.current[1]
+
+
+def free_cache(state):
+    return init_cache(state, SamplerConfig(0.1, 1, beta=1.0, n_samples=1), FreeParticle(state.dim))
+
+
 def test_randomize_momentum_keeps_position():
     rng = np.random.default_rng(0)
     state = PhaseState(np.array([1.0, 2.0]), np.array([3.0, -4.0]))
-    out = randomize_momentum(state, rng)
-    np.testing.assert_array_equal(out.x, state.x)
-    assert not np.array_equal(out.v, state.v)
+    cache = free_cache(state)
+    v = redrawn_momentum(cache, rng)
+    np.testing.assert_array_equal(cache.current[0], state.x)
+    assert not np.array_equal(v, state.v)
 
 
 def test_randomize_momentum_moments():
     rng = np.random.default_rng(123)
-    state = PhaseState(np.zeros(2), np.zeros(2))
-    draws = np.array([randomize_momentum(state, rng).v for _ in range(100_000)])
+    cache = free_cache(PhaseState(np.zeros(2), np.zeros(2)))
+    draws = np.array([redrawn_momentum(cache, rng) for _ in range(100_000)])
     np.testing.assert_allclose(draws.mean(axis=0), 0.0, atol=0.02)
     np.testing.assert_allclose(draws.var(axis=0), 1.0, atol=0.03)
 
 
 def test_randomize_momentum_reproducible():
     state = PhaseState(np.zeros(3), np.zeros(3))
-    a = randomize_momentum(state, np.random.default_rng(42)).v
-    b = randomize_momentum(state, np.random.default_rng(42)).v
+    a = redrawn_momentum(free_cache(state), np.random.default_rng(42))
+    b = redrawn_momentum(free_cache(state), np.random.default_rng(42))
     np.testing.assert_array_equal(a, b)
 
 
 def test_flip_is_involution():
+    # the F rule of the sampler cache negates the momentum and keeps the position
     state = PhaseState(np.array([1.0, 2.0]), np.array([3.0, -4.0]))
-    flipped = flip(state)
-    np.testing.assert_array_equal(flipped.x, [1.0, 2.0])
-    np.testing.assert_array_equal(flipped.v, [-3.0, 4.0])
-    twice = flip(flipped)
-    np.testing.assert_array_equal(twice.x, state.x)
-    np.testing.assert_array_equal(twice.v, state.v)
+    cache = free_cache(state)
+    nodes = (cache.current, cache.forward, cache.backward)
+    cache.flip()
+    np.testing.assert_array_equal(cache.current[0], [1.0, 2.0])
+    np.testing.assert_array_equal(cache.current[1], [-3.0, 4.0])
+    cache.flip()
+    for node, before in zip((cache.current, cache.forward, cache.backward), nodes):
+        for a, b in zip(node, before):
+            np.testing.assert_array_equal(a, b)
 
 
 def test_integration_failure_carries_state():
@@ -193,7 +230,7 @@ def test_integration_failure_carries_state():
     state = PhaseState([1.0], [1.0])
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(IntegrationError) as excinfo:
-            leapfrog(state, LeapfrogParams(1e6, 400), ef)
+            leapfrog_with_grad(state, LeapfrogParams(1e6, 400), ef)
     assert excinfo.value.state is not None
     assert not np.all(np.isfinite(excinfo.value.state.x)) or not np.all(
         np.isfinite(excinfo.value.state.v)
@@ -256,7 +293,7 @@ def test_rough_well_overflow_raises_integration_error():
     # still see an IntegrationError carrying a non-finite state
     state = PhaseState(np.array([1.0, -0.5]), np.array([0.3, 0.7]))
     with pytest.raises(IntegrationError) as excinfo:
-        leapfrog(state, LeapfrogParams(1e200, 3), RoughWell())
+        leapfrog_with_grad(state, LeapfrogParams(1e200, 3), RoughWell())
     bad = excinfo.value.state
     assert bad is not None
     assert not (np.all(np.isfinite(bad.x)) and np.all(np.isfinite(bad.v)))
