@@ -42,9 +42,11 @@ from .ladder import (
     balance_check,
     build_hmc_ladder_chain,
     build_mjhmc_rate_matrix,
+    certified_ring_gap,
     embedded_chain,
     embedded_fixed_point_check,
     holding_time_diag,
+    ladder_spectral_gap,
     ladder_stationary,
     min_exponential_oracle,
     random_ladder_experiment,

@@ -79,8 +79,15 @@ def _require(config: dict, allowed: dict, context: str) -> dict:
     return out
 
 
+def _number(x) -> float:
+    # JSON true/false load as bool, a subclass of int, and float() takes strings
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ValueError("must be a number")
+    return float(x)
+
+
 def _positive_number(x) -> float:
-    x = float(x)
+    x = _number(x)
     if not np.isfinite(x) or x <= 0:
         raise ValueError("must be a positive finite number")
     return x
@@ -125,7 +132,7 @@ def _bool(x) -> bool:
 def _number_list(x) -> list:
     if not isinstance(x, list) or not x:
         raise ValueError("must be a nonempty list of numbers")
-    out = [float(v) for v in x]
+    out = [_number(v) for v in x]
     if not np.all(np.isfinite(out)):
         raise ValueError("must contain only finite numbers")
     return out

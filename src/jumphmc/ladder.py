@@ -12,13 +12,43 @@ The continuous-time rate matrix, its embedded discrete-time chain, the
 holding-time scaling between them, and the numerical balance checks all
 live here, together with the randomized spectral-gap experiment comparing
 the jump process against the discrete-time control chain.
+
+Spectral gaps from the ring's transfer matrix.  In both the embedded jump
+chain and the control chain every state has exactly two exits.  Let
+alpha_r be the probability that the ascending state a_r moves up to
+a_{r+1} (else it flips to d_r) and delta_r the probability that the
+descending state d_r moves down to d_{r-1} (else it flips to a_r).  A left
+eigenvector u with eigenvalue lambda satisfies
+
+    lambda u_a(r) = alpha_r u_a(r+1) + (1 - alpha_r) u_d(r)
+    lambda u_d(r) = delta_r u_d(r-1) + (1 - delta_r) u_a(r).
+
+Solving the first for u_a(r+1) and the second, at r+1, for u_d(r+1) gives
+w_{r+1} = M_r(lambda) w_r for w_r = (u_a(r), u_d(r)), with
+
+    M_r = (1 / alpha_r) [[lambda, alpha_r - 1],
+                         [1 - delta_{r+1}, (alpha_r + delta_{r+1} - 1) / lambda]]
+
+and det M_r = delta_{r+1} / alpha_r.  Around the ring w_k = w_0, so lambda
+is an eigenvalue exactly when P(lambda) = M_{k-1} ... M_0 has eigenvalue
+1, that is when phi(lambda) = det(P - I) = det P - tr P + 1 vanishes.
+det P is the scalar prod delta_{r+1} / alpha_r (it telescopes to 1 for
+both chains), and lambda^k phi(lambda) is the characteristic polynomial
+of the 2k x 2k chain up to a constant factor.  So phi costs O(k) per point
+instead of an O(k^3) eigensolve.  ``certified_ring_gap`` brackets the real
+roots next to -1 and +1, refines the outermost one, and accepts it as
+lambda_2 only when the argument principle on a circle just inside it
+counts exactly two roots outside (lambda = 1 and lambda_2).  phi has real
+coefficients, so the upper semicircle suffices: the number of roots
+outside |z| = R is k - (change of arg phi) / pi.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -76,6 +106,20 @@ class LadderStateIndex:
         return LadderStateIndex(self.rung, other)
 
 
+def _leapfrog_rates(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Jump-process L rates from each rung up to r+1 and down to r-1."""
+    up_rate = np.exp(-0.5 * (np.roll(e, -1) - e))  # ascending L, also descending L-inverse
+    dn_rate = np.exp(-0.5 * (np.roll(e, 1) - e))  # descending L, also ascending L-inverse
+    return up_rate, dn_rate
+
+
+def _metropolis_probabilities(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Control-chain acceptance of L from each rung up to r+1 and down to r-1."""
+    p_asc = np.minimum(1.0, np.exp(-(np.roll(e, -1) - e)))
+    p_desc = np.minimum(1.0, np.exp(-(np.roll(e, 1) - e)))
+    return p_asc, p_desc
+
+
 def build_mjhmc_rate_matrix(ladder: Ladder) -> np.ndarray:
     """Continuous-time rate matrix of the jump process on a single ladder.
 
@@ -86,13 +130,8 @@ def build_mjhmc_rate_matrix(ladder: Ladder) -> np.ndarray:
     backward leapfrog rate minus the forward one, so at most one side of
     each rung pair carries a nonzero flip rate.
     """
-    e = ladder.energies
     k = ladder.k
-    e_up = np.roll(e, -1)  # energy of rung r+1
-    e_dn = np.roll(e, 1)  # energy of rung r-1
-
-    up_rate = np.exp(-0.5 * (e_up - e))  # ascending L, also descending L-inverse
-    dn_rate = np.exp(-0.5 * (e_dn - e))  # descending L, also ascending L-inverse
+    up_rate, dn_rate = _leapfrog_rates(ladder.energies)
     flip_asc = np.maximum(0.0, dn_rate - up_rate)
     flip_desc = np.maximum(0.0, up_rate - dn_rate)
 
@@ -117,13 +156,8 @@ def build_hmc_ladder_chain(ladder: Ladder) -> np.ndarray:
     the Metropolis-Hastings probability min(1, exp(-dE)) and the flip
     partner with the complement.
     """
-    e = ladder.energies
     k = ladder.k
-    e_up = np.roll(e, -1)
-    e_dn = np.roll(e, 1)
-
-    p_asc = np.minimum(1.0, np.exp(-(e_up - e)))
-    p_desc = np.minimum(1.0, np.exp(-(e_dn - e)))
+    p_asc, p_desc = _metropolis_probabilities(ladder.energies)
 
     n = 2 * k
     chain = np.zeros((n, n))
@@ -259,6 +293,267 @@ def embedded_fixed_point_check(rates: np.ndarray, ladder: Ladder) -> float:
     return float(np.max(np.abs(t_hat @ p_hat - p_hat)) / p_hat.max())
 
 
+def _exit_probabilities(ladder: Ladder, sampler: str) -> tuple[np.ndarray, np.ndarray]:
+    """The L probabilities of one ladder chain, one pair per rung, in O(k).
+
+    ``alpha[r]`` is the probability that the ascending state of rung r
+    leapfrogs up to rung r+1 and ``delta[r]`` that the descending state
+    leapfrogs down to rung r-1; each state's other exit is its flip.
+    ``sampler`` is "mjhmc" (the jump process's embedded chain) or "hmc"
+    (the control chain).  The values are those of ``embedded_chain`` and
+    ``build_hmc_ladder_chain``.
+    """
+    if sampler == "mjhmc":
+        up_rate, dn_rate = _leapfrog_rates(ladder.energies)
+        alpha = up_rate / (up_rate + np.maximum(0.0, dn_rate - up_rate))
+        delta = dn_rate / (dn_rate + np.maximum(0.0, up_rate - dn_rate))
+        return alpha, delta
+    if sampler == "hmc":
+        return _metropolis_probabilities(ladder.energies)
+    raise ValueError("sampler must be 'mjhmc' or 'hmc'")
+
+
+def _dense_chain(ladder: Ladder, sampler: str) -> np.ndarray:
+    if sampler == "mjhmc":
+        return embedded_chain(build_mjhmc_rate_matrix(ladder))
+    if sampler == "hmc":
+        return build_hmc_ladder_chain(ladder)
+    raise ValueError("sampler must be 'mjhmc' or 'hmc'")
+
+
+# Below this many rungs one dense eigensolve is faster than the ring search.
+# Medians over the 500 matrices per size of seed 404, 1 BLAS thread, 2-core
+# VM: dense 2.2 ms against ring 4.2 ms at k=33; 10.0 ms against 7.3 ms at 65.
+RING_GAP_MIN_K = 48
+
+
+def ladder_spectral_gap(ladder: Ladder, sampler: str) -> float:
+    """Spectral gap of one ladder chain ("mjhmc" or "hmc").
+
+    From ``RING_GAP_MIN_K`` rungs on this is the certified transfer-matrix
+    gap of ``certified_ring_gap``; below that, or whenever the certificate
+    fails, it is ``spectral_gap`` of the dense 2k x 2k chain.
+    """
+    if ladder.k >= RING_GAP_MIN_K:
+        gap = certified_ring_gap(ladder, sampler)
+        if gap is not None:
+            return gap
+    return spectral_gap(_dense_chain(ladder, sampler))
+
+
+# Real-axis search grids, in 1 + lambda and 1 - lambda.  Within about 1e-10
+# of the trivial root lambda = 1 the characteristic function is rounding
+# noise, so the grid near +1 starts further out.
+_GRID_POINTS = 200
+_NEAR_MINUS_ONE = -1.0 + np.geomspace(1e-12, 0.5, _GRID_POINTS)
+_NEAR_PLUS_ONE = 1.0 - np.geomspace(1e-8, 0.5, _GRID_POINTS)
+_ROOT_WIDTH = 1e-13  # bracket width at which a real root counts as found
+_PHASE_STEP = np.pi / 4  # largest phase change allowed between mesh points
+_MESH_PASSES = 8
+_MESH_POINTS_PER_RUNG = 64  # mesh size past which a refinement is refused
+
+
+class _RingTransfer:
+    """The characteristic function of a ladder chain as a ring of 2x2 matrices.
+
+    ``phi(z)`` returns det(P(z) - I) times a positive number that depends on
+    z, so its sign on the real axis and its phase on a circle are those of
+    det(P - I); see the module docstring for the derivation.
+    """
+
+    def __init__(self, alpha: np.ndarray, delta: np.ndarray):
+        delta_next = np.roll(delta, -1)
+        # M_r = N_r / alpha_r with N_r = [[z, b_r], [c_r, d_r / z]]
+        self.b = alpha - 1.0
+        self.c = 1.0 - delta_next
+        self.d = alpha + delta_next - 1.0
+        log_alpha = float(np.sum(np.log(alpha)))
+        self.log_norm = -log_alpha  # log of prod 1 / alpha_r
+        # det P = prod delta_{r+1} / alpha_r, as a scalar: from the rescaled
+        # product entries it would cancel catastrophically
+        self.one_plus_det = 1.0 + math.exp(float(np.sum(np.log(delta))) - log_alpha)
+        self.k = alpha.size
+        self.b_list, self.c_list, self.d_list = self.b.tolist(), self.c.tolist(), self.d.tolist()
+
+    def phi(self, z: np.ndarray, rate: bool = False):
+        """Scaled det(P - I) at every point of ``z``; with ``rate``, also the
+        phase derivative d arg(phi) / d theta at z = |z| exp(i theta).
+
+        One rung loop over point vectors: the working set is O(len(z)).  The
+        product is renormalised every 32 rungs and the scale kept as a log.
+        """
+        n = z.size
+        zi = 1.0 / z
+        # rows of [P | dP/dz]: top = (P00, P01, D00, D01), bottom = (P10, P11, D10, D11)
+        width = 4 if rate else 2
+        top = np.zeros((width, n), dtype=z.dtype)
+        bottom = np.zeros((width, n), dtype=z.dtype)
+        top[0] = 1.0
+        bottom[1] = 1.0
+        log_scale = np.full(n, self.log_norm)
+        for r, (b, c, d) in enumerate(zip(self.b, self.c, self.d)):
+            dz = d * zi
+            new_top = z * top + b * bottom
+            new_bottom = c * top + dz * bottom
+            if rate:  # d/dz of N_r = [[z, b], [c, d/z]] is [[1, 0], [0, -d/z^2]]
+                new_top[2:] += top[:2]
+                new_bottom[2:] -= (dz * zi) * bottom[:2]
+            top, bottom = new_top, new_bottom
+            if r % 32 == 31:
+                s = np.maximum(np.abs(top[:2]).max(axis=0), np.abs(bottom[:2]).max(axis=0))
+                top /= s
+                bottom /= s
+                log_scale += np.log(s)
+        value = self.one_plus_det * np.exp(-log_scale) - (top[0] + bottom[1])
+        if not rate:
+            return value
+        # phi'/phi = -tr(dP/dz) / value, and d arg phi / d theta = Re(z phi'/phi)
+        return value, np.real(-z * (top[2] + bottom[3]) / value)
+
+    def phi_float(self, x: float) -> float:
+        """``phi`` at one real point, with the same arithmetic and scaling, for
+        the root search: on Python floats a k=201 evaluation takes about a
+        twentieth of the time of a one-point array call."""
+        p00, p01, p10, p11 = 1.0, 0.0, 0.0, 1.0
+        xi = 1.0 / x
+        log_scale = self.log_norm
+        for r, (b, c, d) in enumerate(zip(self.b_list, self.c_list, self.d_list)):
+            dz = d * xi
+            p00, p10 = x * p00 + b * p10, c * p00 + dz * p10
+            p01, p11 = x * p01 + b * p11, c * p01 + dz * p11
+            if r % 32 == 31:
+                s = max(abs(p00), abs(p01), abs(p10), abs(p11))
+                p00, p01, p10, p11 = p00 / s, p01 / s, p10 / s, p11 / s
+                log_scale += math.log(s)
+        return self.one_plus_det * math.exp(-log_scale) - (p00 + p11)
+
+    def brackets(self, *grids: np.ndarray) -> list[tuple[float, float, float, float]]:
+        """(lo, hi, phi(lo), phi(hi)) of the first two sign changes along each grid."""
+        values = self.phi(np.concatenate(grids))
+        found = []
+        start = 0
+        for grid in grids:
+            x, f = grid, values[start:start + grid.size]
+            start += grid.size
+            for j in np.nonzero(np.signbit(f[1:]) != np.signbit(f[:-1]))[0][:2]:
+                i, h = (j, j + 1) if x[j] < x[j + 1] else (j + 1, j)
+                found.append((float(x[i]), float(x[h]), float(f[i]), float(f[h])))
+        return found
+
+    def root(self, lo: float, hi: float, f_lo: float, f_hi: float) -> Optional[float]:
+        """A real root in a sign-change bracket, narrowed to ``_ROOT_WIDTH``.
+
+        Anderson-Bjorck regula falsi on ``phi_float``; None if it stalls.
+        """
+        for _ in range(100):
+            if hi - lo <= _ROOT_WIDTH:
+                return 0.5 * (lo + hi)
+            x = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+            if not lo < x < hi:
+                x = 0.5 * (lo + hi)
+            fx = self.phi_float(x)
+            if fx == 0.0:
+                return x
+            if (fx > 0.0) == (f_lo > 0.0):
+                m = 1.0 - fx / f_lo
+                f_hi *= m if m > 0.0 else 0.5
+                lo, f_lo = x, fx
+            else:
+                m = 1.0 - fx / f_hi
+                f_lo *= m if m > 0.0 else 0.5
+                hi, f_hi = x, fx
+        return None
+
+    def roots_outside(self, radius: float) -> Optional[int]:
+        """Number of eigenvalues of modulus above ``radius``, or None if not certified.
+
+        The argument principle on the upper semicircle z = radius exp(i theta):
+        phi has real coefficients, so the count is k - (change of arg phi) / pi.
+        The mesh is uniform plus geometric toward theta = 0 and pi, where the
+        eigenvalues cluster, and is refined until every phase step, and every
+        step that the phase derivative at either end predicts, is below
+        ``_PHASE_STEP``.  A value that is not finite, or a mesh still too
+        coarse after ``_MESH_PASSES`` refinements or at
+        ``_MESH_POINTS_PER_RUNG`` points per rung, fails.
+        """
+        k = self.k
+        ends = np.geomspace(0.125 * (1.0 - radius), 0.5 * np.pi, 160)
+        theta = np.unique(np.concatenate([np.linspace(0.0, np.pi, 2 * k + 1), ends, np.pi - ends]))
+        z = radius * np.exp(1j * theta)
+        z[0], z[-1] = radius, -radius
+        value, rate = self.phi(z, rate=True)
+        for refinements in range(_MESH_PASSES + 1):
+            if not (np.all(np.isfinite(value)) and np.all(np.isfinite(rate))):
+                return None
+            step = np.angle(value[1:] / value[:-1])
+            h = np.diff(theta)
+            need = np.maximum(np.abs(step), h * np.maximum(np.abs(rate[1:]), np.abs(rate[:-1])))
+            coarse = np.nonzero(need > _PHASE_STEP)[0]
+            if coarse.size == 0:
+                count = k - float(np.sum(step)) / np.pi
+                return round(count) if abs(count - round(count)) < 1e-6 else None
+            if refinements == _MESH_PASSES or theta.size > _MESH_POINTS_PER_RUNG * k:
+                return None
+            pieces = np.minimum(np.ceil(need[coarse] / _PHASE_STEP), 32).astype(int)
+            offsets = np.concatenate([np.arange(1, m) / m for m in pieces])
+            new = np.repeat(theta[coarse], pieces - 1) + offsets * np.repeat(h[coarse], pieces - 1)
+            new_value, new_rate = self.phi(radius * np.exp(1j * new), rate=True)
+            order = np.argsort(np.concatenate([theta, new]), kind="stable")
+            theta = np.concatenate([theta, new])[order]
+            value = np.concatenate([value, new_value])[order]
+            rate = np.concatenate([rate, new_rate])[order]
+        return None
+
+    def certify(self, *grids: np.ndarray) -> tuple[Optional[float], Optional[float]]:
+        """(gap, radius): the certified gap from these real grids, or (None, radius
+        of a count that found extra eigenvalues outside), or (None, None)."""
+        found = self.brackets(*grids)
+        if not found:
+            return None, None
+        found.sort(key=lambda br: -max(abs(br[0]), abs(br[1])))
+        lam2 = self.root(*found[0])
+        if lam2 is None:
+            return None, None
+        gap = 1.0 - abs(lam2)
+        # the next real root known, from its unrefined bracket
+        next_gap = 1.0 - max(abs(found[1][0]), abs(found[1][1])) if len(found) > 1 else 1.0
+        if next_gap <= gap + _ROOT_WIDTH:
+            return None, None
+        radius = 1.0 - min(math.sqrt(gap * next_gap), 3.0 * gap)
+        if radius > 1.0 - 1e-8:  # the circle would pass through rounding noise at 1
+            return None, None
+        outside = self.roots_outside(radius)
+        if outside == 2:  # lambda = 1 and lambda_2
+            return gap, radius
+        return None, (radius if outside is not None and outside > 2 else None)
+
+
+def certified_ring_gap(ladder: Ladder, sampler: str) -> Optional[float]:
+    """Spectral gap 1 - |lambda_2| of one ladder chain ("mjhmc" or "hmc") from
+    its ring of transfer matrices, or None when it cannot be certified.
+
+    lambda_2 is searched on the real axis near -1 and +1 and refined to
+    1e-13; it is returned only when the argument principle certifies that
+    lambda = 1 and lambda_2 are the only eigenvalues of modulus above a
+    circle between lambda_2 and the next real root.  None means the dense
+    solve is needed: lambda_2 complex, a mesh that stays too coarse, an
+    exit probability of 0.
+    """
+    alpha, delta = _exit_probabilities(ladder, sampler)
+    if not (np.all(alpha > 0.0) and np.all(delta > 0.0)):
+        return None
+    ring = _RingTransfer(alpha, delta)
+    gap, radius = ring.certify(_NEAR_MINUS_ONE, _NEAR_PLUS_ONE)
+    if gap is None and radius is not None:
+        # More eigenvalues outside the circle than the log grids found: two
+        # close real roots can share one grid cell.  Search the annulus
+        # again on linear grids.
+        width = 1.0 - radius
+        gap, _ = ring.certify(-1.0 + np.linspace(0.0, width, 257)[1:],
+                              1.0 - np.linspace(1e-8, width, 256))
+    return gap
+
+
 @dataclass(frozen=True)
 class GapExperimentResult:
     """Per-size mean spectral gaps of the two samplers, with standard errors."""
@@ -283,21 +578,20 @@ class GapExperimentResult:
 DEFAULT_LADDER_SIZES = (5, 9, 17, 33, 65, 129, 201)
 
 
-def _draw_ladder(k: int, rng: np.random.Generator) -> tuple[Ladder, np.ndarray]:
+def _draw_ladder(k: int, rng: np.random.Generator) -> Ladder:
     """Draw a ladder with standard-normal rung energies, redrawing degenerate ones.
 
     A draw is degenerate when every flip rate vanishes (the two travel
-    directions decouple into separate cycles); this has probability zero
-    under continuous energy draws but is guarded anyway.
+    directions decouple into separate cycles): a flip rate is the positive
+    part of dn_rate - up_rate or of its negative, so that is when the two L
+    rates of every rung are equal.  This has probability zero under
+    continuous energy draws but is guarded anyway.
     """
     while True:
         ladder = Ladder(rng.standard_normal(k))
-        rates = build_mjhmc_rate_matrix(ladder)
-        off = rates.copy()
-        np.fill_diagonal(off, 0.0)
-        flip_rates = np.concatenate([np.diag(off[k:, :k]), np.diag(off[:k, k:])])
-        if np.any(flip_rates > 0):
-            return ladder, rates
+        up_rate, dn_rate = _leapfrog_rates(ladder.energies)
+        if np.any(up_rate != dn_rate):
+            return ladder
 
 
 def random_ladder_experiment(
@@ -307,7 +601,8 @@ def random_ladder_experiment(
 ) -> GapExperimentResult:
     """Average spectral gaps over random energy landscapes, per ladder size.
 
-    Rung energies are i.i.d. standard normal.  Each (size, draw) task uses
+    Rung energies are i.i.d. standard normal, and each gap comes from
+    ``ladder_spectral_gap``.  Each (size, draw) task uses
     its own deterministically derived random stream, so results do not
     depend on execution order and the tasks could run in parallel.
     """
@@ -328,9 +623,9 @@ def random_ladder_experiment(
         gaps_hmc = np.empty(draws_per_size)
         for j, task_seq in enumerate(per_size[i].spawn(draws_per_size)):
             rng = np.random.default_rng(task_seq)
-            ladder, rates = _draw_ladder(int(k), rng)
-            gaps_mj[j] = spectral_gap(embedded_chain(rates))
-            gaps_hmc[j] = spectral_gap(build_hmc_ladder_chain(ladder))
+            ladder = _draw_ladder(int(k), rng)
+            gaps_mj[j] = ladder_spectral_gap(ladder, "mjhmc")
+            gaps_hmc[j] = ladder_spectral_gap(ladder, "hmc")
         mj_mean[i] = gaps_mj.mean()
         mj_err[i] = gaps_mj.std(ddof=1) / np.sqrt(draws_per_size) if draws_per_size > 1 else 0.0
         hmc_mean[i] = gaps_hmc.mean()

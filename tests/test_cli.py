@@ -500,3 +500,24 @@ def test_non_finite_number_is_config_error(tmp_path, capsys, command, config, co
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {context}: ") and err.count("\n") == 1
     assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
+
+@pytest.mark.parametrize(
+    "config, context",
+    [
+        (dict(GAUSSIAN_SAMPLE, epsilon="0.5"), "sample config.epsilon"),
+        (dict(GAUSSIAN_SAMPLE, beta=True), "sample config.beta"),
+        (dict(GAUSSIAN_SAMPLE, model={"name": "gaussian", "precision_diag": ["4", 1.0]}),
+         "model.precision_diag"),
+        (dict(GAUSSIAN_SAMPLE, model={"name": "gaussian", "precision_diag": [4.0, True]}),
+         "model.precision_diag"),
+    ],
+    ids=["epsilon-string", "beta-bool", "precision_diag-string", "precision_diag-bool"],
+)
+def test_string_or_bool_number_is_config_error(tmp_path, capsys, config, context):
+    # float() would take "0.5" and True; a JSON number field takes neither
+    cfg = write_config(tmp_path / "c.json", config)
+    assert main(["sample", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"config error: {context}: must be a number\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["c.json"]

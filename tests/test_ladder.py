@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,9 +14,11 @@ from jumphmc import (
     balance_check,
     build_hmc_ladder_chain,
     build_mjhmc_rate_matrix,
+    certified_ring_gap,
     embedded_chain,
     embedded_fixed_point_check,
     holding_time_diag,
+    ladder_spectral_gap,
     ladder_stationary,
     min_exponential_oracle,
     random_ladder_experiment,
@@ -19,6 +26,16 @@ from jumphmc import (
     spectra_match,
     spectral_distance,
     spectral_gap,
+)
+import jumphmc.ladder as ladder_module
+from jumphmc.ladder import (
+    DEFAULT_LADDER_SIZES,
+    RING_GAP_MIN_K,
+    _NEAR_MINUS_ONE,
+    _NEAR_PLUS_ONE,
+    _exit_probabilities,
+    _RingTransfer,
+    _draw_ladder,
 )
 
 LN2 = np.log(2.0)
@@ -219,6 +236,122 @@ class TestSpectralGap:
         eigs = mpmath.eig(mpmath.matrix(t_hat.tolist()), left=False, right=False)
         mags = sorted((abs(complex(e)) for e in eigs), reverse=True)
         assert ours == pytest.approx(float(mags[0] - mags[1]), abs=1e-8)
+
+
+def dense_chain(ladder, sampler):
+    if sampler == "mjhmc":
+        return embedded_chain(build_mjhmc_rate_matrix(ladder))
+    return build_hmc_ladder_chain(ladder)
+
+
+def experiment_draws(k, n, seed=404, sizes=DEFAULT_LADDER_SIZES):
+    """The first n ladders that random_ladder_experiment(sizes, seed=seed) draws
+    at size k; the defaults are criterion 4's."""
+    per_size = np.random.SeedSequence(seed).spawn(len(sizes))
+    tasks = per_size[list(sizes).index(k)].spawn(n)
+    return [_draw_ladder(k, np.random.default_rng(t)) for t in tasks]
+
+
+FAST_SIZES = [k for k in DEFAULT_LADDER_SIZES if k >= RING_GAP_MIN_K]
+
+
+class TestRingGap:
+    @pytest.mark.parametrize("sampler", ["mjhmc", "hmc"])
+    def test_exit_probabilities_are_the_dense_entries(self, sampler):
+        ladder = random_ladder(7, 5)
+        k = ladder.k
+        chain = dense_chain(ladder, sampler)
+        alpha, delta = _exit_probabilities(ladder, sampler)
+        r = np.arange(k)
+        np.testing.assert_array_equal(alpha, chain[(r + 1) % k, r])
+        np.testing.assert_array_equal(delta, chain[k + (r - 1) % k, k + r])
+
+    @pytest.mark.parametrize("k", FAST_SIZES)
+    def test_matches_dense_on_experiment_draws(self, k):
+        # the certificate must pass, with no fallback, on these draws
+        for ladder in experiment_draws(k, 10):
+            for sampler in ("mjhmc", "hmc"):
+                fast = certified_ring_gap(ladder, sampler)
+                assert fast is not None
+                assert abs(fast - spectral_gap(dense_chain(ladder, sampler))) <= 1e-10
+
+    def test_large_ring_matches_dense(self):
+        ladder = random_ladder(401, 11)
+        for sampler in ("mjhmc", "hmc"):
+            fast = certified_ring_gap(ladder, sampler)
+            assert fast is not None
+            assert abs(fast - spectral_gap(dense_chain(ladder, sampler))) <= 1e-10
+
+    @pytest.mark.parametrize("k", [64, 130])
+    def test_even_ring_agrees_or_falls_back(self, k):
+        # an even ring is bipartite: -1 is an eigenvalue and the gap is 0
+        ladder = random_ladder(k, 3)
+        for sampler in ("mjhmc", "hmc"):
+            dense = spectral_gap(dense_chain(ladder, sampler))
+            fast = certified_ring_gap(ladder, sampler)
+            assert fast is None or abs(fast - dense) <= 1e-12
+            assert abs(ladder_spectral_gap(ladder, sampler) - dense) <= 1e-12
+
+    @pytest.mark.parametrize("k", [5, 9])
+    def test_small_rings_are_solved_densely(self, k):
+        assert k < RING_GAP_MIN_K
+        for ladder in experiment_draws(k, 5):
+            for sampler in ("mjhmc", "hmc"):
+                dense = spectral_gap(dense_chain(ladder, sampler))
+                assert ladder_spectral_gap(ladder, sampler) == dense
+
+    def test_vanishing_exit_probability_falls_back(self):
+        # a 2000-unit step underflows the control's uphill L probability to
+        # exactly 0 (the jump process's downhill rate would overflow instead)
+        energies = np.random.default_rng(4).standard_normal(65)
+        energies[20] += 2000.0
+        ladder = Ladder(energies)
+        with np.errstate(over="ignore"):  # exp(2000) in the downhill min(1, .)
+            alpha, delta = _exit_probabilities(ladder, "hmc")
+            certified = certified_ring_gap(ladder, "hmc")
+            dense = spectral_gap(build_hmc_ladder_chain(ladder))
+            gap = ladder_spectral_gap(ladder, "hmc")
+        assert alpha[19] == 0.0
+        assert certified is None
+        assert gap == dense
+
+    def test_under_resolved_mesh_fails_the_certificate(self, monkeypatch):
+        # the k=201 circle needs refined mesh points: forbid refinement and
+        # the count must be refused, not guessed
+        ladder = experiment_draws(201, 1)[0]
+        ring = _RingTransfer(*_exit_probabilities(ladder, "hmc"))
+        gap, radius = ring.certify(_NEAR_MINUS_ONE, _NEAR_PLUS_ONE)
+        assert gap is not None and ring.roots_outside(radius) == 2
+        monkeypatch.setattr(ladder_module, "_MESH_PASSES", 0)
+        assert ring.roots_outside(radius) is None
+
+    def test_gaps_do_not_depend_on_blas_threads(self):
+        script = (
+            "import numpy as np\n"
+            "from jumphmc.ladder import Ladder, certified_ring_gap\n"
+            "for k in (65, 129, 201):\n"
+            "    ladder = Ladder(np.random.default_rng(k).standard_normal(k))\n"
+            "    print(repr(certified_ring_gap(ladder, 'mjhmc')), repr(certified_ring_gap(ladder, 'hmc')))\n"
+        )
+        src = str(Path(ladder_module.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                 text=True, check=True)
+            outputs.append(run.stdout)
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0].split()) == 6 and "None" not in outputs[0]
+
+    def test_experiment_draws_the_same_ladders(self):
+        # the per-draw random streams are those of the dense experiment
+        res = random_ladder_experiment(sizes=[9, 65], draws_per_size=3, seed=404)
+        for i, k in enumerate((9, 65)):
+            ladders = experiment_draws(k, 3, sizes=(9, 65))
+            for sampler, mean in (("mjhmc", res.mjhmc_mean[i]), ("hmc", res.hmc_mean[i])):
+                dense = np.mean([spectral_gap(dense_chain(lad, sampler)) for lad in ladders])
+                assert mean == pytest.approx(dense, abs=1e-12)
 
 
 class TestSimilarity:
