@@ -16,11 +16,11 @@ import numpy as np
 from jumphmc import (
     Ladder,
     balance_check,
-    build_hmc_ladder_chain,
     build_mjhmc_rate_matrix,
     certified_ring_gap,
     embedded_chain,
     holding_time_diag,
+    ladder_chain,
     random_ladder_experiment,
     spectral_gap,
 )
@@ -35,15 +35,18 @@ print("balance residual    ", balance_check(rates, ladder))
 print("expected holding times per state:")
 print(" ", np.round(holding_time_diag(rates), 3))
 
-t_hat = embedded_chain(rates)
+# ladder_chain writes both chains from their two exit probabilities per
+# state; the jump chain is the embedded chain of the rates above
+t_hat = ladder_chain(ladder, "mjhmc")
+print("closed form vs rates", np.abs(t_hat - embedded_chain(rates)).max())
 print("embedded-chain gap  ", round(spectral_gap(t_hat), 4))
-print("control-chain gap   ", round(spectral_gap(build_hmc_ladder_chain(ladder)), 4))
+print("control-chain gap   ", round(spectral_gap(ladder_chain(ladder, "hmc")), 4))
 
 print("\n--- a parity curiosity ---")
 # On an even ring every leapfrog or flip transition changes the parity of
 # rung+side, so both chains are bipartite and their gaps are exactly zero.
 even = Ladder(np.random.default_rng(0).standard_normal(8))
-print("gap on an 8-rung ladder:", spectral_gap(embedded_chain(build_mjhmc_rate_matrix(even))))
+print("gap on an 8-rung ladder:", round(spectral_gap(ladder_chain(even, "mjhmc")), 12))
 print("(odd sizes avoid this, which is why the experiment below uses them)")
 
 print("\n--- the same gap without a dense eigensolve ---")
@@ -52,7 +55,7 @@ print("\n--- the same gap without a dense eigensolve ---")
 # on the real axis, certified by counting roots on a circle.
 big = Ladder(np.random.default_rng(1).standard_normal(201))
 fast = certified_ring_gap(big, "mjhmc")
-dense = spectral_gap(embedded_chain(build_mjhmc_rate_matrix(big)))
+dense = spectral_gap(ladder_chain(big, "mjhmc"))
 print(f"k=201 jump process: ring {fast:.15f}  dense {dense:.15f}  difference {fast - dense:.1e}")
 
 print("\n--- averaged over random energy landscapes ---")

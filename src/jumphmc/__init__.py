@@ -37,21 +37,18 @@ from .ladder import (
     DEFAULT_LADDER_SIZES,
     GapExperimentResult,
     Ladder,
-    LadderStateIndex,
-    Side,
     balance_check,
-    build_hmc_ladder_chain,
     build_mjhmc_rate_matrix,
     certified_ring_gap,
     embedded_chain,
     embedded_fixed_point_check,
     holding_time_diag,
+    ladder_chain,
     ladder_spectral_gap,
     ladder_stationary,
     min_exponential_oracle,
     random_ladder_experiment,
     similarity_check,
-    spectra_match,
     spectral_distance,
     spectral_gap,
 )

@@ -173,6 +173,17 @@ def parse_model(obj) -> EnergyFunction:
     raise ConfigError(f"model.name: unknown model {name!r} (expected 'rough_well' or 'gaussian')")
 
 
+def _pair(checker):
+    """A checker for a [low, high] list whose values ``checker`` accepts."""
+
+    def check(x) -> tuple:
+        if not isinstance(x, list) or len(x) != 2:
+            raise ValueError("must be a [low, high] pair")
+        return tuple(checker(x))
+
+    return check
+
+
 def _hyper_triple(obj) -> dict:
     if not isinstance(obj, dict):
         raise ValueError("must be an object with epsilon, steps, beta")
@@ -291,8 +302,8 @@ def cmd_spectral_gap(config: dict, out: Optional[str], config_path: Optional[str
         "spectral-gap config",
     )
     sizes = fields.get("sizes", list(DEFAULT_LADDER_SIZES))
-    if any(k < 3 for k in sizes):
-        raise ConfigError("spectral-gap config.sizes: every size must be at least 3")
+    if not sizes or any(k < 3 for k in sizes):
+        raise ConfigError("spectral-gap config.sizes: must list sizes of at least 3")
     draws = fields.get("draws_per_size", 250)
     seed = fields.get("seed", 0)
     path = out or fields.get("out", "spectral_gap.csv")
@@ -392,19 +403,14 @@ def cmd_tune(config: dict, out: Optional[str], config_path: Optional[str]) -> in
     space_fields = _require(
         fields.get("space", {}),
         {
-            "epsilon": (False, _number_list),
-            "beta": (False, _number_list),
-            "steps": (False, lambda x: [_positive_int(v) for v in x]),
+            "epsilon": (False, _pair(_number_list)),
+            "beta": (False, _pair(_number_list)),
+            "steps": (False, _pair(lambda x: [_positive_int(v) for v in x])),
         },
         "tune config.space",
     )
-    kwargs = {}
-    for key, name in (("epsilon", "epsilon_range"), ("beta", "beta_range"), ("steps", "steps_range")):
-        if key in space_fields:
-            lo, hi = space_fields[key]
-            kwargs[name] = (lo, hi)
     try:
-        space = SearchSpace(**kwargs)
+        space = SearchSpace(**{f"{key}_range": pair for key, pair in space_fields.items()})
     except ValueError as err:
         raise ConfigError(f"tune config.space: {err}") from err
 

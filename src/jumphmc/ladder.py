@@ -13,12 +13,22 @@ holding-time scaling between them, and the numerical balance checks all
 live here, together with the randomized spectral-gap experiment comparing
 the jump process against the discrete-time control chain.
 
-Spectral gaps from the ring's transfer matrix.  In both the embedded jump
-chain and the control chain every state has exactly two exits.  Let
-alpha_r be the probability that the ascending state a_r moves up to
-a_{r+1} (else it flips to d_r) and delta_r the probability that the
-descending state d_r moves down to d_{r-1} (else it flips to a_r).  A left
-eigenvector u with eigenvalue lambda satisfies
+Both ladder chains in closed form.  Every state has two exits.  alpha_r
+is the probability that the ascending state a_r moves up to a_{r+1} (else
+it flips to d_r), delta_r that the descending state d_r moves down to
+d_{r-1} (else it flips to a_r).  The control accepts L by Metropolis,
+alpha_r = exp(-max(0, E_{r+1} - E_r)) and delta_r = exp(-max(0, E_{r-1} - E_r)).
+In the jump process a_r leapfrogs at rate p = exp(-(E_{r+1} - E_r)/2) and
+flips at max(0, q - p), q = exp(-(E_{r-1} - E_r)/2) being d_r's L rate, so
+alpha_r = p / max(p, q) = min(1, p / q) = exp(-max(0, D_r)) and likewise
+delta_r = exp(-max(0, -D_r)), with D_r = (E_{r+1} - E_{r-1}) / 2: Metropolis
+on half the two-rung energy difference.  No exponent is positive, so
+neither form overflows where the rates do.  ``ladder_chain`` and the ring
+search read these numbers; ``embedded_chain(build_mjhmc_rate_matrix(.))``
+stays as the independent check.
+
+Spectral gaps from the ring's transfer matrix.  A left eigenvector u with
+eigenvalue lambda satisfies
 
     lambda u_a(r) = alpha_r u_a(r+1) + (1 - alpha_r) u_d(r)
     lambda u_d(r) = delta_r u_d(r-1) + (1 - delta_r) u_a(r).
@@ -45,7 +55,6 @@ outside |z| = R is k - (change of arg phi) / pi.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -53,11 +62,6 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import DegenerateLadderError
-
-
-class Side(enum.Enum):
-    ASCENDING = "ascending"
-    DESCENDING = "descending"
 
 
 @dataclass(frozen=True)
@@ -78,46 +82,12 @@ class Ladder:
     def k(self) -> int:
         return self.energies.size
 
-    @property
-    def n_states(self) -> int:
-        return 2 * self.k
-
-
-@dataclass(frozen=True)
-class LadderStateIndex:
-    """One of the 2k discrete states: a rung plus a travel direction."""
-
-    rung: int
-    side: Side
-
-    def flat(self, k: int) -> int:
-        """Flat index: ascending states occupy 0..k-1, descending k..2k-1."""
-        if not 0 <= self.rung < k:
-            raise ValueError(f"rung {self.rung} out of range for k={k}")
-        return self.rung + (k if self.side is Side.DESCENDING else 0)
-
-    def leapfrog_target(self, k: int) -> "LadderStateIndex":
-        """L moves ascending states up the ring and descending states down."""
-        delta = 1 if self.side is Side.ASCENDING else -1
-        return LadderStateIndex((self.rung + delta) % k, self.side)
-
-    def flip_target(self) -> "LadderStateIndex":
-        other = Side.DESCENDING if self.side is Side.ASCENDING else Side.ASCENDING
-        return LadderStateIndex(self.rung, other)
-
 
 def _leapfrog_rates(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Jump-process L rates from each rung up to r+1 and down to r-1."""
     up_rate = np.exp(-0.5 * (np.roll(e, -1) - e))  # ascending L, also descending L-inverse
     dn_rate = np.exp(-0.5 * (np.roll(e, 1) - e))  # descending L, also ascending L-inverse
     return up_rate, dn_rate
-
-
-def _metropolis_probabilities(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Control-chain acceptance of L from each rung up to r+1 and down to r-1."""
-    p_asc = np.minimum(1.0, np.exp(-(np.roll(e, -1) - e)))
-    p_desc = np.minimum(1.0, np.exp(-(np.roll(e, 1) - e)))
-    return p_asc, p_desc
 
 
 def build_mjhmc_rate_matrix(ladder: Ladder) -> np.ndarray:
@@ -128,10 +98,15 @@ def build_mjhmc_rate_matrix(ladder: Ladder) -> np.ndarray:
     ratios: the leapfrog rate from a rung at energy E to its successor at
     E' is exp(-(E' - E)/2), and the flip rate is the positive part of the
     backward leapfrog rate minus the forward one, so at most one side of
-    each rung pair carries a nonzero flip rate.
+    each rung pair carries a nonzero flip rate.  A rung-to-rung energy
+    drop above about 1419 overflows a rate and raises ``ValueError``;
+    ``ladder_chain`` has the embedded chain without rates.
     """
     k = ladder.k
-    up_rate, dn_rate = _leapfrog_rates(ladder.energies)
+    with np.errstate(over="ignore"):
+        up_rate, dn_rate = _leapfrog_rates(ladder.energies)
+    if not (np.all(np.isfinite(up_rate)) and np.all(np.isfinite(dn_rate))):
+        raise ValueError("a leapfrog rate overflows: a rung-to-rung energy drop exceeds about 1419")
     flip_asc = np.maximum(0.0, dn_rate - up_rate)
     flip_desc = np.maximum(0.0, up_rate - dn_rate)
 
@@ -149,25 +124,41 @@ def build_mjhmc_rate_matrix(ladder: Ladder) -> np.ndarray:
     return rates
 
 
-def build_hmc_ladder_chain(ladder: Ladder) -> np.ndarray:
-    """Discrete-time control chain on the ladder: accept L or flip.
+def _exit_probabilities(ladder: Ladder, sampler: str) -> tuple[np.ndarray, np.ndarray]:
+    """The L probabilities of one ladder chain, one pair per rung, in O(k).
 
-    Column-stochastic: from each state the leapfrog target is taken with
-    the Metropolis-Hastings probability min(1, exp(-dE)) and the flip
-    partner with the complement.
+    ``alpha[r]`` is the probability that the ascending state of rung r
+    leapfrogs up to rung r+1 and ``delta[r]`` that the descending state
+    leapfrogs down to rung r-1; each state's other exit is its flip.
+    ``sampler`` is "mjhmc" (the jump process's embedded chain) or "hmc"
+    (the control chain).  These are the closed forms of the module
+    docstring: no exponent is positive, so nothing overflows.
+    """
+    e = ladder.energies
+    rise_up, rise_down = np.roll(e, -1) - e, np.roll(e, 1) - e
+    if sampler == "mjhmc":
+        half = 0.5 * (rise_up - rise_down)  # D_r, rounded as the rates' exponents are
+        return np.exp(-np.maximum(0.0, half)), np.exp(-np.maximum(0.0, -half))
+    if sampler == "hmc":
+        return np.exp(-np.maximum(0.0, rise_up)), np.exp(-np.maximum(0.0, rise_down))
+    raise ValueError("sampler must be 'mjhmc' or 'hmc'")
+
+
+def ladder_chain(ladder: Ladder, sampler: str) -> np.ndarray:
+    """Column-stochastic 2k x 2k matrix of one ladder chain ("mjhmc" or "hmc").
+
+    Entry (i, j) is the probability of a j -> i move.  Ascending states
+    occupy 0..k-1 and descending states k..2k-1; each leapfrogs with its
+    ``_exit_probabilities`` entry and flips to its rung partner otherwise.
     """
     k = ladder.k
-    p_asc, p_desc = _metropolis_probabilities(ladder.energies)
-
-    n = 2 * k
-    chain = np.zeros((n, n))
+    alpha, delta = _exit_probabilities(ladder, sampler)
+    chain = np.zeros((2 * k, 2 * k))
     r = np.arange(k)
-    asc = r
-    desc = k + r
-    chain[(r + 1) % k, asc] = p_asc
-    chain[desc, asc] = 1.0 - p_asc
-    chain[k + (r - 1) % k, desc] = p_desc
-    chain[asc, desc] = 1.0 - p_desc
+    chain[(r + 1) % k, r] = alpha
+    chain[k + r, r] = 1.0 - alpha
+    chain[k + (r - 1) % k, k + r] = delta
+    chain[r, k + r] = 1.0 - delta
     return chain
 
 
@@ -254,11 +245,6 @@ def spectral_distance(a: np.ndarray, b: np.ndarray) -> float:
     return worst
 
 
-def spectra_match(a: np.ndarray, b: np.ndarray, tol: float = 1e-8) -> bool:
-    """True when two spectra agree as multisets within ``tol``."""
-    return spectral_distance(a, b) <= tol
-
-
 def ladder_stationary(ladder: Ladder) -> np.ndarray:
     """Unnormalized target probabilities of the 2k states.
 
@@ -293,34 +279,6 @@ def embedded_fixed_point_check(rates: np.ndarray, ladder: Ladder) -> float:
     return float(np.max(np.abs(t_hat @ p_hat - p_hat)) / p_hat.max())
 
 
-def _exit_probabilities(ladder: Ladder, sampler: str) -> tuple[np.ndarray, np.ndarray]:
-    """The L probabilities of one ladder chain, one pair per rung, in O(k).
-
-    ``alpha[r]`` is the probability that the ascending state of rung r
-    leapfrogs up to rung r+1 and ``delta[r]`` that the descending state
-    leapfrogs down to rung r-1; each state's other exit is its flip.
-    ``sampler`` is "mjhmc" (the jump process's embedded chain) or "hmc"
-    (the control chain).  The values are those of ``embedded_chain`` and
-    ``build_hmc_ladder_chain``.
-    """
-    if sampler == "mjhmc":
-        up_rate, dn_rate = _leapfrog_rates(ladder.energies)
-        alpha = up_rate / (up_rate + np.maximum(0.0, dn_rate - up_rate))
-        delta = dn_rate / (dn_rate + np.maximum(0.0, up_rate - dn_rate))
-        return alpha, delta
-    if sampler == "hmc":
-        return _metropolis_probabilities(ladder.energies)
-    raise ValueError("sampler must be 'mjhmc' or 'hmc'")
-
-
-def _dense_chain(ladder: Ladder, sampler: str) -> np.ndarray:
-    if sampler == "mjhmc":
-        return embedded_chain(build_mjhmc_rate_matrix(ladder))
-    if sampler == "hmc":
-        return build_hmc_ladder_chain(ladder)
-    raise ValueError("sampler must be 'mjhmc' or 'hmc'")
-
-
 # Below this many rungs one dense eigensolve is faster than the ring search.
 # Medians over the 500 matrices per size of seed 404, 1 BLAS thread, 2-core
 # VM: dense 2.2 ms against ring 4.2 ms at k=33; 10.0 ms against 7.3 ms at 65.
@@ -332,13 +290,13 @@ def ladder_spectral_gap(ladder: Ladder, sampler: str) -> float:
 
     From ``RING_GAP_MIN_K`` rungs on this is the certified transfer-matrix
     gap of ``certified_ring_gap``; below that, or whenever the certificate
-    fails, it is ``spectral_gap`` of the dense 2k x 2k chain.
+    fails, it is ``spectral_gap`` of the dense ``ladder_chain``.
     """
     if ladder.k >= RING_GAP_MIN_K:
         gap = certified_ring_gap(ladder, sampler)
         if gap is not None:
             return gap
-    return spectral_gap(_dense_chain(ladder, sampler))
+    return spectral_gap(ladder_chain(ladder, sampler))
 
 
 # Real-axis search grids, in 1 + lambda and 1 - lambda.  Within about 1e-10

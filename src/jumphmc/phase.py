@@ -21,8 +21,6 @@ from .errors import DimensionError
 if TYPE_CHECKING:
     from .energy import EnergyFunction
 
-_FLOAT64 = np.dtype(np.float64)
-
 
 @dataclass(frozen=True, eq=False)
 class PhaseState:
@@ -32,17 +30,11 @@ class PhaseState:
     v: np.ndarray
 
     def __post_init__(self):
-        x, v = self.x, self.v
-        # The samplers build states from arrays that are already valid; only
-        # anything else is converted.
-        if not (
-            type(x) is np.ndarray and type(v) is np.ndarray
-            and x.dtype is _FLOAT64 and v.dtype is _FLOAT64 and x.ndim == v.ndim == 1
-        ):
-            x = np.atleast_1d(np.asarray(x, dtype=float))
-            v = np.atleast_1d(np.asarray(v, dtype=float))
-            object.__setattr__(self, "x", x)
-            object.__setattr__(self, "v", v)
+        # a 1-D float64 array passes through as the same object
+        x = np.atleast_1d(np.asarray(self.x, dtype=float))
+        v = np.atleast_1d(np.asarray(self.v, dtype=float))
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "v", v)
         if x.shape != v.shape or x.ndim != 1:
             raise DimensionError(f"position shape {x.shape} != momentum shape {v.shape}")
 

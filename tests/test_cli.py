@@ -214,6 +214,14 @@ class TestSpectralGap:
         cfg = write_config(tmp_path / "c.json", {"sizes": [2]})
         assert main(["spectral-gap", cfg]) == 1
 
+    def test_empty_sizes_rejected(self, tmp_path, capsys):
+        # no size would write a CSV of only its header
+        cfg = write_config(tmp_path / "c.json", {"sizes": []})
+        assert main(["spectral-gap", cfg, "--out", str(tmp_path / "gaps.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: spectral-gap config.sizes: ") and err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
     def test_out_over_config_rejected(self, tmp_path, capsys):
         # here the config names itself as the output in its own "out" key
         path = tmp_path / "gaps.json"
@@ -346,6 +354,20 @@ class TestAutocorr:
 
 
 class TestTune:
+    @pytest.mark.parametrize(
+        "space",
+        [{"epsilon": [1.0]}, {"beta": [0.1, 0.2, 0.3]}, {"steps": [3, 4, 5]}, {"steps": []},
+         {"epsilon": 1.0}],
+        ids=["epsilon-one", "beta-three", "steps-three", "steps-empty", "epsilon-scalar"],
+    )
+    def test_range_must_be_a_pair(self, tmp_path, capsys, space):
+        cfg = write_config(tmp_path / "c.json", dict(TUNE_GAUSSIAN, space=space))
+        assert main(["tune", cfg, "--out", str(tmp_path / "t")]) == 1
+        err = capsys.readouterr().err
+        (key,) = space
+        assert err.startswith(f"config error: tune config.space.{key}: ") and err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
     def test_budget_one(self, tmp_path):
         cfg = write_config(
             tmp_path / "c.json",

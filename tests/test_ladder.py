@@ -9,21 +9,18 @@ import pytest
 from jumphmc import (
     DegenerateLadderError,
     Ladder,
-    LadderStateIndex,
-    Side,
     balance_check,
-    build_hmc_ladder_chain,
     build_mjhmc_rate_matrix,
     certified_ring_gap,
     embedded_chain,
     embedded_fixed_point_check,
     holding_time_diag,
+    ladder_chain,
     ladder_spectral_gap,
     ladder_stationary,
     min_exponential_oracle,
     random_ladder_experiment,
     similarity_check,
-    spectra_match,
     spectral_distance,
     spectral_gap,
 )
@@ -45,6 +42,13 @@ def random_ladder(k, seed):
     return Ladder(np.random.default_rng(seed).standard_normal(k))
 
 
+def cliff_ladder():
+    """65 standard-normal rungs with a 2000-unit step up onto rung 20."""
+    energies = np.random.default_rng(4).standard_normal(65)
+    energies[20] += 2000.0
+    return Ladder(energies)
+
+
 def rate_matrix_from_column(rates_out):
     """Tiny rate matrix with a single active column of outgoing rates."""
     m = len(rates_out) + 1
@@ -64,21 +68,20 @@ class TestLadderTypes:
         with pytest.raises(ValueError):
             Ladder(np.array([0.0, np.inf, 1.0]))
 
-    def test_state_index_moves(self):
-        k = 5
-        asc = LadderStateIndex(2, Side.ASCENDING)
-        assert asc.leapfrog_target(k) == LadderStateIndex(3, Side.ASCENDING)
-        assert asc.flip_target() == LadderStateIndex(2, Side.DESCENDING)
-        desc = LadderStateIndex(0, Side.DESCENDING)
-        assert desc.leapfrog_target(k) == LadderStateIndex(4, Side.DESCENDING)
-        assert desc.flip_target() == LadderStateIndex(0, Side.ASCENDING)
-
     def test_flat_index_layout(self):
-        k = 4
-        assert LadderStateIndex(3, Side.ASCENDING).flat(k) == 3
-        assert LadderStateIndex(1, Side.DESCENDING).flat(k) == 5
-        with pytest.raises(ValueError):
-            LadderStateIndex(4, Side.ASCENDING).flat(k)
+        # ascending states 0..k-1 leapfrog up or flip to k+r; descending
+        # states k..2k-1 leapfrog down or flip to r; nothing else moves
+        ladder = random_ladder(4, 5)
+        asc, desc = [0, 1, 2, 3], [4, 5, 6, 7]
+        for sampler in ("mjhmc", "hmc"):
+            chain = ladder_chain(ladder, sampler)
+            assert chain.shape == (8, 8)
+            alpha, delta = _exit_probabilities(ladder, sampler)
+            np.testing.assert_array_equal(chain[[1, 2, 3, 0], asc], alpha)
+            np.testing.assert_array_equal(chain[desc, asc], 1.0 - alpha)
+            np.testing.assert_array_equal(chain[[7, 4, 5, 6], desc], delta)
+            np.testing.assert_array_equal(chain[asc, desc], 1.0 - delta)
+            assert np.count_nonzero(chain) <= 16
 
 
 class TestRateMatrix:
@@ -115,10 +118,16 @@ class TestRateMatrix:
             desc_flip = rates[r, k + r]
             assert min(asc_flip, desc_flip) == 0.0
 
+    def test_overflowing_rate_is_refused(self):
+        # the 2000-unit drop from rung 20 to 21 overflows exp(1000)
+        with np.errstate(over="raise", invalid="raise"):
+            with pytest.raises(ValueError, match="overflow"):
+                build_mjhmc_rate_matrix(cliff_ladder())
+
 
 class TestHmcLadderChain:
     def test_flat_ladder_is_deterministic_cycle(self):
-        chain = build_hmc_ladder_chain(Ladder(np.zeros(5)))
+        chain = ladder_chain(Ladder(np.zeros(5)), "hmc")
         # permutation matrix: exactly one 1 per column
         assert np.all((chain == 0.0) | (chain == 1.0))
         np.testing.assert_allclose(chain.sum(axis=0), 1.0)
@@ -126,13 +135,13 @@ class TestHmcLadderChain:
 
     def test_uphill_acceptance_probability(self):
         # moving up ln 2 in energy is accepted half the time
-        chain = build_hmc_ladder_chain(Ladder(np.array([0.0, LN2, 2 * LN2])))
+        chain = ladder_chain(Ladder(np.array([0.0, LN2, 2 * LN2])), "hmc")
         assert chain[1, 0] == pytest.approx(0.5)  # leapfrog move
         assert chain[3, 0] == pytest.approx(0.5)  # flip on reject
 
     def test_columns_sum_to_one(self):
         for seed in range(5):
-            chain = build_hmc_ladder_chain(random_ladder(12, seed))
+            chain = ladder_chain(random_ladder(12, seed), "hmc")
             np.testing.assert_allclose(chain.sum(axis=0), 1.0, atol=1e-12)
 
 
@@ -238,12 +247,6 @@ class TestSpectralGap:
         assert ours == pytest.approx(float(mags[0] - mags[1]), abs=1e-8)
 
 
-def dense_chain(ladder, sampler):
-    if sampler == "mjhmc":
-        return embedded_chain(build_mjhmc_rate_matrix(ladder))
-    return build_hmc_ladder_chain(ladder)
-
-
 def experiment_draws(k, n, seed=404, sizes=DEFAULT_LADDER_SIZES):
     """The first n ladders that random_ladder_experiment(sizes, seed=seed) draws
     at size k; the defaults are criterion 4's."""
@@ -258,13 +261,30 @@ FAST_SIZES = [k for k in DEFAULT_LADDER_SIZES if k >= RING_GAP_MIN_K]
 class TestRingGap:
     @pytest.mark.parametrize("sampler", ["mjhmc", "hmc"])
     def test_exit_probabilities_are_the_dense_entries(self, sampler):
+        # against chains built without _exit_probabilities: the competing
+        # clocks of the rate matrix, and Metropolis rung by rung
         ladder = random_ladder(7, 5)
-        k = ladder.k
-        chain = dense_chain(ladder, sampler)
+        k, e = ladder.k, ladder.energies
         alpha, delta = _exit_probabilities(ladder, sampler)
         r = np.arange(k)
-        np.testing.assert_array_equal(alpha, chain[(r + 1) % k, r])
-        np.testing.assert_array_equal(delta, chain[k + (r - 1) % k, k + r])
+        if sampler == "mjhmc":
+            chain = embedded_chain(build_mjhmc_rate_matrix(ladder))
+            np.testing.assert_allclose(alpha, chain[(r + 1) % k, r], rtol=0, atol=2.3e-16)
+            np.testing.assert_allclose(delta, chain[k + (r - 1) % k, k + r], rtol=0, atol=2.3e-16)
+        else:
+            for i in range(k):
+                assert alpha[i] == pytest.approx(min(1.0, np.exp(e[i] - e[(i + 1) % k])), abs=1e-15)
+                assert delta[i] == pytest.approx(min(1.0, np.exp(e[i] - e[(i - 1) % k])), abs=1e-15)
+
+    def test_jump_chain_matches_the_rate_matrix_oracle(self):
+        # the closed form against the competing clocks of the rate matrix,
+        # entry by entry, within about two ulps of 1
+        for k in range(3, 201):
+            ladder = random_ladder(k, k)
+            np.testing.assert_allclose(
+                ladder_chain(ladder, "mjhmc"), embedded_chain(build_mjhmc_rate_matrix(ladder)),
+                rtol=0, atol=2.3e-16,
+            )
 
     @pytest.mark.parametrize("k", FAST_SIZES)
     def test_matches_dense_on_experiment_draws(self, k):
@@ -273,21 +293,21 @@ class TestRingGap:
             for sampler in ("mjhmc", "hmc"):
                 fast = certified_ring_gap(ladder, sampler)
                 assert fast is not None
-                assert abs(fast - spectral_gap(dense_chain(ladder, sampler))) <= 1e-10
+                assert abs(fast - spectral_gap(ladder_chain(ladder, sampler))) <= 1e-10
 
     def test_large_ring_matches_dense(self):
         ladder = random_ladder(401, 11)
         for sampler in ("mjhmc", "hmc"):
             fast = certified_ring_gap(ladder, sampler)
             assert fast is not None
-            assert abs(fast - spectral_gap(dense_chain(ladder, sampler))) <= 1e-10
+            assert abs(fast - spectral_gap(ladder_chain(ladder, sampler))) <= 1e-10
 
     @pytest.mark.parametrize("k", [64, 130])
     def test_even_ring_agrees_or_falls_back(self, k):
         # an even ring is bipartite: -1 is an eigenvalue and the gap is 0
         ladder = random_ladder(k, 3)
         for sampler in ("mjhmc", "hmc"):
-            dense = spectral_gap(dense_chain(ladder, sampler))
+            dense = spectral_gap(ladder_chain(ladder, sampler))
             fast = certified_ring_gap(ladder, sampler)
             assert fast is None or abs(fast - dense) <= 1e-12
             assert abs(ladder_spectral_gap(ladder, sampler) - dense) <= 1e-12
@@ -297,22 +317,22 @@ class TestRingGap:
         assert k < RING_GAP_MIN_K
         for ladder in experiment_draws(k, 5):
             for sampler in ("mjhmc", "hmc"):
-                dense = spectral_gap(dense_chain(ladder, sampler))
+                dense = spectral_gap(ladder_chain(ladder, sampler))
                 assert ladder_spectral_gap(ladder, sampler) == dense
 
-    def test_vanishing_exit_probability_falls_back(self):
-        # a 2000-unit step underflows the control's uphill L probability to
-        # exactly 0 (the jump process's downhill rate would overflow instead)
-        energies = np.random.default_rng(4).standard_normal(65)
-        energies[20] += 2000.0
-        ladder = Ladder(energies)
-        with np.errstate(over="ignore"):  # exp(2000) in the downhill min(1, .)
-            alpha, delta = _exit_probabilities(ladder, "hmc")
-            certified = certified_ring_gap(ladder, "hmc")
-            dense = spectral_gap(build_hmc_ladder_chain(ladder))
-            gap = ladder_spectral_gap(ladder, "hmc")
+    @pytest.mark.parametrize("sampler", ["mjhmc", "hmc"])
+    def test_vanishing_exit_probability_falls_back(self, sampler):
+        # a 2000-unit step underflows the uphill L probability of rung 19 to
+        # exactly 0 in both chains, and nothing overflows on the way
+        ladder = cliff_ladder()
+        with np.errstate(over="raise", invalid="raise"):
+            alpha, delta = _exit_probabilities(ladder, sampler)
+            certified = certified_ring_gap(ladder, sampler)
+            dense = spectral_gap(ladder_chain(ladder, sampler))
+            gap = ladder_spectral_gap(ladder, sampler)
         assert alpha[19] == 0.0
         assert certified is None
+        assert np.isfinite(dense)
         assert gap == dense
 
     def test_under_resolved_mesh_fails_the_certificate(self, monkeypatch):
@@ -350,7 +370,7 @@ class TestRingGap:
         for i, k in enumerate((9, 65)):
             ladders = experiment_draws(k, 3, sizes=(9, 65))
             for sampler, mean in (("mjhmc", res.mjhmc_mean[i]), ("hmc", res.hmc_mean[i])):
-                dense = np.mean([spectral_gap(dense_chain(lad, sampler)) for lad in ladders])
+                dense = np.mean([spectral_gap(ladder_chain(lad, sampler)) for lad in ladders])
                 assert mean == pytest.approx(dense, abs=1e-12)
 
 
@@ -359,7 +379,7 @@ class TestSimilarity:
         for seed in range(10):
             rates = build_mjhmc_rate_matrix(random_ladder(int(7 + seed), seed))
             spec_a, spec_b = similarity_check(rates)
-            assert spectra_match(spec_a, spec_b, tol=1e-8)
+            assert spectral_distance(spec_a, spec_b) <= 1e-8
 
     def test_flat_ladder_transform_is_identity(self):
         rates = build_mjhmc_rate_matrix(Ladder(np.zeros(5)))
