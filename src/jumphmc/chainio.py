@@ -19,12 +19,13 @@ from .jump import Chain
 from .ladder import GapExperimentResult
 from .tuner import TrialRecord
 
-FORMAT_VERSION = "2"
+FORMAT_VERSION = "3"
 
 GRADIENT_COUNT_CONVENTION = (
     "true gradient calls counted, cumulative after each row's cache update; "
     "mjhmc: an L transition costs steps, F costs 0, R costs 2*steps, the chain "
-    "start 2*steps+1; hmc: each step costs steps, the chain start 1"
+    "start 2*steps+1; hmc: a step costs steps, or 0 when its proposal is cached, "
+    "the chain start 1"
 )
 
 

@@ -5,19 +5,19 @@ the Metropolis-Hastings probability min(1, exp(-dH)), flips the momentum on
 rejection (keeping the position), and then corrupts the momentum with a
 full standard-normal redraw with probability ``beta``.  Flip-on-reject makes
 the chain's restriction to a state ladder well defined, which is what the
-spectral-gap comparison uses.
+spectral-gap comparison uses.  Accept, reject and redraw are the L, F and R
+rules of the jump sampler's :class:`~jumphmc.jump.StateCache`, so the
+control keeps its state in the same cache.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import EnergyFunction, kinetic_energy
-from .errors import IntegrationError
-from .jump import Chain, record_chain
+from .energy import EnergyFunction
+from .jump import Chain, init_cache, record_chain
 from .phase import LeapfrogParams, PhaseState
 
 
@@ -39,54 +39,33 @@ class HmcConfig:
         LeapfrogParams(self.epsilon, self.steps)
 
 
-def _mh_step(
-    x: np.ndarray,
-    v: np.ndarray,
-    grad: np.ndarray,
-    potential: float,
-    config: HmcConfig,
-    ef: EnergyFunction,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, bool]:
-    """One step from (x, v) with its cached gradient and potential.
-
-    Returns the new (x, v, grad, potential) and whether the proposal was
-    accepted.
-    """
-    xp, vp, gp = ef.trajectory(x, v, grad, config.epsilon, config.steps)
-    h_cur = potential + kinetic_energy(v)
-    pot_prop = ef.energy(xp)
-    h_prop = pot_prop + kinetic_energy(vp)
-    if not math.isfinite(h_prop):
-        raise IntegrationError("non-finite proposal energy", state=PhaseState(xp, vp))
-    d_h = h_prop - h_cur
-    u = rng.random()
-    accepted = d_h <= 0 or u < np.exp(-d_h)
-    if accepted:
-        x, v, grad, potential = xp, vp, gp, pot_prop
-    else:
-        v = -v
-    if rng.random() < config.beta:
-        v = rng.standard_normal(x.size)
-    return x, v, grad, potential, accepted
-
-
 def hmc_chain(config: HmcConfig, ef: EnergyFunction, init: PhaseState) -> Chain:
     """Run ``config.n_samples`` propose/accept/corrupt steps with cost accounting.
 
     Row i is the state after step i, with holding time 1 and transition L
-    (accepted) or F (rejected).  The cached gradient at the current position
-    is carried between steps, so each step costs the gradient evaluations of
-    exactly one leapfrog application.
+    (accepted) or F (rejected).  A step fills only the cache's forward node,
+    its proposal, so it costs the gradient evaluations of at most one
+    leapfrog application, and none when the proposal is already cached.
+    After a rejection it usually is: the F rule makes the old backward node,
+    flipped, the next proposal, so after an accepted step the proposal
+    L(F L zeta) = F zeta is the stored earlier state flipped.
     """
 
     def rows(counter, rng):
-        x, v = init.x, init.v
-        potential, grad = counter.energy(x), counter.gradient(x)
+        cache = init_cache(init, counter)
         while True:
-            x, v, grad, potential, accepted = _mh_step(
-                x, v, grad, potential, config, counter, rng
-            )
-            yield x, v, 1.0, "L" if accepted else "F"
+            cache.fill(counter, config.epsilon, config.steps)
+            d_h = cache.forward[4] - cache.current[4]
+            u = rng.random()
+            if d_h <= 0 or u < np.exp(-d_h):
+                cache.leap()
+                kind = "L"
+            else:
+                cache.flip()
+                kind = "F"
+            if rng.random() < config.beta:
+                cache.redraw(rng)
+            x, v, _, _, _ = cache.current
+            yield x, v, 1.0, kind
 
     return record_chain("hmc", rows, ef, init.dim, config.n_samples, config.seed)

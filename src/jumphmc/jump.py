@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -68,76 +68,78 @@ def _node(x: np.ndarray, v: np.ndarray, grad: np.ndarray, ef: EnergyFunction) ->
     return (x, v, grad, potential, h)
 
 
-def _neighbors(
-    x: np.ndarray, v: np.ndarray, grad: np.ndarray, ef: EnergyFunction, epsilon: float, steps: int
-) -> tuple:
-    """The forward node L(x, v) and the backward node L^-1(x, v) = F L F(x, v)."""
-    forward = _node(*ef.trajectory(x, v, grad, epsilon, steps), ef)
-    xb, vb, gb = ef.trajectory(x, -v, grad, epsilon, steps)
-    return forward, _node(xb, -vb, gb, ef)
-
-
-def _flipped(node: tuple) -> tuple:
+def _flipped(node: Optional[tuple]) -> Optional[tuple]:
     """The node of the flipped state: |v|^2 is exactly invariant under negation."""
+    if node is None:
+        return None
     x, v, grad, potential, h = node
     return (x, -v, grad, potential, h)
 
 
 class StateCache:
-    """The current state and its two precomputed neighbors.
+    """The current state and its two neighbors, integrated on demand.
 
     ``current``, ``forward`` (L of the current state) and ``backward``
     (L^-1 of it) are nodes: plain tuples ``(x, v, grad, potential, h)`` of
     the position, the momentum, the gradient at x, the potential E(x) and
-    the total energy H = E(x) + |v|^2 / 2.  Nothing writes into a node's
-    arrays, so nodes share them.  Each transition kind has one update rule,
-    applied in place:
+    the total energy H = E(x) + |v|^2 / 2.  A neighbor is ``None`` until
+    :meth:`fill` integrates it.  Nothing writes into a node's arrays, so
+    nodes share them.  Each transition kind has one update rule, applied in
+    place, and no rule integrates:
 
     - L (:meth:`leap`): the forward node becomes current and the previous
-      current node becomes backward; only the new forward node is
-      integrated.
+      current node becomes backward; the new forward node is missing.
     - F (:meth:`flip`): since L(F zeta) = F L^-1 zeta and L^-1(F zeta) =
       F L zeta, the new forward node is the old backward node flipped and
       the new backward node is the old forward node flipped.  A flip
       negates v and keeps the potential, the total energy and the
       gradient, so nothing is evaluated.
-    - R (:meth:`redraw`): both neighbors of the redrawn state are
-      integrated afresh.
-
-    A rule that raises leaves the cache as it was.
+    - R (:meth:`redraw`): the momentum is redrawn and both neighbors are
+      missing.
     """
 
     __slots__ = ("current", "forward", "backward")
 
-    def __init__(self, current: tuple, forward: tuple, backward: tuple):
+    def __init__(self, current: tuple, forward: Optional[tuple], backward: Optional[tuple]):
         self.current, self.forward, self.backward = current, forward, backward
 
-    def leap(self, ef: EnergyFunction, epsilon: float, steps: int) -> None:
-        nxt = self.forward
-        x, v, grad, _, _ = nxt
-        forward = _node(*ef.trajectory(x, v, grad, epsilon, steps), ef)
-        self.current, self.forward, self.backward = nxt, forward, self.current
+    def leap(self) -> None:
+        self.current, self.forward, self.backward = self.forward, None, self.current
 
     def flip(self) -> None:
         self.current, self.forward, self.backward = (
             _flipped(self.current), _flipped(self.backward), _flipped(self.forward)
         )
 
-    def redraw(
-        self, ef: EnergyFunction, epsilon: float, steps: int, rng: np.random.Generator
-    ) -> None:
+    def redraw(self, rng: np.random.Generator) -> None:
         x, _, grad, potential, _ = self.current
         v = rng.standard_normal(x.size)
-        self.forward, self.backward = _neighbors(x, v, grad, ef, epsilon, steps)
         self.current = (x, v, grad, potential, potential + kinetic_energy(v))
+        self.forward = self.backward = None
+
+    def fill(self, ef: EnergyFunction, epsilon: float, steps: int, backward: bool = False) -> None:
+        """Integrate the missing forward node, then the missing backward node if asked.
+
+        The jump sampler needs both neighbors, the HMC control only the
+        forward one, its proposal.  A fill that raises leaves the cache as it was.
+        """
+        x, v, grad, _, _ = self.current
+        fwd, bwd = self.forward, self.backward
+        if fwd is None:
+            fwd = _node(*ef.trajectory(x, v, grad, epsilon, steps), ef)
+        if backward and bwd is None:
+            xb, vb, gb = ef.trajectory(x, -v, grad, epsilon, steps)
+            bwd = _node(xb, -vb, gb, ef)
+        self.forward, self.backward = fwd, bwd
 
 
-def init_cache(zeta: PhaseState, config: SamplerConfig, ef: EnergyFunction) -> StateCache:
-    """Build the neighbor cache for a fresh chain start."""
-    x, v = zeta.x, zeta.v
-    grad = ef.gradient(x)
-    current = _node(x, v, grad, ef)
-    return StateCache(current, *_neighbors(x, v, grad, ef, config.epsilon, config.steps))
+def init_cache(zeta: PhaseState, ef: EnergyFunction) -> StateCache:
+    """The cache at a chain start: the current node, with both neighbors missing.
+
+    Raises IntegrationError, carrying the start, where its total energy is
+    not finite.
+    """
+    return StateCache(_node(zeta.x, zeta.v, ef.gradient(zeta.x), ef), None, None)
 
 
 def _log_rates(cache: StateCache) -> tuple[float, float]:
@@ -193,19 +195,21 @@ def step(
     Returns the winning kind, "L", "F" or "R", and the holding time of the
     state left.  The race compares log waiting times, so it is exact even
     where a rate overflows.  Ties (a measure-zero event) resolve with the
-    fixed priority L > F > R.  The cache is updated in place by the rule of
-    the winning kind (see :class:`StateCache`): an L transition costs one
+    fixed priority L > F > R.  The cache must hold both neighbors; it is
+    updated in place by the rule of the winning kind (see
+    :class:`StateCache`) and filled again, so an L transition costs one
     leapfrog integration, an F transition none, an R transition two.
     """
     log_waits = _log_waiting_times(*_log_rates(cache), config.beta, rng)
     shortest = min(log_waits)
     kind = _RACE_KINDS[log_waits.index(shortest)]
     if kind == "L":
-        cache.leap(ef, config.epsilon, config.steps)
+        cache.leap()
     elif kind == "F":
         cache.flip()
     else:
-        cache.redraw(ef, config.epsilon, config.steps, rng)
+        cache.redraw(rng)
+    cache.fill(ef, config.epsilon, config.steps, backward=True)
     return kind, _holding_time(shortest)
 
 
@@ -285,7 +289,8 @@ def sample_chain(config: SamplerConfig, ef: EnergyFunction, init: PhaseState) ->
     """
 
     def rows(counter, rng):
-        cache = init_cache(init, config, counter)
+        cache = init_cache(init, counter)
+        cache.fill(counter, config.epsilon, config.steps, backward=True)
         while True:
             x, v, _, _, _ = cache.current
             kind, holding_time = step(cache, config, counter, rng)

@@ -294,7 +294,9 @@ def test_criterion_8_holding_time_law():
     ef = RoughWell()
     config = SamplerConfig(epsilon=1.0, steps=3, beta=0.5, n_samples=1, seed=0)
     state = PhaseState([-1.69921191, -1.02124494], [-0.01153306, -1.48537518])
-    log_gamma_L, log_gamma_F = _log_rates(init_cache(state, config, ef))
+    cache = init_cache(state, ef)
+    cache.fill(ef, config.epsilon, config.steps, backward=True)
+    log_gamma_L, log_gamma_F = _log_rates(cache)
     total = _exp(log_gamma_L) + _exp(log_gamma_F) + config.beta
     rng = np.random.default_rng(808)
     mins = np.array(

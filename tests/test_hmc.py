@@ -102,19 +102,46 @@ def test_momentum_corruption_probability():
     assert chain.momenta.var() == pytest.approx(1.0, rel=0.1)
 
 
-def test_rejection_flips_momentum():
+def rejecting_chain():
     # with a huge step the proposal is (almost) always rejected; beta ~ 0
-    # means the momentum should simply change sign each step
+    # means no redraw
     ef = DiagonalGaussian.isotropic(1, precision=4.0)
     config = HmcConfig(epsilon=1.9, steps=1, beta=1e-12, n_samples=60, seed=6)
     init = PhaseState([0.3], [0.7])
-    chain = hmc_chain(config, ef, init)
+    return config, init, hmc_chain(config, ef, init)
+
+
+def test_rejection_flips_momentum():
+    # the momentum should simply change sign at each rejection
+    _, init, chain = rejecting_chain()
     rejected = ~chain.accepted
     assert rejected.sum() > 0
     prev_v = np.concatenate([[init.v[0]], chain.momenta[:-1, 0]])
     prev_x = np.concatenate([[init.x[0]], chain.positions[:-1, 0]])
     np.testing.assert_array_equal(chain.momenta[rejected, 0], -prev_v[rejected])
     np.testing.assert_array_equal(chain.positions[rejected, 0], prev_x[rejected])
+
+
+def test_proposal_integrated_only_after_acceptance():
+    # Without redraws, an accepted step leaves the next proposal missing
+    # (L rule), and a rejected one hands the next step its proposal from
+    # the cache (F rule: the old backward node flipped, which the cache
+    # holds once the first step has run).  So from the third step on, a
+    # step costs ``steps`` exactly when the step before it was accepted.
+    config, _, chain = rejecting_chain()
+    cost = np.diff(chain.gradient_evals)
+    np.testing.assert_array_equal(cost[1:], config.steps * (chain.transitions[1:-1] == "L"))
+
+
+def test_gaussian_variance_recovered_when_cache_hits_dominate():
+    # epsilon * sqrt(precision) = 1.9 rejects often and redraws are rare,
+    # so most proposals come from the cache instead of the integrator
+    ef = DiagonalGaussian.isotropic(1, precision=4.0)
+    config = HmcConfig(epsilon=0.95, steps=2, beta=0.05, n_samples=50_000, seed=0)
+    chain = hmc_chain(config, ef, PhaseState([0.0], [1.0]))
+    hit_share = np.mean(np.diff(chain.gradient_evals) == 0)
+    assert hit_share > 0.4
+    assert chain.positions.var() * 4.0 == pytest.approx(1.0, rel=0.05)
 
 
 def test_config_validation():

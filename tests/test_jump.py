@@ -40,6 +40,13 @@ def pinned_cache(h_cur, h_fwd, h_bwd):
     )
 
 
+def filled_cache(state, config, ef):
+    """The sampler cache at ``state`` with both neighbors integrated, as a chain start has it."""
+    cache = init_cache(state, ef)
+    cache.fill(ef, config.epsilon, config.steps, backward=True)
+    return cache
+
+
 def waiting_times(log_gamma_L, log_gamma_F, beta, rng):
     """The three competing waiting times (L, F, R) of one race, as the sampler draws them."""
     return [_holding_time(lw) for lw in _log_waiting_times(log_gamma_L, log_gamma_F, beta, rng)]
@@ -117,7 +124,7 @@ class TestStep:
         ef = RoughWell()
         config = SamplerConfig(epsilon=1.0, steps=3, beta=0.5, n_samples=1, seed=0)
         state = PhaseState([-1.69921191, -1.02124494], [-0.01153306, -1.48537518])
-        cache = init_cache(state, config, ef)
+        cache = filled_cache(state, config, ef)
         log_gamma_L, log_gamma_F = _log_rates(cache)
         rates = np.array([_exp(log_gamma_L), _exp(log_gamma_F), config.beta])
         probs = rates / total_rate(log_gamma_L, log_gamma_F, config.beta)
@@ -140,7 +147,7 @@ class TestStep:
         config = SamplerConfig(epsilon=0.6, steps=2, beta=0.2, n_samples=1, seed=9)
         rng = np.random.default_rng(9)
         state = PhaseState(np.array([0.5, -0.2]), np.array([1.0, 0.3]))
-        cache = init_cache(state, config, ef)
+        cache = filled_cache(state, config, ef)
         for _ in range(200):
             current, forward = cache.current, cache.forward
             kind, _ = step(cache, config, ef, rng)
@@ -217,7 +224,7 @@ class TestSampleChain:
         ef = RoughWell()
         config = SamplerConfig(epsilon=1.0, steps=3, beta=0.5, n_samples=1, seed=0)
         state = PhaseState([-1.69921191, -1.02124494], [-0.01153306, -1.48537518])
-        log_rates = (*_log_rates(init_cache(state, config, ef)), config.beta)
+        log_rates = (*_log_rates(filled_cache(state, config, ef)), config.beta)
         rng = np.random.default_rng(7)
         mins = np.array([min(waiting_times(*log_rates, rng)) for _ in range(20_000)])
         assert mins.mean() == pytest.approx(1.0 / total_rate(*log_rates), rel=0.02)
@@ -230,7 +237,7 @@ class TestSampleChain:
         chain = sample_chain(config, GAUSS_2D, init)
         ef = CountingEnergy(GAUSS_2D)
         rng = np.random.default_rng(config.seed)
-        cache = init_cache(init, config, ef)
+        cache = filled_cache(init, config, ef)
         for i in range(len(chain)):
             x, v, _, _, _ = cache.current
             kind, holding_time = step(cache, config, ef, rng)
@@ -357,7 +364,7 @@ class TestCacheRules:
         config = SamplerConfig(epsilon=1.0, steps=3, beta=0.5, n_samples=1, seed=0)
         params = LeapfrogParams(config.epsilon, config.steps)
         state = PINNED_ROUGH
-        fresh = init_cache(state, config, ef)
+        fresh = filled_cache(state, config, ef)
         nodes = (fresh.current, fresh.forward, fresh.backward)
         for seed in range(100):
             calls = (ef.gradient_calls, ef.energy_calls)

@@ -11,7 +11,6 @@ from jumphmc import (
     LeapfrogParams,
     PhaseState,
     RoughWell,
-    SamplerConfig,
     init_cache,
     joint_energy,
 )
@@ -24,10 +23,16 @@ def random_states(rng, n, dim=2, scale=2.0):
     return [PhaseState(rng.normal(scale=scale, size=dim), rng.standard_normal(dim)) for _ in range(n)]
 
 
+def filled_cache(state, params, ef):
+    """The sampler cache at ``state`` with both neighbors integrated."""
+    cache = init_cache(state, ef)
+    cache.fill(ef, params.epsilon, params.steps, backward=True)
+    return cache
+
+
 def backward(state, params, ef):
-    """L^-1 of ``state``: the backward node of a fresh sampler cache."""
-    config = SamplerConfig(params.epsilon, params.steps, beta=1.0, n_samples=1)
-    x, v, _, _, _ = init_cache(state, config, ef).backward
+    """L^-1 of ``state``: the backward node of a filled sampler cache."""
+    x, v, _, _, _ = filled_cache(state, params, ef).backward
     return PhaseState(x, v)
 
 
@@ -178,12 +183,12 @@ class FreeParticle(EnergyFunction):
 
 def redrawn_momentum(cache, rng):
     """The momentum R draws: the R rule of the sampler cache, applied in place."""
-    cache.redraw(FreeParticle(cache.current[0].size), 0.1, 1, rng)
+    cache.redraw(rng)
     return cache.current[1]
 
 
 def free_cache(state):
-    return init_cache(state, SamplerConfig(0.1, 1, beta=1.0, n_samples=1), FreeParticle(state.dim))
+    return filled_cache(state, LeapfrogParams(0.1, 1), FreeParticle(state.dim))
 
 
 def test_randomize_momentum_keeps_position():
