@@ -17,18 +17,18 @@ from jumphmc import (
     PhaseState,
     RoughWell,
     SamplerConfig,
-    sample_chain,
+    run_chain,
     systematic_resample_indices,
     weighted_moments,
 )
 from jumphmc.chainio import write_chain_csv
 
 ef = RoughWell()
-config = SamplerConfig(epsilon=2.5, steps=25, beta=0.02, n_samples=20_000, seed=0)
+config = SamplerConfig("mjhmc", epsilon=2.5, steps=25, beta=0.02, n_samples=20_000, seed=0)
 init = PhaseState(np.zeros(2), np.random.default_rng(1).standard_normal(2))
 
 print("running", config.n_samples, "jump-process steps on the rough well ...")
-chain = sample_chain(config, ef, init)
+chain = run_chain(config, ef, init)
 
 print("\n--- race statistics ---")
 counts = chain.transition_counts()

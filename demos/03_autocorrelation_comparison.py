@@ -21,6 +21,7 @@ import numpy as np
 from jumphmc import (
     PhaseState,
     RoughWell,
+    SamplerConfig,
     autocorrelation,
     fit_decay,
     run_chain,
@@ -35,12 +36,12 @@ init = PhaseState(np.zeros(2), np.random.default_rng(5).standard_normal(2))
 # note the jump sampler tunes to a larger step and much rarer momentum
 # corruption than the control
 print("running the jump sampler ...")
-mj = run_chain("mjhmc", epsilon=2.546, steps=42, beta=0.0168, n_samples=8000, seed=11,
-               ef=ef, init=init)
+mj_config = SamplerConfig("mjhmc", epsilon=2.546, steps=42, beta=0.0168, n_samples=8000, seed=11)
+mj = run_chain(mj_config, ef, init)
 
 print("running the discrete-time control ...")
-hc = run_chain("hmc", epsilon=1.286, steps=29, beta=0.288, n_samples=12000, seed=12,
-               ef=ef, init=init)
+hc_config = SamplerConfig("hmc", epsilon=1.286, steps=29, beta=0.288, n_samples=12000, seed=12)
+hc = run_chain(hc_config, ef, init)
 
 budget = min(c.gradient_evals[-1] - c.gradient_evals[0] for c in (mj, hc))
 max_lag = 0.10 * float(budget)

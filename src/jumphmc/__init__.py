@@ -22,13 +22,11 @@ from .errors import (
     DimensionError,
     IntegrationError,
 )
-from .hmc import HmcConfig, hmc_chain
 from .jump import (
     Chain,
     SamplerConfig,
     StateCache,
     init_cache,
-    sample_chain,
     step,
     systematic_resample_indices,
     weighted_moments,

@@ -31,6 +31,7 @@ from .chainio import (
 from .diagnostics import MIN_FIT_LAGS, MIN_SAMPLES, autocorrelation, fit_decay, tuning_objective
 from .energy import DiagonalGaussian, EnergyFunction, GaussianParams, RoughWell, RoughWellParams
 from .errors import DecayFitError, DegenerateChainError, DegenerateLadderError, IntegrationError
+from .jump import SamplerConfig
 from .ladder import (
     DEFAULT_LADDER_SIZES,
     Ladder,
@@ -61,6 +62,8 @@ class ConfigError(Exception):
 
 def _require(config: dict, allowed: dict, context: str) -> dict:
     """Validate keys against {name: (required, checker)}; reject unknown keys."""
+    if not isinstance(config, dict):
+        raise ConfigError(f"{context}: must be an object")
     unknown = sorted(set(config) - set(allowed))
     if unknown:
         raise ConfigError(f"{context}: unknown keys {unknown}")
@@ -99,20 +102,15 @@ def _positive_int(x) -> int:
     return int(x)
 
 
-def _int(x) -> int:
-    if isinstance(x, bool) or int(x) != x:
-        raise ValueError("must be an integer")
-    return int(x)
-
-
 def _int_at_least(low: int):
     """A checker for integers of at least ``low``."""
 
     def check(x) -> int:
-        x = _int(x)
-        if x < low:
+        if isinstance(x, bool) or int(x) != x:
+            raise ValueError("must be an integer")
+        if int(x) < low:
             raise ValueError(f"must be at least {low}")
-        return x
+        return int(x)
 
     return check
 
@@ -184,18 +182,14 @@ def _pair(checker):
     return check
 
 
-def _hyper_triple(obj) -> dict:
-    if not isinstance(obj, dict):
-        raise ValueError("must be an object with epsilon, steps, beta")
-    return _require(
-        obj,
-        {
-            "epsilon": (True, _positive_number),
-            "steps": (True, _positive_int),
-            "beta": (True, _positive_number),
-        },
-        "sampler hyperparameters",
-    )
+def _hyper_triple(context: str):
+    """A checker for the {epsilon, steps, beta} object at ``context``."""
+    keys = {
+        "epsilon": (True, _positive_number),
+        "steps": (True, _positive_int),
+        "beta": (True, _positive_number),
+    }
+    return lambda x: _require(x, keys, context)
 
 
 def _load_config(path: Optional[str]) -> dict:
@@ -248,7 +242,7 @@ def cmd_sample(config: dict, out: Optional[str], config_path: Optional[str]) -> 
             "steps": (True, _positive_int),
             "beta": (True, _positive_number),
             "n_samples": (True, _positive_int),
-            "seed": (False, _int),
+            "seed": (False, _int_at_least(0)),
             "init_position": (False, _number_list),
             "out": (False, _string),
         },
@@ -269,14 +263,16 @@ def cmd_sample(config: dict, out: Optional[str], config_path: Optional[str]) -> 
     meta_config["seed"] = seed
     csv_path, json_path = f"{prefix}.csv", f"{prefix}.json"
     _refuse_config_overwrite(config_path, csv_path, json_path)
-    failure = None
     try:
-        chain = run_chain(
+        sampler_config = SamplerConfig(
             fields["sampler"], fields["epsilon"], fields["steps"], fields["beta"],
-            fields["n_samples"], chain_seed, ef, init,
+            fields["n_samples"], chain_seed,
         )
     except ValueError as err:
         raise ConfigError(f"sample config: {err}") from err
+    failure = None
+    try:
+        chain = run_chain(sampler_config, ef, init)
     except IntegrationError as err:
         chain, failure = err.partial_chain, err  # the rows recorded before the failure
     if len(chain):
@@ -296,7 +292,7 @@ def cmd_spectral_gap(config: dict, out: Optional[str], config_path: Optional[str
         {
             "sizes": (False, lambda x: [_positive_int(v) for v in x]),
             "draws_per_size": (False, _positive_int),
-            "seed": (False, _int),
+            "seed": (False, _int_at_least(0)),
             "out": (False, _string),
         },
         "spectral-gap config",
@@ -320,12 +316,12 @@ def cmd_autocorr(config: dict, out: Optional[str], config_path: Optional[str]) -
         config,
         {
             "model": (True, lambda x: x),
-            "mjhmc": (True, _hyper_triple),
-            "hmc": (True, _hyper_triple),
+            "mjhmc": (True, _hyper_triple("autocorr config.mjhmc")),
+            "hmc": (True, _hyper_triple("autocorr config.hmc")),
             "n_samples": (True, _int_at_least(MIN_SAMPLES)),
             "n_lags": (False, _int_at_least(MIN_FIT_LAGS)),
             "max_lag_evals": (False, _positive_number),
-            "seed": (False, _int),
+            "seed": (False, _int_at_least(0)),
             "out": (False, _string),
         },
         "autocorr config",
@@ -342,15 +338,18 @@ def cmd_autocorr(config: dict, out: Optional[str], config_path: Optional[str]) -
 
     meta_config = {k: v for k, v in fields.items() if k != "out"}
     meta_config["seed"] = seed
-    samples = {}
+    sampler_configs = {}
     for name, chain_seed in (("mjhmc", mj_seed), ("hmc", hmc_seed)):
         try:
-            chain = run_chain(
-                name, n_samples=fields["n_samples"], seed=chain_seed, ef=ef, init=init,
-                **fields[name],
+            sampler_configs[name] = SamplerConfig(
+                name, n_samples=fields["n_samples"], seed=chain_seed, **fields[name]
             )
         except ValueError as err:
             raise ConfigError(f"autocorr config.{name}: {err}") from err
+    samples = {}
+    for name, sampler_config in sampler_configs.items():
+        try:
+            chain = run_chain(sampler_config, ef, init)
         except IntegrationError as err:
             print(f"error: integration failure: {err}", file=sys.stderr)
             return EXIT_NUMERICAL
@@ -389,7 +388,7 @@ def cmd_tune(config: dict, out: Optional[str], config_path: Optional[str]) -> in
             "budget": (True, _positive_int),
             "space": (False, lambda x: x),
             "eval": (False, lambda x: x),
-            "seed": (False, _int),
+            "seed": (False, _int_at_least(0)),
             "out": (False, _string),
         },
         "tune config",
@@ -424,11 +423,7 @@ def cmd_tune(config: dict, out: Optional[str], config_path: Optional[str]) -> in
         "tune config.eval",
     )
     try:
-        eval_config = TuningEvalConfig(
-            n_samples=eval_fields.get("n_samples", 4000),
-            n_lags=eval_fields.get("n_lags", 120),
-            max_lag_evals=eval_fields.get("max_lag_evals"),
-        )
+        eval_config = TuningEvalConfig(**eval_fields)
     except ValueError as err:
         raise ConfigError(f"tune config.eval: {err}") from err
 
@@ -532,7 +527,7 @@ def cmd_check(config: dict, out: Optional[str], config_path: Optional[str]) -> i
     fields = _require(
         config,
         {
-            "seed": (False, _int),
+            "seed": (False, _int_at_least(0)),
             "balance_ladders": (False, _positive_int),
             "similarity_ladders": (False, _positive_int),
             "race_vectors": (False, _positive_int),

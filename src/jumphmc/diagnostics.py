@@ -120,6 +120,7 @@ def autocorrelation(
 
 _BATCH_ROWS = 64  # b candidates per lockstep batch; bounds the (rows, n_lags) temporaries
 _NEWTON_ITERS = 64  # safety cap: bisection alone reaches the tolerance in about 30
+_GRID_POINTS = 60  # log-spaced points of the coarse grids in a and in b
 
 
 def _safeguarded_newton(terms, x, lo, hi, tol):
@@ -169,7 +170,7 @@ def _may_win(bound: np.ndarray, known: float, slack: float) -> np.ndarray:
     return ~(bound > known + slack)
 
 
-def fit_decay(series: AutocorrSeries, grid_points: int = 60) -> DecayFit:
+def fit_decay(series: AutocorrSeries) -> DecayFit:
     """Least-squares fit of Re[exp(r n)] to the autocorrelation series.
 
     The model with r = -a + ib is exp(-a n) cos(b n).  The decay and
@@ -208,7 +209,7 @@ def fit_decay(series: AutocorrSeries, grid_points: int = 60) -> DecayFit:
     n_max = lags[-1]
     n_min = np.min(lags[1:])
     a_floor = 0.01 / n_max
-    a_grid = np.concatenate([[0.0], np.geomspace(a_floor, 20.0 / n_min, grid_points)])
+    a_grid = np.concatenate([[0.0], np.geomspace(a_floor, 20.0 / n_min, _GRID_POINTS)])
     # The grid's last point closes the bracket of the one before it: where the
     # profile keeps falling past the grid, the search then starts at the end.
     a_grid = np.append(a_grid, 2.0 * a_grid[-1])
@@ -295,7 +296,7 @@ def fit_decay(series: AutocorrSeries, grid_points: int = 60) -> DecayFit:
             best.update(a=float(a[i]), b=float(bs[rows[i]]), val=float(val[i]))
 
     b_floor = 0.1 / n_max
-    b_coarse = np.concatenate([[0.0], np.geomspace(b_floor, np.pi / n_min, grid_points)])
+    b_coarse = np.concatenate([[0.0], np.geomspace(b_floor, np.pi / n_min, _GRID_POINTS)])
     b_dense = np.arange(0.0, np.pi / n_min, 0.5 * np.pi / n_max)
     b_grid = np.unique(np.concatenate([b_coarse, b_dense]))
     # The first bound needs no a: it drops a candidate whose band from 0 to

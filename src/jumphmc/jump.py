@@ -14,6 +14,16 @@ and a step is an exponential race between the three arms.  The time spent
 waiting in each state (the holding time) doubles as an importance weight,
 so visited states plus holding times can be resampled into an unweighted
 chain (:func:`systematic_resample_indices`).
+
+The module also runs the discrete-time HMC control (:func:`hmc_chain`).
+One control step proposes the leapfrog image of the current state,
+accepts it with the Metropolis-Hastings probability min(1, exp(-dH)),
+flips the momentum on rejection (keeping the position), and then redraws
+the momentum with probability ``beta``.  Flip-on-reject makes the chain's
+restriction to a state ladder well defined, which is what the spectral-gap
+comparison uses.  Accept, reject and redraw are the L, F and R rules of
+:class:`StateCache`, so both samplers keep their state in the same cache,
+and one :class:`SamplerConfig` describes a chain of either.
 """
 
 from __future__ import annotations
@@ -40,8 +50,15 @@ def _exp(log_value: float) -> float:
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Hyperparameters of a jump-process chain."""
+    """Hyperparameters of a chain of either sampler.
 
+    ``sampler`` is "mjhmc" for the jump sampler, whose ``beta`` is a
+    momentum-redraw rate and must be positive and finite, or "hmc" for the
+    discrete-time control, whose ``beta`` is a per-step redraw probability
+    in (0, 1].
+    """
+
+    sampler: str
     epsilon: float
     steps: int
     beta: float
@@ -49,8 +66,14 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
+        if self.sampler == "mjhmc":
+            if not 0 < self.beta < math.inf:
+                raise ValueError("beta must be positive and finite")
+        elif self.sampler == "hmc":
+            if not 0 < self.beta <= 1:
+                raise ValueError("beta must lie in (0, 1]")
+        else:
+            raise ValueError(f"unknown sampler kind: {self.sampler!r}")
         if self.n_samples < 1:
             raise ValueError("n_samples must be at least 1")
         LeapfrogParams(self.epsilon, self.steps)  # validates epsilon/steps
@@ -251,20 +274,19 @@ class Chain:
         return float(np.mean(self.accepted))
 
 
-def record_chain(
-    sampler: str, rows: Callable, ef: EnergyFunction, dim: int, n: int, seed: int
-) -> Chain:
-    """Record the first ``n`` rows of a chain; the one loop of both samplers.
+def record_chain(config: SamplerConfig, rows: Callable, ef: EnergyFunction, dim: int) -> Chain:
+    """Record the first ``config.n_samples`` rows of a chain; the one loop of both samplers.
 
     ``rows(counter, rng)`` yields ``(x, v, holding_time, kind)`` per row,
     evaluating the target through ``counter`` and drawing from ``rng``,
-    which is seeded with ``seed``.  Each row's gradient count is read from
-    ``counter`` once the row is produced.  If producing row i raises
-    :class:`IntegrationError`, the error carries rows ``[:i]`` as
+    which is seeded with ``config.seed``.  Each row's gradient count is
+    read from ``counter`` once the row is produced.  If producing row i
+    raises :class:`IntegrationError`, the error carries rows ``[:i]`` as
     ``partial_chain``.
     """
+    n, sampler = config.n_samples, config.sampler
     counter = CountingEnergy(ef)
-    produce = rows(counter, np.random.default_rng(seed))
+    produce = rows(counter, np.random.default_rng(config.seed))
     arrays = (
         np.empty((n, dim)), np.empty((n, dim)), np.empty(n),
         np.empty(n, dtype="<U1"), np.empty(n, dtype=np.int64),
@@ -281,7 +303,7 @@ def record_chain(
 
 
 def sample_chain(config: SamplerConfig, ef: EnergyFunction, init: PhaseState) -> Chain:
-    """Generate ``config.n_samples`` weighted samples starting from ``init``.
+    """Generate ``config.n_samples`` weighted jump-sampler samples starting from ``init``.
 
     The first recorded state is ``init`` itself.  If the integrator fails,
     the raised :class:`IntegrationError` carries the rows recorded so far
@@ -296,7 +318,39 @@ def sample_chain(config: SamplerConfig, ef: EnergyFunction, init: PhaseState) ->
             kind, holding_time = step(cache, config, counter, rng)
             yield x, v, holding_time, kind
 
-    return record_chain("mjhmc", rows, ef, init.dim, config.n_samples, config.seed)
+    return record_chain(config, rows, ef, init.dim)
+
+
+def hmc_chain(config: SamplerConfig, ef: EnergyFunction, init: PhaseState) -> Chain:
+    """Run ``config.n_samples`` steps of the discrete-time HMC control from ``init``.
+
+    Row i is the state after step i, with holding time 1 and transition L
+    (accepted) or F (rejected).  A step fills only the cache's forward node,
+    its proposal, so it costs the gradient evaluations of at most one
+    leapfrog application, and none when the proposal is already cached.
+    After a rejection it usually is: the F rule makes the old backward node,
+    flipped, the next proposal, so after an accepted step the proposal
+    L(F L zeta) = F zeta is the stored earlier state flipped.
+    """
+
+    def rows(counter, rng):
+        cache = init_cache(init, counter)
+        while True:
+            cache.fill(counter, config.epsilon, config.steps)
+            d_h = cache.forward[4] - cache.current[4]
+            u = rng.random()
+            if d_h <= 0 or u < np.exp(-d_h):
+                cache.leap()
+                kind = "L"
+            else:
+                cache.flip()
+                kind = "F"
+            if rng.random() < config.beta:
+                cache.redraw(rng)
+            x, v, _, _, _ = cache.current
+            yield x, v, 1.0, kind
+
+    return record_chain(config, rows, ef, init.dim)
 
 
 def systematic_resample_indices(

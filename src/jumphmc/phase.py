@@ -51,8 +51,8 @@ class LeapfrogParams:
     steps: int
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.epsilon < np.inf:
+            raise ValueError("epsilon must be positive and finite")
         if self.steps < 1:
             raise ValueError("steps must be at least 1")
 

@@ -8,7 +8,7 @@ failing: a control that rejects every proposal, or a jump chain whose
 holding-time resample puts every draw on one state.  A jump chain of
 momentum resamples only (R rows) still fails: far past stability its
 trajectories leave every L and F rate at exactly 0.  :func:`run_chain` is
-the one run path of both samplers, shared with the CLI.
+the library's one way to run a chain of either sampler, shared with the CLI.
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ import numpy as np
 from .diagnostics import MIN_FIT_LAGS, MIN_SAMPLES, autocorrelation, fit_decay, tuning_objective
 from .energy import EnergyFunction
 from .errors import DecayFitError, DegenerateChainError, IntegrationError
-from .hmc import HmcConfig, hmc_chain
-from .jump import Chain, SamplerConfig, sample_chain, systematic_resample_indices
+from .jump import Chain, SamplerConfig, hmc_chain, sample_chain, systematic_resample_indices
 from .phase import PhaseState
 
 
@@ -80,21 +79,10 @@ class TuningEvalConfig:
             raise ValueError(f"n_lags must be at least {MIN_FIT_LAGS}")
 
 
-def run_chain(
-    sampler: str, epsilon: float, steps: int, beta: float, n_samples: int, seed: int,
-    ef: EnergyFunction, init: PhaseState,
-) -> Chain:
-    """Run one chain of either sampler kind from ``init``.
-
-    ``beta`` is a rate for the jump sampler and a per-step probability in
-    (0, 1] for the control.  Invalid hyperparameters raise ValueError
-    before anything is sampled.
-    """
-    if sampler == "mjhmc":
-        return sample_chain(SamplerConfig(epsilon, steps, beta, n_samples, seed), ef, init)
-    if sampler == "hmc":
-        return hmc_chain(HmcConfig(epsilon, steps, beta, n_samples, seed), ef, init)
-    raise ValueError(f"unknown sampler kind: {sampler!r}")
+def run_chain(config: SamplerConfig, ef: EnergyFunction, init: PhaseState) -> Chain:
+    """Run one chain of the sampler that ``config`` names, from ``init``."""
+    run = sample_chain if config.sampler == "mjhmc" else hmc_chain
+    return run(config, ef, init)
 
 
 def unweighted_samples(chain: Chain, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -129,13 +117,12 @@ def evaluate_trial(
     row is R: such a jump chain never ran a trajectory it could accept, so
     it fails, as do integration and fit failures.
     """
+    config = SamplerConfig(sampler, epsilon, steps, beta, eval_config.n_samples, chain_seed)
     aux_rng = np.random.default_rng(aux_seed)
     init = PhaseState(np.zeros(ef.dim), aux_rng.standard_normal(ef.dim))
     objective = None
     try:
-        chain = run_chain(
-            sampler, epsilon, steps, beta, eval_config.n_samples, chain_seed, ef, init
-        )
+        chain = run_chain(config, ef, init)
         series = autocorrelation(
             *unweighted_samples(chain, aux_rng),
             max_lag_evals=eval_config.max_lag_evals, n_lags=eval_config.n_lags,

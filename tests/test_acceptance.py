@@ -12,7 +12,6 @@ import numpy as np
 from jumphmc import (
     DiagonalGaussian,
     GaussianParams,
-    HmcConfig,
     Ladder,
     LeapfrogParams,
     PhaseState,
@@ -22,11 +21,10 @@ from jumphmc import (
     balance_check,
     build_mjhmc_rate_matrix,
     fit_decay,
-    hmc_chain,
     init_cache,
     joint_energy,
     random_ladder_experiment,
-    sample_chain,
+    run_chain,
     similarity_check,
     spectral_distance,
     systematic_resample_indices,
@@ -146,9 +144,11 @@ def test_criterion_5_sampler_correctness():
     worst_mean_ses = 0.0
     worst_cov_err = 0.0
     for seed in (0, 1, 2):
-        config = SamplerConfig(epsilon=0.9, steps=5, beta=0.1, n_samples=100_000, seed=seed)
+        config = SamplerConfig(
+            "mjhmc", epsilon=0.9, steps=5, beta=0.1, n_samples=100_000, seed=seed
+        )
         init = PhaseState(np.zeros(2), np.random.default_rng(seed + 100).standard_normal(2))
-        chain = sample_chain(config, ef, init)
+        chain = run_chain(config, ef, init)
         mean, cov = weighted_moments(chain)
         n_batches = 50
         batches = np.array_split(np.arange(len(chain)), n_batches)
@@ -197,13 +197,13 @@ def test_criterion_6_rough_well_decay_ordering():
         s_init, s_mj, s_hmc, s_res = [int(s.generate_state(1)[0]) for s in root.spawn(4)]
         init = PhaseState(np.zeros(2), np.random.default_rng(s_init).standard_normal(2))
 
-        mj_cfg = SamplerConfig(n_samples=14_000, seed=s_mj, **MJHMC_ROUGH_WELL)
-        mj = sample_chain(mj_cfg, ef, init)
+        mj_cfg = SamplerConfig("mjhmc", n_samples=14_000, seed=s_mj, **MJHMC_ROUGH_WELL)
+        mj = run_chain(mj_cfg, ef, init)
         idx = systematic_resample_indices(
             mj.holding_times, len(mj), np.random.default_rng(s_res)
         )
-        h_cfg = HmcConfig(n_samples=20_001, seed=s_hmc, **CONTROL_ROUGH_WELL)
-        hc = hmc_chain(h_cfg, ef, init)
+        h_cfg = SamplerConfig("hmc", n_samples=20_001, seed=s_hmc, **CONTROL_ROUGH_WELL)
+        hc = run_chain(h_cfg, ef, init)
 
         budget_mj = int(mj.gradient_evals[-1] - mj.gradient_evals[0])
         budget_h = int(hc.gradient_evals[-1] - hc.gradient_evals[0])
@@ -292,7 +292,7 @@ def test_criterion_8_holding_time_law():
     """Sojourn times at a pinned state are exponential with the total rate."""
     t0 = time.time()
     ef = RoughWell()
-    config = SamplerConfig(epsilon=1.0, steps=3, beta=0.5, n_samples=1, seed=0)
+    config = SamplerConfig("mjhmc", epsilon=1.0, steps=3, beta=0.5, n_samples=1, seed=0)
     state = PhaseState([-1.69921191, -1.02124494], [-0.01153306, -1.48537518])
     cache = init_cache(state, ef)
     cache.fill(ef, config.epsilon, config.steps, backward=True)

@@ -1,9 +1,11 @@
 """The array-native chain loops against the object-based loops they replaced.
 
 The reference below is the former ``step``/``sample_chain`` of
-``jumphmc.jump`` and ``hmc_chain`` of ``jumphmc.hmc``, kept verbatim apart
-from imports, docstrings and the names ``reference_sample_chain`` and
-``reference_hmc_chain``; the former ``config.leapfrog_params`` property
+``jumphmc.jump`` and ``hmc_chain`` of the former ``jumphmc.hmc``, kept
+verbatim apart from imports, docstrings, config annotations and the names
+``reference_sample_chain`` and ``reference_hmc_chain``.  Both read only
+``config.epsilon/steps/beta/n_samples/seed``, and the chain under test is
+run through ``run_chain``.  The former ``config.leapfrog_params`` property
 reads ``LeapfrogParams(config.epsilon, config.steps)``.  The former phase
 operators and ``Transition`` it uses are copied unchanged below.  It builds one ``WeightedSample``, one
 ``TransitionRates`` and several ``PhaseState`` objects per step and packs
@@ -32,13 +34,11 @@ from jumphmc import (
     DiagonalGaussian,
     EnergyFunction,
     GaussianParams,
-    HmcConfig,
     IntegrationError,
     PhaseState,
     RoughWell,
     SamplerConfig,
-    hmc_chain,
-    sample_chain,
+    run_chain,
 )
 from jumphmc.energy import CountingEnergy, kinetic_energy
 from jumphmc.phase import LeapfrogParams, leapfrog_with_grad
@@ -283,7 +283,7 @@ class _Walker(NamedTuple):
 
 
 def _mh_step(
-    walker: _Walker, config: HmcConfig, ef: EnergyFunction, rng: np.random.Generator
+    walker: _Walker, config: SamplerConfig, ef: EnergyFunction, rng: np.random.Generator
 ) -> tuple[_Walker, bool]:
     proposal, end_grad = leapfrog_with_grad(
         walker.state, LeapfrogParams(config.epsilon, config.steps), ef, grad0=walker.grad
@@ -318,7 +318,7 @@ def _control_chain(positions, momenta, gradient_evals, accepted, energy_evals=0)
     )
 
 
-def reference_hmc_chain(config: HmcConfig, ef: EnergyFunction, init: PhaseState) -> Chain:
+def reference_hmc_chain(config: SamplerConfig, ef: EnergyFunction, init: PhaseState) -> Chain:
     counter = CountingEnergy(ef)
     rng = np.random.default_rng(config.seed)
     n, dim = config.n_samples, init.dim
@@ -374,24 +374,24 @@ BENCH_GAUSSIAN = DiagonalGaussian(GaussianParams(np.logspace(0.0, 2.0, 50)))
     "config, ef, init",
     [
         # the published rough-well setting: about 40% of transitions are F
-        (SamplerConfig(3.0, 25, 0.012314, 3000, seed=0), RoughWell(), rough_start()),
-        (SamplerConfig(3.0, 25, 0.012314, 3000, seed=7), RoughWell(), rough_start(3)),
-        (SamplerConfig(1.0, 10, 0.2, 2000, seed=2), RoughWell(),
+        (SamplerConfig("mjhmc", 3.0, 25, 0.012314, 3000, seed=0), RoughWell(), rough_start()),
+        (SamplerConfig("mjhmc", 3.0, 25, 0.012314, 3000, seed=7), RoughWell(), rough_start(3)),
+        (SamplerConfig("mjhmc", 1.0, 10, 0.2, 2000, seed=2), RoughWell(),
          PhaseState([40.0, -15.0], [0.5, 2.0])),
         # the 50-D Gaussian of the benchmark
-        (SamplerConfig(0.1, 20, 0.1, 1500, seed=4), BENCH_GAUSSIAN,
+        (SamplerConfig("mjhmc", 0.1, 20, 0.1, 1500, seed=4), BENCH_GAUSSIAN,
          PhaseState(np.zeros(50), np.random.default_rng(5).standard_normal(50))),
         # far starts, where the energy drop along L overflows exp
-        (SamplerConfig(1.9, 5, 0.01, 3000, seed=0), DiagonalGaussian.isotropic(2),
+        (SamplerConfig("mjhmc", 1.9, 5, 0.01, 3000, seed=0), DiagonalGaussian.isotropic(2),
          PhaseState(np.array([300.0, 300.0]), np.zeros(2))),
-        (SamplerConfig(1.99, 50, 0.01, 3000, seed=0), DiagonalGaussian.isotropic(2),
+        (SamplerConfig("mjhmc", 1.99, 50, 0.01, 3000, seed=0), DiagonalGaussian.isotropic(2),
          PhaseState(np.array([1e4, 0.0]), np.zeros(2))),
     ],
     ids=["rough-published-0", "rough-published-7", "rough-off-mode", "gaussian-50d",
          "far-300-300", "far-1e4-0"],
 )
 def test_jump_chain_matches_object_loop(config, ef, init):
-    new = sample_chain(config, ef, init)
+    new = run_chain(config, ef, init)
     ref = reference_sample_chain(config, ef, init)
     assert_same_chain(new, ref)
     assert set(new.transition_counts()) == {"L", "F", "R"}  # every cache rule ran
@@ -401,12 +401,12 @@ def test_jump_chain_matches_object_loop(config, ef, init):
     "config, ef, init",
     [
         # the control at its published rough-well setting
-        (HmcConfig(0.591686, 25, 0.429956, 3000, seed=0), RoughWell(), rough_start()),
-        (HmcConfig(0.591686, 25, 0.429956, 3000, seed=9), RoughWell(), rough_start(4)),
-        (HmcConfig(0.1, 20, 0.1, 1500, seed=4), BENCH_GAUSSIAN,
+        (SamplerConfig("hmc", 0.591686, 25, 0.429956, 3000, seed=0), RoughWell(), rough_start()),
+        (SamplerConfig("hmc", 0.591686, 25, 0.429956, 3000, seed=9), RoughWell(), rough_start(4)),
+        (SamplerConfig("hmc", 0.1, 20, 0.1, 1500, seed=4), BENCH_GAUSSIAN,
          PhaseState(np.zeros(50), np.random.default_rng(5).standard_normal(50))),
         # a redraw every step: nothing is ever cached
-        (HmcConfig(0.591686, 25, 1.0, 3000, seed=0), RoughWell(), rough_start()),
+        (SamplerConfig("hmc", 0.591686, 25, 1.0, 3000, seed=0), RoughWell(), rough_start()),
     ],
     ids=["rough-published-0", "rough-published-9", "gaussian-50d", "rough-beta-1"],
 )
@@ -417,7 +417,7 @@ def test_control_chain_matches_object_loop(config, ef, init):
     # for bit before the first hit and to rounding at it.  The error there
     # is measured on the whole phase-space point: a coordinate that returns
     # to exactly 0 in the cache reads about 1e-16 in the reference.
-    new = hmc_chain(config, ef, init)
+    new = run_chain(config, ef, init)
     ref = reference_hmc_chain(config, ef, init)
     hits = np.flatnonzero(np.diff(new.gradient_evals, prepend=0) == 0)
     if config.beta == 1:
@@ -446,19 +446,19 @@ class WalledGaussian(EnergyFunction):
 
 
 @pytest.mark.parametrize(
-    "run, reference, config",
+    "reference, config",
     [
-        (sample_chain, reference_sample_chain,
-         SamplerConfig(epsilon=0.8, steps=4, beta=0.5, n_samples=10_000, seed=12)),
-        (hmc_chain, reference_hmc_chain,
-         HmcConfig(epsilon=0.8, steps=4, beta=0.5, n_samples=10_000, seed=12)),
+        (reference_sample_chain,
+         SamplerConfig("mjhmc", epsilon=0.8, steps=4, beta=0.5, n_samples=10_000, seed=12)),
+        (reference_hmc_chain,
+         SamplerConfig("hmc", epsilon=0.8, steps=4, beta=0.5, n_samples=10_000, seed=12)),
     ],
     ids=["jump", "control"],
 )
-def test_partial_chain_matches_object_loop(run, reference, config):
+def test_partial_chain_matches_object_loop(reference, config):
     init = PhaseState([0.0], [0.1])
     with pytest.raises(IntegrationError) as new:
-        run(config, WalledGaussian(), init)
+        run_chain(config, WalledGaussian(), init)
     with pytest.raises(IntegrationError) as ref:
         reference(config, WalledGaussian(), init)
     assert str(new.value) == "non-finite energy encountered"  # the cache's one message
@@ -469,18 +469,18 @@ def test_partial_chain_matches_object_loop(run, reference, config):
 
 
 @pytest.mark.parametrize(
-    "run, config",
+    "config",
     [
-        (sample_chain, SamplerConfig(epsilon=0.8, steps=4, beta=0.5, n_samples=10)),
-        (hmc_chain, HmcConfig(epsilon=0.8, steps=4, beta=0.5, n_samples=10)),
+        SamplerConfig("mjhmc", epsilon=0.8, steps=4, beta=0.5, n_samples=10),
+        SamplerConfig("hmc", epsilon=0.8, steps=4, beta=0.5, n_samples=10),
     ],
     ids=["jump", "control"],
 )
-def test_non_finite_start_fails_at_init_cache(run, config):
+def test_non_finite_start_fails_at_init_cache(config):
     # both samplers check the start where they build the cache, before any row
     init = PhaseState([3.0], [0.1])
     with pytest.raises(IntegrationError) as err:
-        run(config, WalledGaussian(), init)
+        run_chain(config, WalledGaussian(), init)
     assert str(err.value) == "non-finite energy encountered"
     np.testing.assert_array_equal(err.value.state.x, init.x)
     np.testing.assert_array_equal(err.value.state.v, init.v)

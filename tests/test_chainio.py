@@ -9,13 +9,11 @@ import pytest
 from jumphmc import (
     AutocorrSeries,
     GapExperimentResult,
-    HmcConfig,
     PhaseState,
     RoughWell,
     SamplerConfig,
     autocorrelation,
-    hmc_chain,
-    sample_chain,
+    run_chain,
 )
 from jumphmc.chainio import (
     _header_lines,
@@ -128,8 +126,8 @@ def init():
 
 
 def test_jump_chain(tmp_path, init):
-    chain = sample_chain(
-        SamplerConfig(epsilon=3.0, steps=25, beta=0.012314, n_samples=300, seed=4),
+    chain = run_chain(
+        SamplerConfig("mjhmc", epsilon=3.0, steps=25, beta=0.012314, n_samples=300, seed=4),
         RoughWell(), init,
     )
     assert set(chain.transitions) == {"L", "F", "R"}
@@ -137,8 +135,9 @@ def test_jump_chain(tmp_path, init):
 
 
 def test_control_chain(tmp_path, init):
-    chain = hmc_chain(
-        HmcConfig(epsilon=0.59, steps=25, beta=0.43, n_samples=300, seed=4), RoughWell(), init,
+    chain = run_chain(
+        SamplerConfig("hmc", epsilon=0.59, steps=25, beta=0.43, n_samples=300, seed=4),
+        RoughWell(), init,
     )
     assert_same_bytes(tmp_path, write_chain_csv, reference_write_chain_csv, chain)
 

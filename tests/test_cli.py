@@ -543,3 +543,58 @@ def test_string_or_bool_number_is_config_error(tmp_path, capsys, config, context
     err = capsys.readouterr().err
     assert err == f"config error: {context}: must be a number\n"
     assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
+
+AUTOCORR_GAUSSIAN = {
+    "model": {"name": "gaussian", "precision_diag": [1.0]},
+    "mjhmc": {"epsilon": 0.5, "steps": 4, "beta": 0.3},
+    "hmc": {"epsilon": 0.5, "steps": 4, "beta": 0.4},
+    "n_samples": 100,
+}
+
+
+@pytest.mark.parametrize("via", ["config", "flag"])
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("sample", GAUSSIAN_SAMPLE),
+        ("autocorr", AUTOCORR_GAUSSIAN),
+        ("tune", TUNE_GAUSSIAN),
+        ("spectral-gap", {"sizes": [5], "draws_per_size": 2}),
+        ("check", TestCheck.QUICK),
+    ],
+    ids=["sample", "autocorr", "tune", "spectral-gap", "check"],
+)
+def test_negative_seed_is_config_error(tmp_path, capsys, command, config, via):
+    # numpy's SeedSequence refuses a negative seed with a traceback
+    argv = ["--seed", "-1"] if via == "flag" else []
+    cfg = write_config(tmp_path / "c.json", dict(config, seed=-1) if via == "config" else config)
+    assert main([command, cfg, "--out", str(tmp_path / "out"), *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: {command} config.seed: must be at least 0\n"
+    assert captured.out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
+
+@pytest.mark.parametrize(
+    "command, config, message",
+    [
+        ("tune", dict(TUNE_GAUSSIAN, space=5), "tune config.space: must be an object"),
+        ("tune", dict(TUNE_GAUSSIAN, eval=[1, 2]), "tune config.eval: must be an object"),
+        ("autocorr", dict(AUTOCORR_GAUSSIAN, hmc=[0.5, 4, 0.4]),
+         "autocorr config.hmc: must be an object"),
+        ("autocorr", dict(AUTOCORR_GAUSSIAN, mjhmc={"epsilon": -0.5, "steps": 4, "beta": 0.3}),
+         "autocorr config.mjhmc.epsilon: must be a positive finite number"),
+        ("autocorr", dict(AUTOCORR_GAUSSIAN, hmc={"epsilon": 0.5, "steps": 4}),
+         "autocorr config.hmc: missing required key 'beta'"),
+        ("autocorr", dict(AUTOCORR_GAUSSIAN, hmc={"epsilon": 0.5, "steps": 4, "beta": 0.4, "x": 1}),
+         "autocorr config.hmc: unknown keys ['x']"),
+    ],
+    ids=["tune-space-number", "tune-eval-list", "autocorr-hmc-list", "autocorr-mjhmc-epsilon",
+         "autocorr-hmc-missing", "autocorr-hmc-unknown"],
+)
+def test_nested_object_checked_under_its_path(tmp_path, capsys, command, config, message):
+    cfg = write_config(tmp_path / "c.json", config)
+    assert main([command, cfg, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["c.json"]

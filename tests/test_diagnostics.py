@@ -8,6 +8,7 @@ from jumphmc import (
     DegenerateChainError,
     PhaseState,
     RoughWell,
+    SamplerConfig,
     SearchSpace,
     autocorrelation,
     fit_decay,
@@ -346,7 +347,7 @@ def _model_series():
 def _rough_well_series(sampler, epsilon):
     """Autocorrelation at 120 lags of a short rough-well chain, as a tuning trial scores it."""
     init = PhaseState(np.zeros(2), np.array([0.4, -0.9]))
-    chain = run_chain(sampler, epsilon, 10, 0.1, 400, 5, RoughWell(), init)
+    chain = run_chain(SamplerConfig(sampler, epsilon, 10, 0.1, 400, 5), RoughWell(), init)
     positions, evals = unweighted_samples(chain, np.random.default_rng(6))
     return autocorrelation(positions, evals, n_lags=120)
 
@@ -420,8 +421,8 @@ def trial_series():
         sampler = ("mjhmc", "hmc")[len(series) % 2]
         epsilon, beta, steps = space.draw(rng)
         init = PhaseState(np.zeros(2), rng.standard_normal(2))
-        chain = run_chain(sampler, epsilon, steps, beta, 400, int(rng.integers(2**32)),
-                          RoughWell(), init)
+        config = SamplerConfig(sampler, epsilon, steps, beta, 400, int(rng.integers(2**32)))
+        chain = run_chain(config, RoughWell(), init)
         try:
             series.append(autocorrelation(*unweighted_samples(chain, rng), n_lags=120))
         except DegenerateChainError:

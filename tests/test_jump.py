@@ -12,7 +12,7 @@ from jumphmc import (
     SamplerConfig,
     init_cache,
     joint_energy,
-    sample_chain,
+    run_chain,
     step,
     systematic_resample_indices,
     weighted_moments,
@@ -56,7 +56,7 @@ def total_rate(log_gamma_L, log_gamma_F, beta):
     return _exp(log_gamma_L) + _exp(log_gamma_F) + beta
 
 
-CFG = SamplerConfig(epsilon=0.5, steps=3, beta=0.25, n_samples=10, seed=0)
+CFG = SamplerConfig("mjhmc", epsilon=0.5, steps=3, beta=0.25, n_samples=10, seed=0)
 GAUSS_2D = DiagonalGaussian.isotropic(2)
 
 
@@ -105,16 +105,16 @@ class TestWaitingTimes:
 
 class TestStep:
     def test_huge_beta_dominates(self):
-        config = SamplerConfig(epsilon=0.5, steps=1, beta=1e12, n_samples=10_000, seed=3)
-        chain = sample_chain(config, GAUSS_2D, PhaseState(np.zeros(2), np.ones(2)))
+        config = SamplerConfig("mjhmc", epsilon=0.5, steps=1, beta=1e12, n_samples=10_000, seed=3)
+        chain = run_chain(config, GAUSS_2D, PhaseState(np.zeros(2), np.ones(2)))
         counts = chain.transition_counts()
         assert counts.get("R", 0) / len(chain) >= 0.999
 
     def test_fixed_seed_reproducible(self):
-        config = SamplerConfig(epsilon=0.7, steps=4, beta=0.3, n_samples=500, seed=11)
+        config = SamplerConfig("mjhmc", epsilon=0.7, steps=4, beta=0.3, n_samples=500, seed=11)
         init = PhaseState(np.zeros(2), np.array([1.0, -1.0]))
-        a = sample_chain(config, RoughWell(), init)
-        b = sample_chain(config, RoughWell(), init)
+        a = run_chain(config, RoughWell(), init)
+        b = run_chain(config, RoughWell(), init)
         np.testing.assert_array_equal(a.positions, b.positions)
         np.testing.assert_array_equal(a.holding_times, b.holding_times)
         np.testing.assert_array_equal(a.transitions, b.transitions)
@@ -122,7 +122,7 @@ class TestStep:
     def test_race_frequencies_at_pinned_state(self):
         # repeated races from one state follow the multinomial rate shares
         ef = RoughWell()
-        config = SamplerConfig(epsilon=1.0, steps=3, beta=0.5, n_samples=1, seed=0)
+        config = SamplerConfig("mjhmc", epsilon=1.0, steps=3, beta=0.5, n_samples=1, seed=0)
         state = PhaseState([-1.69921191, -1.02124494], [-0.01153306, -1.48537518])
         cache = filled_cache(state, config, ef)
         log_gamma_L, log_gamma_F = _log_rates(cache)
@@ -144,7 +144,7 @@ class TestStep:
     def test_cache_reuse_after_l_transition(self):
         # the backward energy of the new state is the old state's, bit for bit
         ef = GAUSS_2D
-        config = SamplerConfig(epsilon=0.6, steps=2, beta=0.2, n_samples=1, seed=9)
+        config = SamplerConfig("mjhmc", epsilon=0.6, steps=2, beta=0.2, n_samples=1, seed=9)
         rng = np.random.default_rng(9)
         state = PhaseState(np.array([0.5, -0.2]), np.array([1.0, 0.3]))
         cache = filled_cache(state, config, ef)
@@ -159,17 +159,17 @@ class TestStep:
 
 class TestSampleChain:
     def test_single_sample_is_init(self):
-        config = SamplerConfig(epsilon=0.5, steps=2, beta=0.5, n_samples=1, seed=0)
+        config = SamplerConfig("mjhmc", epsilon=0.5, steps=2, beta=0.5, n_samples=1, seed=0)
         init = PhaseState(np.array([0.3, 0.4]), np.array([-1.0, 2.0]))
-        chain = sample_chain(config, GAUSS_2D, init)
+        chain = run_chain(config, GAUSS_2D, init)
         assert len(chain) == 1
         np.testing.assert_array_equal(chain.positions[0], init.x)
         np.testing.assert_array_equal(chain.momenta[0], init.v)
         assert chain.holding_times[0] > 0
 
     def test_gaussian_weighted_mean_near_zero(self):
-        config = SamplerConfig(epsilon=0.9, steps=5, beta=0.1, n_samples=20_000, seed=4)
-        chain = sample_chain(config, GAUSS_2D, PhaseState(np.zeros(2), np.ones(2)))
+        config = SamplerConfig("mjhmc", epsilon=0.9, steps=5, beta=0.1, n_samples=20_000, seed=4)
+        chain = run_chain(config, GAUSS_2D, PhaseState(np.zeros(2), np.ones(2)))
         mean, cov = weighted_moments(chain)
         # batch-means standard error absorbs the autocorrelation
         n_batches = 50
@@ -186,17 +186,19 @@ class TestSampleChain:
 
     def test_rough_well_at_reported_hyperparameters(self):
         # the published optimum for this sampler on the rough well
-        config = SamplerConfig(epsilon=3.0, steps=25, beta=0.012314, n_samples=100_000, seed=0)
+        config = SamplerConfig(
+            "mjhmc", epsilon=3.0, steps=25, beta=0.012314, n_samples=100_000, seed=0
+        )
         init = PhaseState(np.zeros(2), np.random.default_rng(1).standard_normal(2))
-        chain = sample_chain(config, RoughWell(), init)
+        chain = run_chain(config, RoughWell(), init)
         assert len(chain) == 100_000
         assert np.all(np.isfinite(chain.positions))
         assert np.all(chain.holding_times > 0)
         assert np.all(np.diff(chain.gradient_evals) >= 0)
 
     def test_no_self_transitions(self):
-        config = SamplerConfig(epsilon=0.5, steps=2, beta=0.4, n_samples=2000, seed=6)
-        chain = sample_chain(config, GAUSS_2D, PhaseState(np.zeros(2), np.ones(2)))
+        config = SamplerConfig("mjhmc", epsilon=0.5, steps=2, beta=0.4, n_samples=2000, seed=6)
+        chain = run_chain(config, GAUSS_2D, PhaseState(np.zeros(2), np.ones(2)))
         same_x = np.all(chain.positions[1:] == chain.positions[:-1], axis=1)
         same_v = np.all(chain.momenta[1:] == chain.momenta[:-1], axis=1)
         assert not np.any(same_x & same_v)
@@ -212,9 +214,9 @@ class TestSampleChain:
             def gradient(self, x):
                 return np.asarray(x, dtype=float)
 
-        config = SamplerConfig(epsilon=0.8, steps=4, beta=0.5, n_samples=10_000, seed=12)
+        config = SamplerConfig("mjhmc", epsilon=0.8, steps=4, beta=0.5, n_samples=10_000, seed=12)
         with pytest.raises(IntegrationError) as excinfo:
-            sample_chain(config, WalledGaussian(), PhaseState([0.0], [0.1]))
+            run_chain(config, WalledGaussian(), PhaseState([0.0], [0.1]))
         partial = excinfo.value.partial_chain
         assert partial is not None
         assert 0 < len(partial) < 10_000
@@ -222,7 +224,7 @@ class TestSampleChain:
     def test_holding_time_mean_matches_rate_law(self):
         # sojourn time at a pinned state is exponential with the total rate
         ef = RoughWell()
-        config = SamplerConfig(epsilon=1.0, steps=3, beta=0.5, n_samples=1, seed=0)
+        config = SamplerConfig("mjhmc", epsilon=1.0, steps=3, beta=0.5, n_samples=1, seed=0)
         state = PhaseState([-1.69921191, -1.02124494], [-0.01153306, -1.48537518])
         log_rates = (*_log_rates(filled_cache(state, config, ef)), config.beta)
         rng = np.random.default_rng(7)
@@ -232,9 +234,9 @@ class TestSampleChain:
     def test_chain_rows_replay_step(self):
         # row i holds the state step() left, its holding time, the kind and
         # the cumulative cost: replaying the races reproduces every row
-        config = SamplerConfig(epsilon=0.5, steps=2, beta=0.3, n_samples=50, seed=2)
+        config = SamplerConfig("mjhmc", epsilon=0.5, steps=2, beta=0.3, n_samples=50, seed=2)
         init = PhaseState(np.zeros(2), np.ones(2))
-        chain = sample_chain(config, GAUSS_2D, init)
+        chain = run_chain(config, GAUSS_2D, init)
         ef = CountingEnergy(GAUSS_2D)
         rng = np.random.default_rng(config.seed)
         cache = filled_cache(init, config, ef)
@@ -249,9 +251,31 @@ class TestSampleChain:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            SamplerConfig(epsilon=0.5, steps=2, beta=0.0, n_samples=10)
+            SamplerConfig("mjhmc", epsilon=0.5, steps=2, beta=0.0, n_samples=10)
         with pytest.raises(ValueError):
-            SamplerConfig(epsilon=0.5, steps=2, beta=0.5, n_samples=0)
+            SamplerConfig("mjhmc", epsilon=0.5, steps=2, beta=0.5, n_samples=0)
+
+
+NON_FINITE = [
+    (sampler, field, value)
+    for sampler in ("mjhmc", "hmc")
+    for field in ("epsilon", "beta")
+    for value in (np.nan, np.inf)
+]
+
+
+@pytest.mark.parametrize(
+    "sampler, field, value",
+    NON_FINITE + [("nuts", "sampler", "nuts")],
+    ids=[f"{s}-{f}-{v}" for s, f, v in NON_FINITE] + ["unknown-kind"],
+)
+def test_sampler_config_refuses_non_finite_or_unknown(sampler, field, value):
+    # a nan beta would leave the jump sampler's R clock never winning, an inf
+    # one every holding time at the smallest float, and a non-finite epsilon
+    # would fail only at the first trajectory
+    fields = dict(sampler=sampler, epsilon=0.5, steps=2, beta=0.5, n_samples=10)
+    with pytest.raises(ValueError, match=field):
+        SamplerConfig(**dict(fields, **{field: value}))
 
 
 class TestResample:
@@ -271,8 +295,8 @@ class TestResample:
         assert abs(first - 7500) <= 3 * sigma
 
     def test_single_input_copies(self):
-        config = SamplerConfig(epsilon=0.5, steps=2, beta=0.5, n_samples=1, seed=0)
-        chain = sample_chain(config, GAUSS_2D, PhaseState(np.zeros(2), np.ones(2)))
+        config = SamplerConfig("mjhmc", epsilon=0.5, steps=2, beta=0.5, n_samples=1, seed=0)
+        chain = run_chain(config, GAUSS_2D, PhaseState(np.zeros(2), np.ones(2)))
         idx = systematic_resample_indices(chain.holding_times, 7, np.random.default_rng(0))
         out = chain.positions[idx]
         assert len(out) == 7
@@ -318,14 +342,14 @@ class TestWeightedMoments:
 
     def test_gaussian_variance_recovered(self):
         ef = DiagonalGaussian.isotropic(1, precision=4.0)
-        config = SamplerConfig(epsilon=0.4, steps=5, beta=0.3, n_samples=100_000, seed=8)
-        chain = sample_chain(config, ef, PhaseState([0.0], [1.0]))
+        config = SamplerConfig("mjhmc", epsilon=0.4, steps=5, beta=0.3, n_samples=100_000, seed=8)
+        chain = run_chain(config, ef, PhaseState([0.0], [1.0]))
         _, cov = weighted_moments(chain)
         assert cov[0, 0] == pytest.approx(0.25, rel=0.05)
 
     def test_single_sample_zero_covariance(self):
-        config = SamplerConfig(epsilon=0.5, steps=2, beta=0.5, n_samples=1, seed=0)
-        chain = sample_chain(config, GAUSS_2D, PhaseState(np.zeros(2), np.ones(2)))
+        config = SamplerConfig("mjhmc", epsilon=0.5, steps=2, beta=0.5, n_samples=1, seed=0)
+        chain = run_chain(config, GAUSS_2D, PhaseState(np.zeros(2), np.ones(2)))
         _, cov = weighted_moments(chain)
         np.testing.assert_array_equal(cov, np.zeros((2, 2)))
 
@@ -333,13 +357,15 @@ class TestWeightedMoments:
 # ---------------------------------------------------------------------------
 # one neighbor-cache rule per transition kind
 
-ROUGH_PUBLISHED = SamplerConfig(epsilon=3.0, steps=25, beta=0.012314, n_samples=3000, seed=5)
+ROUGH_PUBLISHED = SamplerConfig(
+    "mjhmc", epsilon=3.0, steps=25, beta=0.012314, n_samples=3000, seed=5
+)
 PINNED_ROUGH = PhaseState([-1.69921191, -1.02124494], [-0.01153306, -1.48537518])
 
 
 def rough_chain(config=ROUGH_PUBLISHED):
     init = PhaseState(np.zeros(2), np.random.default_rng(1).standard_normal(2))
-    return sample_chain(config, RoughWell(), init)
+    return run_chain(config, RoughWell(), init)
 
 
 class TestCacheRules:
@@ -361,7 +387,7 @@ class TestCacheRules:
         # from a fresh cache, the F rule equals integrating F zeta anew,
         # bit for bit, and evaluates nothing
         ef = CountingEnergy(RoughWell())
-        config = SamplerConfig(epsilon=1.0, steps=3, beta=0.5, n_samples=1, seed=0)
+        config = SamplerConfig("mjhmc", epsilon=1.0, steps=3, beta=0.5, n_samples=1, seed=0)
         params = LeapfrogParams(config.epsilon, config.steps)
         state = PINNED_ROUGH
         fresh = filled_cache(state, config, ef)
@@ -394,7 +420,9 @@ class TestCacheRules:
     def test_flip_after_leapfrog_retraces_exactly(self):
         # L, F, L returns to the flipped start: the F rule hands the stored
         # pre-L node back as the forward neighbor
-        chain = rough_chain(SamplerConfig(epsilon=3.0, steps=25, beta=0.012314, n_samples=5000, seed=0))
+        chain = rough_chain(
+            SamplerConfig("mjhmc", epsilon=3.0, steps=25, beta=0.012314, n_samples=5000, seed=0)
+        )
         t = chain.transitions
         rows = np.flatnonzero((t[:-3] == "L") & (t[1:-2] == "F") & (t[2:-1] == "L")) + 1
         assert rows.size > 100
@@ -408,9 +436,9 @@ class TestCacheRules:
         # deviation 0.030 (precision 1) and 0.019 (precision 3.8), largest
         # |ratio - 1| 0.066; the tolerance is 4 of the wider deviation.
         precision = np.array([1.0, 3.8])
-        config = SamplerConfig(epsilon=1.0, steps=5, beta=0.1, n_samples=50_000, seed=0)
+        config = SamplerConfig("mjhmc", epsilon=1.0, steps=5, beta=0.1, n_samples=50_000, seed=0)
         init = PhaseState(np.zeros(2), np.random.default_rng(100).standard_normal(2))
-        chain = sample_chain(config, DiagonalGaussian(GaussianParams(precision)), init)
+        chain = run_chain(config, DiagonalGaussian(GaussianParams(precision)), init)
         assert chain.transition_counts()["F"] / len(chain) > 0.15
         mean, cov = weighted_moments(chain)
         n_batches = 50
@@ -457,9 +485,11 @@ class TestRateOverflow:
     )
     def test_far_start_holding_times_positive(self, x0, epsilon, steps):
         # starts far out in the tail: the energy drop along L overflows exp
-        config = SamplerConfig(epsilon=epsilon, steps=steps, beta=0.01, n_samples=3000, seed=0)
+        config = SamplerConfig(
+            "mjhmc", epsilon=epsilon, steps=steps, beta=0.01, n_samples=3000, seed=0
+        )
         with np.errstate(all="raise"):
-            chain = sample_chain(config, GAUSS_2D, PhaseState(np.array(x0), np.zeros(2)))
+            chain = run_chain(config, GAUSS_2D, PhaseState(np.array(x0), np.zeros(2)))
         h = chain.holding_times
         assert np.all(np.isfinite(h)) and np.all(h > 0)
         assert np.any(h == np.finfo(float).tiny)  # the clamped, overflowing states

@@ -5,6 +5,7 @@ from jumphmc import (
     DiagonalGaussian,
     PhaseState,
     RoughWell,
+    SamplerConfig,
     SearchSpace,
     TuningEvalConfig,
     evaluate_trial,
@@ -90,7 +91,8 @@ def test_frozen_control_scores_zero_decay():
     # proposal, so its positions never vary: no decay, but no failure either
     ef, eval_cfg = RoughWell(), TuningEvalConfig(n_samples=400)
     init = PhaseState(np.zeros(2), np.random.default_rng(0).standard_normal(2))
-    assert run_chain("hmc", 4.847, 34, 0.712, 400, 0, ef, init).acceptance_rate == 0.0
+    config = SamplerConfig("hmc", 4.847, 34, 0.712, 400, 0)
+    assert run_chain(config, ef, init).acceptance_rate == 0.0
     trial = evaluate_trial("hmc", 4.847, 0.712, 34, ef, eval_cfg, chain_seed=0, aux_seed=0)
     assert trial.status == "ok"
     assert trial.objective == 0.0
