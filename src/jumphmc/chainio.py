@@ -8,13 +8,14 @@ the body stays plain CSV, readable by any tool that skips ``#`` lines.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import json
 from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .diagnostics import AutocorrSeries, DecayFit
+from .diagnostics import AutocorrSeries, DecayFit, tuning_objective
 from .jump import Chain
 from .ladder import GapExperimentResult
 from .tuner import TrialRecord
@@ -66,6 +67,12 @@ def _write_csv(
         fh.write(",".join(columns) + "\r\n")
         for row in rows:
             fh.write(",".join(row) + "\r\n")
+
+
+def _write_json(path: Union[str, Path], obj: Mapping) -> None:
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(obj, indent=2) + "\n")
 
 
 def _format_float(x: float) -> str:
@@ -131,17 +138,40 @@ def write_chain_metadata(
     else:
         counts["transitions"] = chain.transition_counts()
         counts["total_system_time"] = float(chain.holding_times.sum())
-    meta = {
+    _write_json(path, {
         "format": f"jumphmc chain metadata v{FORMAT_VERSION}",
         "config": dict(config),
         "config_hash": config_hash(config),
         "seed": seed,
         "counts": counts,
         "gradient_count_convention": GRADIENT_COUNT_CONVENTION,
-    }
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(meta, indent=2) + "\n")
+    })
+
+
+def write_fits_json(
+    path: Union[str, Path], fits: Mapping[str, DecayFit], config: Mapping, seed: int
+) -> None:
+    """Per-sampler decay fits of an autocorrelation comparison, with their objectives."""
+    _write_json(path, {
+        "config_hash": config_hash(config),
+        "seed": seed,
+        "fits": {name: dataclasses.asdict(fit) for name, fit in fits.items()},
+        "objectives": {name: tuning_objective(fit) for name, fit in fits.items()},
+    })
+
+
+def write_best_json(
+    path: Union[str, Path], best: TrialRecord, trials: Sequence[TrialRecord], config: Mapping,
+    seed: int,
+) -> None:
+    """The best setting of a tuning run, with its trial and failure counts."""
+    _write_json(path, {
+        "config_hash": config_hash(config),
+        "seed": seed,
+        "best": {k: getattr(best, k) for k in ("epsilon", "beta", "steps", "objective", "sampler")},
+        "n_trials": len(trials),
+        "n_failed": sum(t.status == "failed" for t in trials),
+    })
 
 
 def write_gap_csv(
@@ -200,10 +230,6 @@ def write_trials_csv(
         ["sampler", "epsilon", "beta", "steps", "seed", "status", "objective"],
         rows, config=config, seed=seed,
     )
-
-
-def fit_to_dict(fit: DecayFit) -> dict:
-    return {"r_real": fit.r_real, "r_imag": fit.r_imag, "residual": fit.residual}
 
 
 def read_csv_rows(path: Union[str, Path]) -> tuple[list[str], list[list[str]]]:

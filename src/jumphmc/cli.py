@@ -4,8 +4,9 @@ Commands: sample | spectral-gap | autocorr | tune | check.  Each command
 reads one JSON config file (validated up front, unknown keys rejected) with
 optional --seed and --out overrides, so an experiment is reproducible from
 its config alone.  A command refuses, before any work, an output path that
-is its own config file.  Exit codes: 0 success, 1 usage or config error,
-2 numerical failure, 3 check-suite failure.
+is its own config file; check writes no file and refuses --out.  Exit
+codes: 0 success, 1 usage or config error, 2 numerical failure, 3
+check-suite failure.
 """
 
 from __future__ import annotations
@@ -14,21 +15,21 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from . import __version__
 from .chainio import (
-    fit_to_dict,
-    config_hash,
     write_autocorr_csv,
+    write_best_json,
     write_chain_csv,
     write_chain_metadata,
+    write_fits_json,
     write_gap_csv,
     write_trials_csv,
 )
-from .diagnostics import MIN_FIT_LAGS, MIN_SAMPLES, autocorrelation, fit_decay, tuning_objective
+from .diagnostics import MIN_FIT_LAGS, MIN_SAMPLES, autocorrelation, fit_decay
 from .energy import DiagonalGaussian, EnergyFunction, GaussianParams, RoughWell, RoughWellParams
 from .errors import DecayFitError, DegenerateChainError, DegenerateLadderError, IntegrationError
 from .jump import SamplerConfig
@@ -61,7 +62,11 @@ class ConfigError(Exception):
 
 
 def _require(config: dict, allowed: dict, context: str) -> dict:
-    """Validate keys against {name: (required, checker)}; reject unknown keys."""
+    """Validate keys against {name: (required, checker)}; reject unknown keys.
+
+    A checker that is itself such a dict validates a nested object under
+    the path ``context.name``.
+    """
     if not isinstance(config, dict):
         raise ConfigError(f"{context}: must be an object")
     unknown = sorted(set(config) - set(allowed))
@@ -73,10 +78,11 @@ def _require(config: dict, allowed: dict, context: str) -> dict:
             if required:
                 raise ConfigError(f"{context}: missing required key '{key}'")
             continue
+        if isinstance(checker, dict):
+            out[key] = _require(config[key], checker, f"{context}.{key}")
+            continue
         try:
             out[key] = checker(config[key])
-        except ConfigError:
-            raise
         except (TypeError, ValueError, OverflowError) as err:  # int(inf) overflows
             raise ConfigError(f"{context}.{key}: {err}") from err
     return out
@@ -94,12 +100,6 @@ def _positive_number(x) -> float:
     if not np.isfinite(x) or x <= 0:
         raise ValueError("must be a positive finite number")
     return x
-
-
-def _positive_int(x) -> int:
-    if isinstance(x, bool) or int(x) != x or int(x) < 1:
-        raise ValueError("must be a positive integer")
-    return int(x)
 
 
 def _int_at_least(low: int):
@@ -158,9 +158,8 @@ def parse_model(obj) -> EnergyFunction:
             },
             "model",
         )
-        return RoughWell(
-            RoughWellParams(fields.get("sigma1", 100.0), fields.get("sigma2", 4.0))
-        )
+        fields.pop("name")
+        return RoughWell(RoughWellParams(**fields))
     if name == "gaussian":
         fields = _require(
             obj,
@@ -182,14 +181,19 @@ def _pair(checker):
     return check
 
 
-def _hyper_triple(context: str):
-    """A checker for the {epsilon, steps, beta} object at ``context``."""
-    keys = {
-        "epsilon": (True, _positive_number),
-        "steps": (True, _positive_int),
-        "beta": (True, _positive_number),
-    }
-    return lambda x: _require(x, keys, context)
+def _ladder_sizes(x) -> list:
+    sizes = [_int_at_least(1)(k) for k in x]
+    if not sizes or min(sizes) < 3:
+        raise ValueError("must list sizes of at least 3")
+    return sizes
+
+
+def _build(context: str, cls, *args, **kwargs):
+    """Construct ``cls``, reporting the ValueError of its own checks under ``context``."""
+    try:
+        return cls(*args, **kwargs)
+    except ValueError as err:
+        raise ConfigError(f"{context}: {err}") from err
 
 
 def _load_config(path: Optional[str]) -> dict:
@@ -208,16 +212,6 @@ def _load_config(path: Optional[str]) -> dict:
     return config
 
 
-def _refuse_config_overwrite(config_path: Optional[str], *paths: str) -> None:
-    """Raise if a path the command will write is its own config file."""
-    if config_path is None:
-        return
-    config_file = Path(config_path).resolve()
-    for path in paths:
-        if Path(path).resolve() == config_file:
-            raise ConfigError(f"output path {path} would overwrite the config file")
-
-
 def _derived_seeds(seed: int, n: int) -> list:
     return [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(n)]
 
@@ -232,52 +226,28 @@ def _initial_state(ef: EnergyFunction, position, seed: int) -> PhaseState:
 # commands
 
 
-def cmd_sample(config: dict, out: Optional[str], config_path: Optional[str]) -> int:
-    fields = _require(
-        config,
-        {
-            "sampler": (True, _sampler_kind),
-            "model": (True, lambda x: x),
-            "epsilon": (True, _positive_number),
-            "steps": (True, _positive_int),
-            "beta": (True, _positive_number),
-            "n_samples": (True, _positive_int),
-            "seed": (False, _int_at_least(0)),
-            "init_position": (False, _number_list),
-            "out": (False, _string),
-        },
-        "sample config",
-    )
+def cmd_sample(fields: dict, csv_path: str, json_path: str) -> int:
     ef = parse_model(fields["model"])
     if "init_position" in fields and len(fields["init_position"]) != ef.dim:
         raise ConfigError(
             f"sample config.init_position: expected {ef.dim} numbers, "
             f"got {len(fields['init_position'])}"
         )
-    seed = fields.get("seed", 0)
-    prefix = out or fields.get("out", "chain")
+    seed = fields["seed"]
     init_seed, chain_seed = _derived_seeds(seed, 2)
     init = _initial_state(ef, fields.get("init_position"), init_seed)
-
-    meta_config = {k: v for k, v in fields.items() if k != "out"}
-    meta_config["seed"] = seed
-    csv_path, json_path = f"{prefix}.csv", f"{prefix}.json"
-    _refuse_config_overwrite(config_path, csv_path, json_path)
-    try:
-        sampler_config = SamplerConfig(
-            fields["sampler"], fields["epsilon"], fields["steps"], fields["beta"],
-            fields["n_samples"], chain_seed,
-        )
-    except ValueError as err:
-        raise ConfigError(f"sample config: {err}") from err
+    sampler_config = _build(
+        "sample config", SamplerConfig, fields["sampler"], fields["epsilon"], fields["steps"],
+        fields["beta"], fields["n_samples"], chain_seed,
+    )
     failure = None
     try:
         chain = run_chain(sampler_config, ef, init)
     except IntegrationError as err:
         chain, failure = err.partial_chain, err  # the rows recorded before the failure
     if len(chain):
-        write_chain_csv(csv_path, chain, config=meta_config, seed=seed)
-        write_chain_metadata(json_path, chain, meta_config, seed)
+        write_chain_csv(csv_path, chain, config=fields, seed=seed)
+        write_chain_metadata(json_path, chain, fields, seed)
     if failure is not None:
         written = f"partial output in {csv_path}" if len(chain) else "no samples were written"
         print(f"error: integration failure: {failure} ({written})", file=sys.stderr)
@@ -286,66 +256,28 @@ def cmd_sample(config: dict, out: Optional[str], config_path: Optional[str]) -> 
     return EXIT_OK
 
 
-def cmd_spectral_gap(config: dict, out: Optional[str], config_path: Optional[str]) -> int:
-    fields = _require(
-        config,
-        {
-            "sizes": (False, lambda x: [_positive_int(v) for v in x]),
-            "draws_per_size": (False, _positive_int),
-            "seed": (False, _int_at_least(0)),
-            "out": (False, _string),
-        },
-        "spectral-gap config",
-    )
+def cmd_spectral_gap(fields: dict, path: str) -> int:
     sizes = fields.get("sizes", list(DEFAULT_LADDER_SIZES))
-    if not sizes or any(k < 3 for k in sizes):
-        raise ConfigError("spectral-gap config.sizes: must list sizes of at least 3")
     draws = fields.get("draws_per_size", 250)
-    seed = fields.get("seed", 0)
-    path = out or fields.get("out", "spectral_gap.csv")
-    _refuse_config_overwrite(config_path, path)
-    result = random_ladder_experiment(sizes=sizes, draws_per_size=draws, seed=seed)
-    meta = {"sizes": sizes, "draws_per_size": draws, "seed": seed}
-    write_gap_csv(path, result, config=meta, seed=seed)
+    result = random_ladder_experiment(sizes=sizes, draws_per_size=draws, seed=fields["seed"])
+    write_gap_csv(path, result, config=fields, seed=fields["seed"])
     print(f"wrote {path} ({len(sizes)} sizes x {draws} draws)")
     return EXIT_OK
 
 
-def cmd_autocorr(config: dict, out: Optional[str], config_path: Optional[str]) -> int:
-    fields = _require(
-        config,
-        {
-            "model": (True, lambda x: x),
-            "mjhmc": (True, _hyper_triple("autocorr config.mjhmc")),
-            "hmc": (True, _hyper_triple("autocorr config.hmc")),
-            "n_samples": (True, _int_at_least(MIN_SAMPLES)),
-            "n_lags": (False, _int_at_least(MIN_FIT_LAGS)),
-            "max_lag_evals": (False, _positive_number),
-            "seed": (False, _int_at_least(0)),
-            "out": (False, _string),
-        },
-        "autocorr config",
-    )
+def cmd_autocorr(fields: dict, mjhmc_path: str, hmc_path: str, fit_path: str) -> int:
     ef = parse_model(fields["model"])
-    seed = fields.get("seed", 0)
+    seed = fields["seed"]
     n_lags = fields.get("n_lags", 200)
-    prefix = out or fields.get("out", "autocorr")
-    fit_path = f"{prefix}_fits.json"
-    _refuse_config_overwrite(config_path, f"{prefix}_mjhmc.csv", f"{prefix}_hmc.csv", fit_path)
     init_seed, mj_seed, hmc_seed, resample_seed = _derived_seeds(seed, 4)
     init = _initial_state(ef, None, init_seed)
     resample_rng = np.random.default_rng(resample_seed)
 
-    meta_config = {k: v for k, v in fields.items() if k != "out"}
-    meta_config["seed"] = seed
-    sampler_configs = {}
-    for name, chain_seed in (("mjhmc", mj_seed), ("hmc", hmc_seed)):
-        try:
-            sampler_configs[name] = SamplerConfig(
-                name, n_samples=fields["n_samples"], seed=chain_seed, **fields[name]
-            )
-        except ValueError as err:
-            raise ConfigError(f"autocorr config.{name}: {err}") from err
+    sampler_configs = {
+        name: _build(f"autocorr config.{name}", SamplerConfig, name,
+                     n_samples=fields["n_samples"], seed=chain_seed, **fields[name])
+        for name, chain_seed in (("mjhmc", mj_seed), ("hmc", hmc_seed))
+    }
     samples = {}
     for name, sampler_config in sampler_configs.items():
         try:
@@ -358,77 +290,23 @@ def cmd_autocorr(config: dict, out: Optional[str], config_path: Optional[str]) -
     max_lag = fields.get("max_lag_evals")
     if max_lag is None:
         max_lag = 0.10 * float(min(evals[-1] - evals[0] for _, evals in samples.values()))
+    csv_paths = {"mjhmc": mjhmc_path, "hmc": hmc_path}
     fits = {}
     for name, (positions, evals) in samples.items():
         s = autocorrelation(positions, evals, max_lag_evals=max_lag, n_lags=n_lags)
         fits[name] = fit_decay(s)
-        write_autocorr_csv(f"{prefix}_{name}.csv", s, config=meta_config, seed=seed)
-    Path(fit_path).write_text(
-        json.dumps(
-            {
-                "config_hash": config_hash(meta_config),
-                "seed": seed,
-                "fits": {k: fit_to_dict(v) for k, v in fits.items()},
-                "objectives": {k: tuning_objective(v) for k, v in fits.items()},
-            },
-            indent=2,
-        )
-        + "\n"
-    )
-    print(f"wrote {prefix}_mjhmc.csv, {prefix}_hmc.csv and {fit_path}")
+        write_autocorr_csv(csv_paths[name], s, config=fields, seed=seed)
+    write_fits_json(fit_path, fits, fields, seed)
+    print(f"wrote {mjhmc_path}, {hmc_path} and {fit_path}")
     return EXIT_OK
 
 
-def cmd_tune(config: dict, out: Optional[str], config_path: Optional[str]) -> int:
-    fields = _require(
-        config,
-        {
-            "sampler": (True, _sampler_kind),
-            "model": (True, lambda x: x),
-            "budget": (True, _positive_int),
-            "space": (False, lambda x: x),
-            "eval": (False, lambda x: x),
-            "seed": (False, _int_at_least(0)),
-            "out": (False, _string),
-        },
-        "tune config",
-    )
+def cmd_tune(fields: dict, trials_path: str, best_path: str) -> int:
     ef = parse_model(fields["model"])
-    seed = fields.get("seed", 0)
-    prefix = out or fields.get("out", "tune")
-    trials_path, best_path = f"{prefix}_trials.csv", f"{prefix}_best.json"
-    _refuse_config_overwrite(config_path, trials_path, best_path)
-
-    space_fields = _require(
-        fields.get("space", {}),
-        {
-            "epsilon": (False, _pair(_number_list)),
-            "beta": (False, _pair(_number_list)),
-            "steps": (False, _pair(lambda x: [_positive_int(v) for v in x])),
-        },
-        "tune config.space",
-    )
-    try:
-        space = SearchSpace(**{f"{key}_range": pair for key, pair in space_fields.items()})
-    except ValueError as err:
-        raise ConfigError(f"tune config.space: {err}") from err
-
-    eval_fields = _require(
-        fields.get("eval", {}),
-        {
-            "n_samples": (False, _positive_int),
-            "n_lags": (False, _positive_int),
-            "max_lag_evals": (False, _positive_number),
-        },
-        "tune config.eval",
-    )
-    try:
-        eval_config = TuningEvalConfig(**eval_fields)
-    except ValueError as err:
-        raise ConfigError(f"tune config.eval: {err}") from err
-
-    meta_config = {k: v for k, v in fields.items() if k != "out"}
-    meta_config["seed"] = seed
+    ranges = {f"{key}_range": pair for key, pair in fields.get("space", {}).items()}
+    space = _build("tune config.space", SearchSpace, **ranges)
+    eval_config = _build("tune config.eval", TuningEvalConfig, **fields.get("eval", {}))
+    seed = fields["seed"]
     try:
         best, trials = random_search(
             space, fields["budget"], fields["sampler"], ef, eval_config, seed=seed
@@ -436,32 +314,14 @@ def cmd_tune(config: dict, out: Optional[str], config_path: Optional[str]) -> in
     except RuntimeError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
-    write_trials_csv(trials_path, trials, config=meta_config, seed=seed)
-    Path(best_path).write_text(
-        json.dumps(
-            {
-                "config_hash": config_hash(meta_config),
-                "seed": seed,
-                "best": {
-                    "epsilon": best.epsilon,
-                    "beta": best.beta,
-                    "steps": best.steps,
-                    "objective": best.objective,
-                    "sampler": best.sampler,
-                },
-                "n_trials": len(trials),
-                "n_failed": sum(t.status == "failed" for t in trials),
-            },
-            indent=2,
-        )
-        + "\n"
-    )
+    write_trials_csv(trials_path, trials, config=fields, seed=seed)
+    write_best_json(best_path, best, trials, fields, seed)
     print(f"wrote {trials_path} and {best_path} (best objective {best.objective:.6g})")
     return EXIT_OK
 
 
-def _run_check_suite(seed: int, balance_ladders: int, similarity_ladders: int,
-                     race_vectors: int, fault_injection: bool) -> list:
+def _run_check_suite(seed: int, balance_ladders: int = 100, similarity_ladders: int = 50,
+                     race_vectors: int = 20, fault_injection: bool = False) -> list:
     """Run every invariant check; returns (name, passed, worst, tolerance) rows."""
     root = np.random.SeedSequence(seed)
     rngs = [np.random.default_rng(s) for s in root.spawn(5)]
@@ -523,25 +383,8 @@ def _run_check_suite(seed: int, balance_ladders: int, similarity_ladders: int,
     return results
 
 
-def cmd_check(config: dict, out: Optional[str], config_path: Optional[str]) -> int:
-    fields = _require(
-        config,
-        {
-            "seed": (False, _int_at_least(0)),
-            "balance_ladders": (False, _positive_int),
-            "similarity_ladders": (False, _positive_int),
-            "race_vectors": (False, _positive_int),
-            "fault_injection": (False, _bool),
-        },
-        "check config",
-    )
-    results = _run_check_suite(
-        seed=fields.get("seed", 0),
-        balance_ladders=fields.get("balance_ladders", 100),
-        similarity_ladders=fields.get("similarity_ladders", 50),
-        race_vectors=fields.get("race_vectors", 20),
-        fault_injection=fields.get("fault_injection", False),
-    )
+def cmd_check(fields: dict) -> int:
+    results = _run_check_suite(**fields)
     width = max(len(name) for name, *_ in results)
     all_passed = True
     for name, passed, worst, tol in results:
@@ -550,6 +393,109 @@ def cmd_check(config: dict, out: Optional[str], config_path: Optional[str]) -> i
         print(f"{name:<{width}}  {status}  worst={worst:.3e}  tolerance={tol:.0e}")
     print("check suite:", "all passed" if all_passed else "FAILURES detected")
     return EXIT_OK if all_passed else EXIT_CHECK_FAILED
+
+
+# ---------------------------------------------------------------------------
+# the command table and the one run path
+
+
+class _Command(NamedTuple):
+    body: Callable[..., int]  # body(provenance, *output paths) -> exit code
+    help: str
+    keys: dict  # the command's own config keys; seed and out are shared
+    outputs: tuple = ()  # the output paths, as templates of the prefix
+    default_out: str = ""
+    config_optional: bool = False
+
+
+_SHARED_KEYS = {"seed": (False, _int_at_least(0)), "out": (False, _string)}
+_HYPER_KEYS = {
+    "epsilon": (True, _positive_number),
+    "steps": (True, _int_at_least(1)),
+    "beta": (True, _positive_number),
+}
+
+_COMMANDS = {
+    "sample": _Command(
+        cmd_sample,
+        "run one sampler chain, write chain CSV + metadata JSON",
+        {
+            "sampler": (True, _sampler_kind),
+            "model": (True, lambda x: x),
+            **_HYPER_KEYS,
+            "n_samples": (True, _int_at_least(1)),
+            "init_position": (False, _number_list),
+        },
+        ("{}.csv", "{}.json"), "chain",
+    ),
+    "spectral-gap": _Command(
+        cmd_spectral_gap,
+        "randomized ladder spectral-gap experiment",
+        {"sizes": (False, _ladder_sizes), "draws_per_size": (False, _int_at_least(1))},
+        ("{}",), "spectral_gap.csv",
+    ),
+    "autocorr": _Command(
+        cmd_autocorr,
+        "autocorrelation comparison of both samplers",
+        {
+            "model": (True, lambda x: x),
+            "mjhmc": (True, _HYPER_KEYS),
+            "hmc": (True, _HYPER_KEYS),
+            "n_samples": (True, _int_at_least(MIN_SAMPLES)),
+            "n_lags": (False, _int_at_least(MIN_FIT_LAGS)),
+            "max_lag_evals": (False, _positive_number),
+        },
+        ("{}_mjhmc.csv", "{}_hmc.csv", "{}_fits.json"), "autocorr",
+    ),
+    "tune": _Command(
+        cmd_tune,
+        "random-search hyperparameter tuning",
+        {
+            "sampler": (True, _sampler_kind),
+            "model": (True, lambda x: x),
+            "budget": (True, _int_at_least(1)),
+            "space": (False, {
+                "epsilon": (False, _pair(_number_list)),
+                "beta": (False, _pair(_number_list)),
+                "steps": (False, _pair(lambda x: [_int_at_least(1)(v) for v in x])),
+            }),
+            "eval": (False, {
+                "n_samples": (False, _int_at_least(1)),
+                "n_lags": (False, _int_at_least(1)),
+                "max_lag_evals": (False, _positive_number),
+            }),
+        },
+        ("{}_trials.csv", "{}_best.json"), "tune",
+    ),
+    "check": _Command(
+        cmd_check,
+        "run the numerical invariant suite",
+        {
+            "balance_ladders": (False, _int_at_least(1)),
+            "similarity_ladders": (False, _int_at_least(1)),
+            "race_vectors": (False, _int_at_least(1)),
+            "fault_injection": (False, _bool),
+        },
+        config_optional=True,
+    ),
+}
+
+
+def _run(name: str, config: dict, config_path: Optional[str]) -> int:
+    """The steps every command shares, in one order, then the command's body."""
+    command = _COMMANDS[name]
+    context = f"{name} config"
+    fields = _require(config, {**command.keys, **_SHARED_KEYS}, context)
+    if "out" in fields and not command.outputs:
+        raise ConfigError(f"{context}.out: {name} writes no file")
+    prefix = fields.pop("out", command.default_out)
+    paths = [template.format(prefix) for template in command.outputs]
+    for path in paths:
+        if config_path is not None and Path(path).resolve() == Path(config_path).resolve():
+            raise ConfigError(f"output path {path} would overwrite the config file")
+    # Provenance: the validated fields given, minus out, plus the seed used.
+    fields.setdefault("seed", 0)
+    return command.body(fields, *paths)
 
 
 # ---------------------------------------------------------------------------
@@ -566,41 +512,28 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="jumphmc", description=__doc__)
     parser.add_argument("--version", action="version", version=f"jumphmc {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "sample": "run one sampler chain, write chain CSV + metadata JSON",
-        "spectral-gap": "randomized ladder spectral-gap experiment",
-        "autocorr": "autocorrelation comparison of both samplers",
-        "tune": "random-search hyperparameter tuning",
-        "check": "run the numerical invariant suite",
-    }
-    for name, help_text in helps.items():
-        p = sub.add_parser(name, help=help_text)
-        if name == "check":
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        if command.config_optional:
             p.add_argument("config", nargs="?", help="optional JSON config file")
         else:
             p.add_argument("config", help="JSON config file")
         p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--out", help="override the output path or prefix")
+        # a command that writes no file still takes --out, to refuse it as a config error
+        out_help = "override the output path or prefix" if command.outputs else argparse.SUPPRESS
+        p.add_argument("--out", help=out_help)
     return parser
 
 
-_COMMANDS = {
-    "sample": cmd_sample,
-    "spectral-gap": cmd_spectral_gap,
-    "autocorr": cmd_autocorr,
-    "tune": cmd_tune,
-    "check": cmd_check,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         config = _load_config(args.config)
         if args.seed is not None:
             config["seed"] = args.seed
-        return _COMMANDS[args.command](config, args.out, args.config)
+        if args.out:  # an empty --out leaves the config's out, or the default
+            config["out"] = args.out
+        return _run(args.command, config, args.config)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG

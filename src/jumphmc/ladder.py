@@ -570,32 +570,21 @@ def random_ladder_experiment(
     if draws_per_size < 1:
         raise ValueError("draws_per_size must be at least 1")
 
-    root = np.random.SeedSequence(seed)
-    per_size = root.spawn(len(sizes))
-    mj_mean = np.empty(len(sizes))
-    mj_err = np.empty(len(sizes))
-    hmc_mean = np.empty(len(sizes))
-    hmc_err = np.empty(len(sizes))
+    per_size = np.random.SeedSequence(seed).spawn(len(sizes))
+    gaps = {sampler: np.empty((len(sizes), draws_per_size)) for sampler in ("mjhmc", "hmc")}
     for i, k in enumerate(sizes):
-        gaps_mj = np.empty(draws_per_size)
-        gaps_hmc = np.empty(draws_per_size)
         for j, task_seq in enumerate(per_size[i].spawn(draws_per_size)):
-            rng = np.random.default_rng(task_seq)
-            ladder = _draw_ladder(int(k), rng)
-            gaps_mj[j] = ladder_spectral_gap(ladder, "mjhmc")
-            gaps_hmc[j] = ladder_spectral_gap(ladder, "hmc")
-        mj_mean[i] = gaps_mj.mean()
-        mj_err[i] = gaps_mj.std(ddof=1) / np.sqrt(draws_per_size) if draws_per_size > 1 else 0.0
-        hmc_mean[i] = gaps_hmc.mean()
-        hmc_err[i] = gaps_hmc.std(ddof=1) / np.sqrt(draws_per_size) if draws_per_size > 1 else 0.0
-    return GapExperimentResult(
-        sizes=sizes,
-        draws_per_size=draws_per_size,
-        mjhmc_mean=mj_mean,
-        mjhmc_stderr=mj_err,
-        hmc_mean=hmc_mean,
-        hmc_stderr=hmc_err,
-    )
+            ladder = _draw_ladder(int(k), np.random.default_rng(task_seq))
+            for sampler, g in gaps.items():
+                g[i, j] = ladder_spectral_gap(ladder, sampler)
+    stats = {}
+    for sampler, g in gaps.items():
+        stats[f"{sampler}_mean"] = g.mean(axis=1)
+        stats[f"{sampler}_stderr"] = (
+            g.std(axis=1, ddof=1) / np.sqrt(draws_per_size) if draws_per_size > 1
+            else np.zeros(len(sizes))
+        )
+    return GapExperimentResult(sizes=sizes, draws_per_size=draws_per_size, **stats)
 
 
 def min_exponential_oracle(

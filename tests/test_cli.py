@@ -426,6 +426,18 @@ class TestTune:
         assert best["best"]["objective"] == 0.0
         assert best["n_failed"] == 0
 
+    def test_hash_covers_validated_values(self, tmp_path):
+        # 400 and 400.0 validate to the same eval config, so both runs are
+        # the same experiment: same trials, same config_hash
+        outputs = []
+        for n_samples in (400, 400.0):
+            cfg = write_config(tmp_path / "c.json",
+                               dict(TUNE_GAUSSIAN, eval={"n_samples": n_samples}, seed=1))
+            out = tmp_path / f"t{n_samples}"
+            assert main(["tune", cfg, "--out", str(out)]) == 0
+            outputs.append([Path(f"{out}{s}").read_bytes() for s in ("_trials.csv", "_best.json")])
+        assert outputs[0] == outputs[1]
+
     def test_out_over_config_rejected(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path / "t_best.json",
@@ -484,6 +496,18 @@ class TestCheck:
     def test_runs_without_config(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         assert main(["check"]) == 0
+
+    @pytest.mark.parametrize("via", ["config", "flag"])
+    def test_out_is_config_error(self, tmp_path, capsys, via):
+        # check writes no file, so an output path could only be ignored
+        out = str(tmp_path / "report.csv")
+        config = dict(self.QUICK, out=out) if via == "config" else self.QUICK
+        argv = ["--out", out] if via == "flag" else []
+        assert main(["check", write_config(tmp_path / "c.json", config), *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "config error: check config.out: check writes no file\n"
+        assert captured.out == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
 
 
 def test_unknown_command_is_usage_error(capsys):
