@@ -11,7 +11,9 @@ state.
 The continuous-time rate matrix, its embedded discrete-time chain, the
 holding-time scaling between them, and the numerical balance checks all
 live here, together with the randomized spectral-gap experiment comparing
-the jump process against the discrete-time control chain.
+the jump process against the discrete-time control chain.  Its draws are
+independent, so it runs them in forked worker processes, one per CPU the
+process may use, with results bit-identical to a serial run.
 
 Both ladder chains in closed form.  Every state has two exits.  alpha_r
 is the probability that the ascending state a_r moves up to a_{r+1} (else
@@ -56,6 +58,9 @@ outside |z| = R is k - (change of arg phi) / pi.
 from __future__ import annotations
 
 import math
+import operator
+import os
+import threading
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -552,6 +557,66 @@ def _draw_ladder(k: int, rng: np.random.Generator) -> Ladder:
             return ladder
 
 
+def _ladder_gaps(task: tuple[int, np.random.SeedSequence]) -> tuple[float, float]:
+    """(mjhmc gap, hmc gap) of the ladder that one (size, seed) task draws."""
+    k, seq = task
+    ladder = _draw_ladder(k, np.random.default_rng(seq))
+    return ladder_spectral_gap(ladder, "mjhmc"), ladder_spectral_gap(ladder, "hmc")
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _worker_count(tasks: list) -> int:
+    """Processes to run the gap tasks in: one per usable CPU, or 1 for this
+    process alone.
+
+    It is 1 when no ladder reaches ``RING_GAP_MIN_K`` (a dense draw costs
+    0.3-1.3 ms, starting and joining a pool of two about 10 ms on a 2-core
+    VM), when the platform cannot fork, or when this process runs other
+    threads: a forked child gets none of them, but may get a lock one of
+    them held.
+    """
+    if max(k for k, _ in tasks) < RING_GAP_MIN_K or not hasattr(os, "fork") \
+            or threading.active_count() > 1:
+        return 1
+    return min(_usable_cpus(), len(tasks))
+
+
+def _map_ladder_gaps(tasks: list) -> np.ndarray:
+    """``_ladder_gaps`` of every task as a (2, tasks) array in task order,
+    computed by a pool of ``_worker_count`` forked workers or by this process.
+
+    Fork rather than spawn: a spawned worker would start an interpreter
+    and import numpy and this package again, about 0.1 s per worker, which
+    is much of what an experiment of a few dozen draws gains.  Tasks
+    go out largest ladder first, so that the workers run out of work
+    together.  The pool is joined before this returns or raises.
+    """
+    order = sorted(range(len(tasks)), key=lambda i: -tasks[i][0])
+    ordered = [tasks[i] for i in order]
+    workers = _worker_count(tasks)
+    if workers == 1:
+        done = list(map(_ladder_gaps, ordered))
+    else:
+        import multiprocessing  # here, so that a serial run does not pay its import
+
+        pool = multiprocessing.get_context("fork").Pool(workers)
+        try:
+            done = pool.map(_ladder_gaps, ordered, chunksize=1)
+        finally:
+            pool.terminate()  # idle after a full map, abandoned after an error
+            pool.join()
+    gaps = np.empty((2, len(tasks)))
+    gaps[:, order] = np.transpose(done)
+    return gaps
+
+
 def random_ladder_experiment(
     sizes: Sequence[int] = DEFAULT_LADDER_SIZES,
     draws_per_size: int = 250,
@@ -560,25 +625,29 @@ def random_ladder_experiment(
     """Average spectral gaps over random energy landscapes, per ladder size.
 
     Rung energies are i.i.d. standard normal, and each gap comes from
-    ``ladder_spectral_gap``.  Each (size, draw) task uses
-    its own deterministically derived random stream, so results do not
-    depend on execution order and the tasks could run in parallel.
+    ``ladder_spectral_gap``.  Each (size, draw) task uses its own
+    deterministically derived random stream, so the tasks run on every CPU
+    the process may use (see ``_worker_count``) and the result is
+    bit-identical to a serial run.
     """
-    sizes = np.asarray(list(sizes), dtype=int)
+    try:
+        sizes = np.array([operator.index(k) for k in sizes], dtype=int)
+        draws_per_size = operator.index(draws_per_size)
+    except TypeError:
+        raise ValueError("ladder sizes and draws_per_size must be integers") from None
+    if sizes.size == 0:
+        raise ValueError("need at least one ladder size")
     if np.any(sizes < 3):
         raise ValueError("ladder sizes must be at least 3")
     if draws_per_size < 1:
         raise ValueError("draws_per_size must be at least 1")
 
     per_size = np.random.SeedSequence(seed).spawn(len(sizes))
-    gaps = {sampler: np.empty((len(sizes), draws_per_size)) for sampler in ("mjhmc", "hmc")}
-    for i, k in enumerate(sizes):
-        for j, task_seq in enumerate(per_size[i].spawn(draws_per_size)):
-            ladder = _draw_ladder(int(k), np.random.default_rng(task_seq))
-            for sampler, g in gaps.items():
-                g[i, j] = ladder_spectral_gap(ladder, sampler)
+    tasks = [(int(k), seq) for k, size_seq in zip(sizes, per_size)
+             for seq in size_seq.spawn(draws_per_size)]
+    gaps = _map_ladder_gaps(tasks).reshape(2, len(sizes), draws_per_size)
     stats = {}
-    for sampler, g in gaps.items():
+    for sampler, g in zip(("mjhmc", "hmc"), gaps):
         stats[f"{sampler}_mean"] = g.mean(axis=1)
         stats[f"{sampler}_stderr"] = (
             g.std(axis=1, ddof=1) / np.sqrt(draws_per_size) if draws_per_size > 1

@@ -1,6 +1,8 @@
+import multiprocessing
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +27,7 @@ from jumphmc import (
     spectral_gap,
 )
 import jumphmc.ladder as ladder_module
+from jumphmc.cli import main
 from jumphmc.ladder import (
     DEFAULT_LADDER_SIZES,
     RING_GAP_MIN_K,
@@ -466,6 +469,67 @@ class TestExperiment:
             random_ladder_experiment(sizes=[2], draws_per_size=1)
         with pytest.raises(ValueError):
             random_ladder_experiment(sizes=[5], draws_per_size=0)
+
+    @pytest.mark.parametrize("sizes, draws, message", [
+        ([5.9], 1, "integers"),  # not truncated to k=5
+        ([], 1, "at least one"),  # not an empty result
+        ([5], 2.5, "integers"),  # not a TypeError from SeedSequence.spawn
+    ])
+    def test_malformed_input_is_refused(self, sizes, draws, message):
+        with pytest.raises(ValueError, match=message):
+            random_ladder_experiment(sizes=sizes, draws_per_size=draws)
+
+
+class TestExperimentWorkers:
+    """The (size, draw) tasks give the same bits in any number of processes."""
+
+    @staticmethod
+    def run(monkeypatch, cpus, **kwargs):
+        monkeypatch.setattr(ladder_module, "_usable_cpus", lambda: cpus)
+        return random_ladder_experiment(**kwargs)
+
+    def test_worker_count(self, monkeypatch):
+        monkeypatch.setattr(ladder_module, "_usable_cpus", lambda: 3)
+        seq = np.random.SeedSequence(0)
+        assert ladder_module._worker_count([(RING_GAP_MIN_K - 1, seq)] * 5) == 1  # dense only
+        assert ladder_module._worker_count([(5, seq), (RING_GAP_MIN_K, seq)]) == 2  # one per task
+        assert ladder_module._worker_count([(RING_GAP_MIN_K, seq)] * 5) == 3  # one per CPU
+
+    def test_results_are_identical_at_1_2_and_3_workers(self, monkeypatch):
+        runs = [self.run(monkeypatch, cpus, sizes=[5, 33, 65, 129], draws_per_size=3, seed=404)
+                for cpus in (1, 2, 3)]
+        for other in runs[1:]:
+            for field in ("mjhmc_mean", "mjhmc_stderr", "hmc_mean", "hmc_stderr"):
+                np.testing.assert_array_equal(getattr(other, field), getattr(runs[0], field))
+
+    def test_cli_csv_is_identical_at_1_and_2_workers(self, monkeypatch, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"sizes": [33, 65], "draws_per_size": 3, "seed": 404}')
+        outputs = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(ladder_module, "_usable_cpus", lambda: cpus)
+            out = tmp_path / f"gaps{cpus}.csv"
+            assert main(["spectral-gap", str(cfg), "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_no_worker_is_left_after_a_return(self, monkeypatch):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            self.run(monkeypatch, 2, sizes=[65], draws_per_size=4, seed=1)
+        assert multiprocessing.active_children() == []
+        # closed by the experiment, not left running to the garbage collector
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+    def test_a_worker_error_reaches_the_caller(self, monkeypatch):
+        def fail(ladder, sampler):
+            raise DegenerateLadderError(f"raised in process {os.getpid()}")
+
+        monkeypatch.setattr(ladder_module, "ladder_spectral_gap", fail)
+        with pytest.raises(DegenerateLadderError, match="raised in process") as caught:
+            self.run(monkeypatch, 2, sizes=[65], draws_per_size=4, seed=1)
+        assert str(caught.value) != f"raised in process {os.getpid()}"  # it came from a worker
+        assert multiprocessing.active_children() == []
 
 
 class TestMinExponentialOracle:
