@@ -27,11 +27,12 @@ best, trials = random_search(space, 20, "mjhmc", RoughWell(), eval_config, seed=
 print(f"\n{'epsilon':>8} {'beta':>8} {'M':>4} {'status':>7} {'objective':>12}")
 for t in sorted(trials, key=lambda t: np.inf if t.objective is None else t.objective):
     obj = "-" if t.objective is None else f"{t.objective:+.2e}"
-    print(f"{t.epsilon:8.3f} {t.beta:8.4f} {t.steps:4d} {t.status:>7} {obj:>12}")
+    c = t.config
+    print(f"{c.epsilon:8.3f} {c.beta:8.4f} {c.steps:4d} {t.status:>7} {obj:>12}")
 
 print(
-    f"\nbest: epsilon={best.epsilon:.3f} beta={best.beta:.4f} M={best.steps} "
-    f"(objective {best.objective:+.3e})"
+    f"\nbest: epsilon={best.config.epsilon:.3f} beta={best.config.beta:.4f} "
+    f"M={best.config.steps} (objective {best.objective:+.3e})"
 )
 print("note the preference for large steps and a small momentum-corruption")
 print("rate; the discrete-time control tunes to a smaller step size")

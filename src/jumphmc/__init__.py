@@ -10,9 +10,7 @@ from .energy import (
     CountingEnergy,
     DiagonalGaussian,
     EnergyFunction,
-    GaussianParams,
     RoughWell,
-    RoughWellParams,
     joint_energy,
 )
 from .errors import (

@@ -165,10 +165,12 @@ def write_best_json(
     seed: int,
 ) -> None:
     """The best setting of a tuning run, with its trial and failure counts."""
+    c = best.config
     _write_json(path, {
         "config_hash": config_hash(config),
         "seed": seed,
-        "best": {k: getattr(best, k) for k in ("epsilon", "beta", "steps", "objective", "sampler")},
+        "best": {"epsilon": c.epsilon, "beta": c.beta, "steps": c.steps,
+                 "objective": best.objective, "sampler": c.sampler},
         "n_trials": len(trials),
         "n_failed": sum(t.status == "failed" for t in trials),
     })
@@ -215,11 +217,11 @@ def write_trials_csv(
 ) -> None:
     rows = (
         [
-            t.sampler,
-            _format_float(t.epsilon),
-            _format_float(t.beta),
-            str(t.steps),
-            str(t.seed),
+            t.config.sampler,
+            _format_float(t.config.epsilon),
+            _format_float(t.config.beta),
+            str(t.config.steps),
+            str(t.config.seed),
             t.status,
             "" if t.objective is None else _format_float(t.objective),
         ]

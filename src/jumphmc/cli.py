@@ -30,7 +30,7 @@ from .chainio import (
     write_trials_csv,
 )
 from .diagnostics import MIN_FIT_LAGS, MIN_SAMPLES, autocorrelation, fit_decay
-from .energy import DiagonalGaussian, EnergyFunction, GaussianParams, RoughWell, RoughWellParams
+from .energy import DiagonalGaussian, EnergyFunction, RoughWell
 from .errors import DecayFitError, DegenerateChainError, DegenerateLadderError, IntegrationError
 from .jump import SamplerConfig
 from .ladder import (
@@ -143,31 +143,28 @@ def _sampler_kind(x) -> str:
     return x
 
 
+_MODELS = {
+    "rough_well": (RoughWell, {"sigma1": (False, _number), "sigma2": (False, _number)}),
+    "gaussian": (DiagonalGaussian, {"precision_diag": (True, _number_list)}),
+}
+
+
 def parse_model(obj) -> EnergyFunction:
-    """Build an energy model from its config mapping."""
+    """Build an energy model from its config mapping.
+
+    The keys are checked for type here; the model checks its own ranges.
+    """
     if not isinstance(obj, dict):
         raise ConfigError("model: must be an object")
     name = obj.get("name")
-    if name == "rough_well":
-        fields = _require(
-            obj,
-            {
-                "name": (True, _string),
-                "sigma1": (False, _positive_number),
-                "sigma2": (False, _positive_number),
-            },
-            "model",
+    if not isinstance(name, str) or name not in _MODELS:
+        raise ConfigError(
+            f"model.name: unknown model {name!r} (expected 'rough_well' or 'gaussian')"
         )
-        fields.pop("name")
-        return RoughWell(RoughWellParams(**fields))
-    if name == "gaussian":
-        fields = _require(
-            obj,
-            {"name": (True, _string), "precision_diag": (True, _number_list)},
-            "model",
-        )
-        return DiagonalGaussian(GaussianParams(np.array(fields["precision_diag"])))
-    raise ConfigError(f"model.name: unknown model {name!r} (expected 'rough_well' or 'gaussian')")
+    cls, keys = _MODELS[name]
+    fields = _require(obj, {"name": (True, _string), **keys}, "model")
+    del fields["name"]
+    return _build("model", cls, **fields)
 
 
 def _pair(checker):
@@ -357,7 +354,7 @@ def _run_check_suite(seed: int, balance_ladders: int = 100, similarity_ladders: 
     # Reversibility of the integrator: F L F L = identity.
     rng = rngs[2]
     worst = 0.0
-    for ef in (RoughWell(), DiagonalGaussian(GaussianParams(np.array([1.0, 4.0])))):
+    for ef in (RoughWell(), DiagonalGaussian([1.0, 4.0])):
         for _ in range(50):
             x, v = rng.normal(scale=2.0, size=2), rng.standard_normal(2)
             epsilon, steps = float(rng.choice([0.1, 1.0])), int(rng.choice([1, 25]))

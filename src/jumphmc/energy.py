@@ -10,43 +10,11 @@ from __future__ import annotations
 
 import abc
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, IntegrationError
 from .phase import PhaseState
-
-
-@dataclass(frozen=True)
-class RoughWellParams:
-    """Width of the quadratic well and period of the sinusoidal ripples."""
-
-    sigma1: float = 100.0
-    sigma2: float = 4.0
-
-    def __post_init__(self):
-        if self.sigma1 <= 0 or self.sigma2 <= 0:
-            raise ValueError("sigma1 and sigma2 must be positive")
-
-
-@dataclass(frozen=True)
-class GaussianParams:
-    """Diagonal-precision Gaussian target (analytic moments for tests)."""
-
-    precision_diag: np.ndarray
-
-    def __post_init__(self):
-        p = np.atleast_1d(np.asarray(self.precision_diag, dtype=float))
-        if p.ndim != 1 or p.size == 0:
-            raise ValueError("precision_diag must be a nonempty vector")
-        if not np.all(p > 0):
-            raise ValueError("all precisions must be strictly positive")
-        object.__setattr__(self, "precision_diag", p)
-
-    @property
-    def dim(self) -> int:
-        return self.precision_diag.size
 
 
 def _check_dim(x: np.ndarray, dim: int) -> np.ndarray:
@@ -156,12 +124,19 @@ class RoughWell(EnergyFunction):
 
     dim = 2
 
-    def __init__(self, params: RoughWellParams = RoughWellParams()):
-        self.params = params
+    def __init__(self, sigma1: float = 100.0, sigma2: float = 4.0):
+        if not (0 < sigma1 < math.inf and 0 < sigma2 < math.inf):
+            raise ValueError("sigma1 and sigma2 must be positive and finite")
+        self.sigma1, self.sigma2 = sigma1, sigma2
         # precomputed constants: these run in the integrator's inner loop
-        self._half_inv_s1sq = 0.5 / params.sigma1**2
+        try:
+            self._half_inv_s1sq = 0.5 / sigma1**2
+        except (OverflowError, ZeroDivisionError):  # sigma1**2 leaves the float range
+            self._half_inv_s1sq = 0.0
         self._curvature = 2.0 * self._half_inv_s1sq
-        self._freq = np.pi / params.sigma2
+        self._freq = np.pi / sigma2
+        if not (0 < self._curvature < math.inf and 0 < self._freq < math.inf):
+            raise ValueError("1/sigma1^2 and pi/sigma2 must be positive finite floats")
 
     def energy(self, x) -> float:
         x = _check_dim(x, 2)
@@ -230,22 +205,27 @@ class RoughWell(EnergyFunction):
 class DiagonalGaussian(EnergyFunction):
     """Gaussian target with diagonal precision matrix: E(x) = 0.5 * sum_i p_i x_i^2."""
 
-    def __init__(self, params: GaussianParams):
-        self.params = params
-        self.dim = params.dim
+    def __init__(self, precision_diag):
+        p = np.atleast_1d(np.asarray(precision_diag, dtype=float))
+        if p.ndim != 1 or p.size == 0:
+            raise ValueError("precision_diag must be a nonempty vector")
+        if not np.all((p > 0) & (p < np.inf)):
+            raise ValueError("all precisions must be positive and finite")
+        self.precision_diag = p
+        self.dim = p.size
 
     @classmethod
     def isotropic(cls, dim: int, precision: float = 1.0) -> "DiagonalGaussian":
-        return cls(GaussianParams(np.full(dim, float(precision))))
+        return cls(np.full(dim, float(precision)))
 
     def energy(self, x) -> float:
         x = _check_dim(x, self.dim)
         with np.errstate(over="ignore"):  # far out in the tail the energy is inf
-            return 0.5 * float(np.vdot(self.params.precision_diag, x * x))
+            return 0.5 * float(np.vdot(self.precision_diag, x * x))
 
     def gradient(self, x) -> np.ndarray:
         """p_i x_i."""
-        return self.params.precision_diag * _check_dim(x, self.dim)
+        return self.precision_diag * _check_dim(x, self.dim)
 
 
 class CountingEnergy(EnergyFunction):

@@ -37,7 +37,7 @@ import numpy as np
 
 from .energy import CountingEnergy, EnergyFunction, kinetic_energy
 from .errors import IntegrationError
-from .phase import LeapfrogParams, PhaseState
+from .phase import LeapfrogParams, PhaseState, check_count
 
 _MAX_LOG = math.log(sys.float_info.max)
 _TINY = sys.float_info.min
@@ -74,8 +74,7 @@ class SamplerConfig:
                 raise ValueError("beta must lie in (0, 1]")
         else:
             raise ValueError(f"unknown sampler kind: {self.sampler!r}")
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be at least 1")
+        check_count("n_samples", self.n_samples)
         LeapfrogParams(self.epsilon, self.steps)  # validates epsilon/steps
 
 

@@ -11,6 +11,7 @@ R directly to their cached arrays (see :class:`~jumphmc.jump.StateCache`).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
@@ -53,8 +54,23 @@ class LeapfrogParams:
     def __post_init__(self):
         if not 0 < self.epsilon < np.inf:
             raise ValueError("epsilon must be positive and finite")
-        if self.steps < 1:
-            raise ValueError("steps must be at least 1")
+        check_count("steps", self.steps)
+
+
+def check_count(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is a positive integer.
+
+    An integral float or a bool is not a count: a chain loop would die on
+    the float and run the bool as 0 or 1.
+    """
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, not a bool")
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer") from None
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1")
 
 
 def leapfrog_with_grad(

@@ -13,6 +13,7 @@ the library's one way to run a chain of either sampler, shared with the CLI.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -53,13 +54,9 @@ class SearchSpace:
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """One evaluated hyperparameter setting; failed trials carry no objective."""
+    """One evaluated chain configuration; failed trials carry no objective."""
 
-    epsilon: float
-    beta: float
-    steps: int
-    sampler: str
-    seed: int
+    config: SamplerConfig
     status: str
     objective: Optional[float] = None
 
@@ -77,6 +74,8 @@ class TuningEvalConfig:
             raise ValueError(f"n_samples must be at least {MIN_SAMPLES}")
         if self.n_lags < MIN_FIT_LAGS:
             raise ValueError(f"n_lags must be at least {MIN_FIT_LAGS}")
+        if self.max_lag_evals is not None and not 0 < self.max_lag_evals < math.inf:
+            raise ValueError("max_lag_evals must be positive and finite")
 
 
 def run_chain(config: SamplerConfig, ef: EnergyFunction, init: PhaseState) -> Chain:
@@ -100,24 +99,18 @@ def unweighted_samples(chain: Chain, rng: np.random.Generator) -> tuple[np.ndarr
 
 
 def evaluate_trial(
-    sampler: str,
-    epsilon: float,
-    beta: float,
-    steps: int,
-    ef: EnergyFunction,
-    eval_config: TuningEvalConfig,
-    chain_seed: int,
-    aux_seed: int,
+    config: SamplerConfig, ef: EnergyFunction, eval_config: TuningEvalConfig, aux_seed: int
 ) -> TrialRecord:
-    """Run one chain at the given setting and score its decay rate.
+    """Run one chain of ``config`` and score its decay rate.
 
-    ``aux_seed`` drives the non-chain randomness (initial momentum and, for
-    the jump sampler, the holding-time resampling).  A chain whose scored
-    positions have no variance never decayed and scores 0.0, unless every
-    row is R: such a jump chain never ran a trajectory it could accept, so
-    it fails, as do integration and fit failures.
+    ``eval_config`` sets the autocorrelation grid; the chain length is
+    ``config.n_samples``.  ``aux_seed`` drives the non-chain randomness
+    (initial momentum and, for the jump sampler, the holding-time
+    resampling).  A chain whose scored positions have no variance never
+    decayed and scores 0.0, unless every row is R: such a jump chain never
+    ran a trajectory it could accept, so it fails, as do integration and
+    fit failures.
     """
-    config = SamplerConfig(sampler, epsilon, steps, beta, eval_config.n_samples, chain_seed)
     aux_rng = np.random.default_rng(aux_seed)
     init = PhaseState(np.zeros(ef.dim), aux_rng.standard_normal(ef.dim))
     objective = None
@@ -133,10 +126,7 @@ def evaluate_trial(
             objective = 0.0
     except (IntegrationError, DecayFitError):
         pass
-    return TrialRecord(
-        epsilon=epsilon, beta=beta, steps=steps, sampler=sampler, seed=chain_seed,
-        status="failed" if objective is None else "ok", objective=objective,
-    )
+    return TrialRecord(config, "failed" if objective is None else "ok", objective)
 
 
 def random_search(
@@ -160,9 +150,8 @@ def random_search(
         eps, beta, steps = space.draw(master)
         chain_seed = int(master.integers(2**63))
         aux_seed = int(master.integers(2**63))
-        trials.append(
-            evaluate_trial(sampler, eps, beta, steps, ef, eval_config, chain_seed, aux_seed)
-        )
+        config = SamplerConfig(sampler, eps, steps, beta, eval_config.n_samples, chain_seed)
+        trials.append(evaluate_trial(config, ef, eval_config, aux_seed))
     ok = [t for t in trials if t.status == "ok"]
     if not ok:
         raise RuntimeError("all tuning trials failed")

@@ -11,7 +11,6 @@ import numpy as np
 
 from jumphmc import (
     DiagonalGaussian,
-    GaussianParams,
     Ladder,
     LeapfrogParams,
     PhaseState,
@@ -232,7 +231,7 @@ def test_criterion_7_integrator_properties():
     """Reversibility, volume preservation, and second-order energy error."""
     t0 = time.time()
     rng = np.random.default_rng(707)
-    models = [RoughWell(), DiagonalGaussian(GaussianParams(np.array([1.0, 0.25])))]
+    models = [RoughWell(), DiagonalGaussian(np.array([1.0, 0.25]))]
 
     worst_rev = 0.0
     for ef in models:
@@ -265,7 +264,7 @@ def test_criterion_7_integrator_properties():
     det_err = abs(np.linalg.det(jac) - 1.0)
 
     # second-order energy error: halving the step at fixed trajectory length
-    gauss = DiagonalGaussian(GaussianParams(np.array([1.0, 4.0])))
+    gauss = DiagonalGaussian(np.array([1.0, 4.0]))
     states = [PhaseState(rng.normal(size=2), rng.standard_normal(2)) for _ in range(64)]
 
     def mean_energy_error(epsilon, steps):

@@ -33,7 +33,6 @@ from jumphmc import (
     Chain,
     DiagonalGaussian,
     EnergyFunction,
-    GaussianParams,
     IntegrationError,
     PhaseState,
     RoughWell,
@@ -367,7 +366,7 @@ def rough_start(seed=1):
     return PhaseState(np.zeros(2), np.random.default_rng(seed).standard_normal(2))
 
 
-BENCH_GAUSSIAN = DiagonalGaussian(GaussianParams(np.logspace(0.0, 2.0, 50)))
+BENCH_GAUSSIAN = DiagonalGaussian(np.logspace(0.0, 2.0, 50))
 
 
 @pytest.mark.parametrize(

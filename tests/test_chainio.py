@@ -1,6 +1,7 @@
 """The CSV writers emit byte for byte what the former csv.writer-based writer did."""
 
 import csv
+import json
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from jumphmc import (
 from jumphmc.chainio import (
     _header_lines,
     write_autocorr_csv,
+    write_best_json,
     write_chain_csv,
     write_gap_csv,
     write_trials_csv,
@@ -96,11 +98,11 @@ def reference_write_autocorr_csv(path, series, config=None, seed=None):
 def reference_write_trials_csv(path, trials, config=None, seed=None):
     rows = (
         [
-            t.sampler,
-            _format_float(t.epsilon),
-            _format_float(t.beta),
-            t.steps,
-            t.seed,
+            t.config.sampler,
+            _format_float(t.config.epsilon),
+            _format_float(t.config.beta),
+            t.config.steps,
+            t.config.seed,
             t.status,
             "" if t.objective is None else _format_float(t.objective),
         ]
@@ -181,12 +183,24 @@ def test_autocorr_series(tmp_path):
 
 def test_trials_with_failed_trial(tmp_path):
     trials = [
-        TrialRecord(epsilon=0.59, beta=0.43, steps=25, sampler="hmc",
-                    seed=2**63 - 1, status="ok", objective=-0.0123),
-        TrialRecord(epsilon=4.8, beta=0.005, steps=2, sampler="hmc",
-                    seed=0, status="failed"),
-        TrialRecord(epsilon=3.0, beta=0.012314, steps=50, sampler="mjhmc",
-                    seed=17, status="ok", objective=-0.0),
+        TrialRecord(SamplerConfig("hmc", 0.59, 25, 0.43, 400, seed=2**63 - 1),
+                    status="ok", objective=-0.0123),
+        TrialRecord(SamplerConfig("hmc", 4.8, 2, 0.005, 400, seed=0), status="failed"),
+        TrialRecord(SamplerConfig("mjhmc", 3.0, 50, 0.012314, 400, seed=17),
+                    status="ok", objective=-0.0),
     ]
     assert_same_bytes(tmp_path, write_trials_csv, reference_write_trials_csv, trials)
     assert_same_bytes(tmp_path, write_trials_csv, reference_write_trials_csv, trials[1:2])
+
+
+def test_best_json_reads_the_trial_config(tmp_path):
+    best = TrialRecord(SamplerConfig("mjhmc", 3.0, 50, 0.012314, 400, seed=17), "ok", -0.5)
+    failed = TrialRecord(SamplerConfig("mjhmc", 4.8, 2, 0.005, 400, seed=0), "failed")
+    write_best_json(tmp_path / "b.json", best, [best, failed], CONFIG, 5)
+    out = json.loads((tmp_path / "b.json").read_text())
+    assert list(out) == ["config_hash", "seed", "best", "n_trials", "n_failed"]
+    assert list(out["best"].items()) == [
+        ("epsilon", 3.0), ("beta", 0.012314), ("steps", 50), ("objective", -0.5),
+        ("sampler", "mjhmc"),
+    ]
+    assert (out["n_trials"], out["n_failed"]) == (2, 1)

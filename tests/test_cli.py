@@ -549,6 +549,26 @@ def test_non_finite_number_is_config_error(tmp_path, capsys, command, config, co
 
 
 @pytest.mark.parametrize(
+    "model",
+    [
+        {"name": "gaussian", "precision_diag": [-1, 1]},
+        {"name": "gaussian", "precision_diag": [0, 1]},
+        {"name": "rough_well", "sigma1": 1e-200},
+        {"name": "rough_well", "sigma1": 1e200},
+    ],
+    ids=["precision-negative", "precision-zero", "sigma1-tiny", "sigma1-huge"],
+)
+def test_out_of_range_model_is_config_error(tmp_path, capsys, model):
+    # the target checks its own numbers; these used to end in a ValueError,
+    # ZeroDivisionError or OverflowError traceback
+    cfg = write_config(tmp_path / "c.json", dict(GAUSSIAN_SAMPLE, model=model))
+    assert main(["sample", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: model: ") and err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
+
+@pytest.mark.parametrize(
     "config, context",
     [
         (dict(GAUSSIAN_SAMPLE, epsilon="0.5"), "sample config.epsilon"),

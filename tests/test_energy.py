@@ -6,10 +6,8 @@ import pytest
 from jumphmc import (
     DiagonalGaussian,
     DimensionError,
-    GaussianParams,
     PhaseState,
     RoughWell,
-    RoughWellParams,
     joint_energy,
 )
 
@@ -80,13 +78,12 @@ def test_rough_well_energy_is_nan_at_infinite_coordinate():
 def test_rough_well_energy_matches_numpy_formula():
     # the ripple runs on floats with math.cos; it equals the numpy formula
     # it replaced bit for bit, far from the mode too
-    params = RoughWellParams()
-    ef = RoughWell(params)
+    ef = RoughWell()
     rng = np.random.default_rng(7)
     for scale in (1.0, 1e2, 1e5, 1e12, 1e100):
         for x in rng.standard_normal((2000, 2)) * scale:
-            ref = (0.5 / params.sigma1**2 * float(np.dot(x, x))
-                   + float(np.sum(np.cos(np.pi / params.sigma2 * x))))
+            ref = (0.5 / ef.sigma1**2 * float(np.dot(x, x))
+                   + float(np.sum(np.cos(np.pi / ef.sigma2 * x))))
             assert ef.energy(x) == ref
 
 
@@ -98,7 +95,7 @@ def test_rough_well_dimension_error():
 
 
 def test_gaussian_energy_trivial():
-    ef = DiagonalGaussian(GaussianParams(np.array([4.0])))
+    ef = DiagonalGaussian(np.array([4.0]))
     assert ef.energy(np.zeros(1)) == 0.0
     assert ef.energy(np.array([1.0])) == pytest.approx(2.0)
     np.testing.assert_allclose(ef.gradient(np.array([1.0])), [4.0])
@@ -106,7 +103,7 @@ def test_gaussian_energy_trivial():
 
 def test_gaussian_gradient_matches_finite_differences():
     rng = np.random.default_rng(0)
-    ef = DiagonalGaussian(GaussianParams(np.array([0.5, 2.0, 7.0])))
+    ef = DiagonalGaussian(np.array([0.5, 2.0, 7.0]))
     for _ in range(5):
         x = rng.normal(size=3)
         fd = central_diff_gradient(ef.energy, x)
@@ -115,16 +112,25 @@ def test_gaussian_gradient_matches_finite_differences():
 
 def test_gaussian_params_validation():
     with pytest.raises(ValueError):
-        GaussianParams(np.array([1.0, -1.0]))
+        DiagonalGaussian(np.array([1.0, -1.0]))
     with pytest.raises(ValueError):
-        GaussianParams(np.array([]))
+        DiagonalGaussian(np.array([]))
+    for precision in ([0.0, 1.0], [np.inf, 1.0], [np.nan]):
+        with pytest.raises(ValueError, match="positive and finite"):
+            DiagonalGaussian(precision)
 
 
 def test_rough_well_params_validation():
     with pytest.raises(ValueError):
-        RoughWellParams(sigma1=0.0)
+        RoughWell(sigma1=0.0)
     with pytest.raises(ValueError):
-        RoughWellParams(sigma2=-1.0)
+        RoughWell(sigma2=-1.0)
+    # 1e-200 and 1e200 used to raise ZeroDivisionError and OverflowError from
+    # sigma1**2, and 1e-310 left pi/sigma2 infinite
+    for kwargs in ({"sigma1": np.inf}, {"sigma2": np.nan}, {"sigma1": 1e-200},
+                   {"sigma1": 1e200}, {"sigma2": 1e-310}):
+        with pytest.raises(ValueError):
+            RoughWell(**kwargs)
 
 
 def test_joint_energy_rough_well_origin():
@@ -157,9 +163,9 @@ def test_joint_energy_dimension_mismatch():
     "ef",
     [
         RoughWell(),
-        RoughWell(RoughWellParams(sigma1=10.0, sigma2=2.0)),
-        DiagonalGaussian(GaussianParams(np.array([1.0, 4.0]))),
-        DiagonalGaussian(GaussianParams(np.array([0.3, 2.0, 9.0, 0.7]))),
+        RoughWell(sigma1=10.0, sigma2=2.0),
+        DiagonalGaussian(np.array([1.0, 4.0])),
+        DiagonalGaussian(np.array([0.3, 2.0, 9.0, 0.7])),
     ],
 )
 def test_gradient_finite_difference_agreement_everywhere(ef):
@@ -174,11 +180,10 @@ def test_gradient_finite_difference_agreement_everywhere(ef):
 
 def test_ripple_is_bounded():
     rng = np.random.default_rng(5)
-    params = RoughWellParams()
-    ef = RoughWell(params)
+    ef = RoughWell()
     for _ in range(200):
         x = rng.uniform(-300, 300, size=2)
-        ripple = ef.energy(x) - np.dot(x, x) / (2 * params.sigma1**2)
+        ripple = ef.energy(x) - np.dot(x, x) / (2 * ef.sigma1**2)
         assert -2.0 <= ripple <= 2.0
 
 

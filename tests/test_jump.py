@@ -5,7 +5,6 @@ from jumphmc import (
     CountingEnergy,
     DiagonalGaussian,
     EnergyFunction,
-    GaussianParams,
     IntegrationError,
     PhaseState,
     RoughWell,
@@ -278,6 +277,29 @@ def test_sampler_config_refuses_non_finite_or_unknown(sampler, field, value):
         SamplerConfig(**dict(fields, **{field: value}))
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("steps", 2.5, "steps must be an integer"),
+        ("steps", True, "steps must be an integer, not a bool"),
+        ("n_samples", 10.5, "n_samples must be an integer"),
+        ("n_samples", True, "n_samples must be an integer, not a bool"),
+    ],
+    ids=["steps-float", "steps-bool", "n_samples-float", "n_samples-bool"],
+)
+def test_sampler_config_refuses_non_integral_counts(field, value, message):
+    # a float count used to pass here and kill the chain loop with a
+    # TypeError, and steps=True ran as one leapfrog step
+    fields = dict(sampler="mjhmc", epsilon=0.5, steps=2, beta=0.2, n_samples=10)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SamplerConfig(**dict(fields, **{field: value}))
+
+
+def test_sampler_config_accepts_numpy_integer_counts():
+    config = SamplerConfig("hmc", 0.5, np.int64(2), 0.5, np.int32(10))
+    assert config.steps == 2 and config.n_samples == 10
+
+
 class TestResample:
     def test_uniform_weights_near_uniform_multiplicity(self):
         rng = np.random.default_rng(0)
@@ -438,7 +460,7 @@ class TestCacheRules:
         precision = np.array([1.0, 3.8])
         config = SamplerConfig("mjhmc", epsilon=1.0, steps=5, beta=0.1, n_samples=50_000, seed=0)
         init = PhaseState(np.zeros(2), np.random.default_rng(100).standard_normal(2))
-        chain = run_chain(config, DiagonalGaussian(GaussianParams(precision)), init)
+        chain = run_chain(config, DiagonalGaussian(precision), init)
         assert chain.transition_counts()["F"] / len(chain) > 0.15
         mean, cov = weighted_moments(chain)
         n_batches = 50

@@ -6,7 +6,6 @@ from jumphmc import (
     DiagonalGaussian,
     DimensionError,
     EnergyFunction,
-    GaussianParams,
     IntegrationError,
     LeapfrogParams,
     PhaseState,
@@ -65,6 +64,9 @@ def test_leapfrog_params_validation():
         LeapfrogParams(0.0, 1)
     with pytest.raises(ValueError):
         LeapfrogParams(0.1, 0)
+    for steps in (2.5, 3.0, True, "3"):
+        with pytest.raises(ValueError, match="steps must be an integer"):
+            LeapfrogParams(0.1, steps)
 
 
 def test_tiny_step_is_near_identity():
@@ -93,7 +95,7 @@ def test_harmonic_oscillator_inverse_recovers_start():
 @pytest.mark.parametrize("epsilon", [0.1, 1.0])
 @pytest.mark.parametrize("steps", [1, 25])
 @pytest.mark.parametrize(
-    "ef", [RoughWell(), DiagonalGaussian(GaussianParams(np.array([1.0, 0.25])))]
+    "ef", [RoughWell(), DiagonalGaussian(np.array([1.0, 0.25]))]
 )
 def test_flfl_reversibility(epsilon, steps, ef):
     # F L F L = I: exact in exact arithmetic, 1e-9 relative in floats
@@ -149,7 +151,7 @@ def test_volume_preservation_jacobian():
 def test_energy_error_is_second_order():
     # fixed trajectory length: halving epsilon while doubling steps must
     # shrink the energy error by roughly 2^2
-    ef = DiagonalGaussian(GaussianParams(np.array([1.0, 4.0])))
+    ef = DiagonalGaussian(np.array([1.0, 4.0]))
     rng = np.random.default_rng(8)
     states = random_states(rng, 64, scale=1.0)
 
@@ -256,7 +258,7 @@ def two_half_kick_leapfrog(zeta, params, ef):
 
 
 @pytest.mark.parametrize(
-    "ef", [RoughWell(), DiagonalGaussian(GaussianParams(np.array([1.0, 0.25])))]
+    "ef", [RoughWell(), DiagonalGaussian(np.array([1.0, 0.25]))]
 )
 def test_fused_kicks_match_two_half_kick_loop(ef):
     # one step has no kicks to fuse: bit for bit; at 25 steps the fused
@@ -308,7 +310,7 @@ class SpyGaussian(DiagonalGaussian):
     """A target on the default trajectory loop that counts its own gradient calls."""
 
     def __init__(self):
-        super().__init__(GaussianParams(np.array([1.0, 0.25])))
+        super().__init__(np.array([1.0, 0.25]))
         self.calls = 0
 
     def gradient(self, x):

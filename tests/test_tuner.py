@@ -42,6 +42,11 @@ def test_eval_config_rejects_what_cannot_be_fit():
     with pytest.raises(ValueError, match="n_lags must be at least 4"):
         TuningEvalConfig(n_lags=3)
     TuningEvalConfig(n_samples=10, n_lags=4)
+    # these used to pass here and fail every trial inside autocorrelation
+    for max_lag_evals in (-1.0, 0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="^max_lag_evals must be positive and finite$"):
+            TuningEvalConfig(max_lag_evals=max_lag_evals)
+    TuningEvalConfig(max_lag_evals=50.0)
 
 
 def test_budget_one_returns_the_single_trial():
@@ -54,9 +59,9 @@ def test_collapsed_space_pins_parameters():
     space = SearchSpace(epsilon_range=(0.5, 0.5), beta_range=(0.2, 0.2), steps_range=(4, 4))
     best, trials = random_search(space, 3, "hmc", GAUSS_1D, FAST_EVAL, seed=1)
     for t in trials:
-        assert t.epsilon == pytest.approx(0.5)
-        assert t.beta == pytest.approx(0.2)
-        assert t.steps == 4
+        assert t.config.epsilon == pytest.approx(0.5)
+        assert t.config.beta == pytest.approx(0.2)
+        assert t.config.steps == 4
 
 
 def test_deterministic_under_seed():
@@ -93,7 +98,7 @@ def test_frozen_control_scores_zero_decay():
     init = PhaseState(np.zeros(2), np.random.default_rng(0).standard_normal(2))
     config = SamplerConfig("hmc", 4.847, 34, 0.712, 400, 0)
     assert run_chain(config, ef, init).acceptance_rate == 0.0
-    trial = evaluate_trial("hmc", 4.847, 0.712, 34, ef, eval_cfg, chain_seed=0, aux_seed=0)
+    trial = evaluate_trial(config, ef, eval_cfg, aux_seed=0)
     assert trial.status == "ok"
     assert trial.objective == 0.0
 
@@ -105,7 +110,7 @@ def test_frozen_jump_resample_scores_zero_decay(seed, index):
     _, trials = random_search(
         SearchSpace(), 3, "mjhmc", RoughWell(), TuningEvalConfig(n_samples=400), seed=seed
     )
-    assert trials[index].epsilon > 4.4
+    assert trials[index].config.epsilon > 4.4
     assert trials[index].status == "ok"
     assert trials[index].objective == 0.0
 
@@ -114,13 +119,13 @@ def test_unknown_sampler_rejected():
     with pytest.raises(ValueError):
         random_search(SearchSpace(), 1, "nuts", GAUSS_1D, FAST_EVAL, seed=0)
     with pytest.raises(ValueError):
-        evaluate_trial("nuts", 0.1, 0.1, 2, GAUSS_1D, FAST_EVAL, 0, 0)
+        evaluate_trial(SamplerConfig("nuts", 0.1, 2, 0.1, 600, 0), GAUSS_1D, FAST_EVAL, 0)
 
 
 def test_search_beats_deliberately_bad_setting_on_rough_well():
     ef = RoughWell()
     eval_cfg = TuningEvalConfig(n_samples=1500, n_lags=80)
     best, trials = random_search(SearchSpace(), 50, "mjhmc", ef, eval_cfg, seed=0)
-    bad = evaluate_trial("mjhmc", 0.01, 0.9, 2, ef, eval_cfg, chain_seed=123, aux_seed=321)
+    bad = evaluate_trial(SamplerConfig("mjhmc", 0.01, 2, 0.9, 1500, 123), ef, eval_cfg, aux_seed=321)
     assert bad.status == "ok"
     assert best.objective <= bad.objective
