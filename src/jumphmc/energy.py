@@ -174,21 +174,21 @@ class RoughWell(EnergyFunction):
         g0, g1 = grad.tolist()
         eps = float(epsilon)  # a numpy scalar would make every update a numpy call
         half = 0.5 * eps
-        c, f, partial = self._curvature, self._freq, _rough_well_partial
+        c, f, sin = self._curvature, self._freq, math.sin
         try:
             v0 -= half * g0
             v1 -= half * g1
             for _ in range(steps - 1):
                 x0 += eps * v0
                 x1 += eps * v1
-                g0 = partial(x0, c, f)
-                g1 = partial(x1, c, f)
+                g0 = c * x0 - f * sin(f * x0)  # _rough_well_partial, without the call
+                g1 = c * x1 - f * sin(f * x1)
                 v0 -= eps * g0
                 v1 -= eps * g1
             x0 += eps * v0
             x1 += eps * v1
-            g0 = partial(x0, c, f)
-            g1 = partial(x1, c, f)
+            g0 = c * x0 - f * sin(f * x0)
+            g1 = c * x1 - f * sin(f * x1)
             v0 -= half * g0
             v1 -= half * g1
         except ValueError:

@@ -12,8 +12,8 @@ The continuous-time rate matrix, its embedded discrete-time chain, the
 holding-time scaling between them, and the numerical balance checks all
 live here, together with the randomized spectral-gap experiment comparing
 the jump process against the discrete-time control chain.  Its draws are
-independent, so it runs them in forked worker processes, one per CPU the
-process may use, with results bit-identical to a serial run.
+independent, so it runs them through ``forkmap.map_ordered``, one process
+per CPU the process may use, with results bit-identical to a serial run.
 
 Both ladder chains in closed form.  Every state has two exits.  alpha_r
 is the probability that the ascending state a_r moves up to a_{r+1} (else
@@ -59,14 +59,13 @@ from __future__ import annotations
 
 import math
 import operator
-import os
-import threading
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .errors import DegenerateLadderError
+from .forkmap import map_ordered
 
 
 @dataclass(frozen=True)
@@ -564,59 +563,6 @@ def _ladder_gaps(task: tuple[int, np.random.SeedSequence]) -> tuple[float, float
     return ladder_spectral_gap(ladder, "mjhmc"), ladder_spectral_gap(ladder, "hmc")
 
 
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _worker_count(tasks: list) -> int:
-    """Processes to run the gap tasks in: one per usable CPU, or 1 for this
-    process alone.
-
-    It is 1 when no ladder reaches ``RING_GAP_MIN_K`` (a dense draw costs
-    0.3-1.3 ms, starting and joining a pool of two about 10 ms on a 2-core
-    VM), when the platform cannot fork, or when this process runs other
-    threads: a forked child gets none of them, but may get a lock one of
-    them held.
-    """
-    if max(k for k, _ in tasks) < RING_GAP_MIN_K or not hasattr(os, "fork") \
-            or threading.active_count() > 1:
-        return 1
-    return min(_usable_cpus(), len(tasks))
-
-
-def _map_ladder_gaps(tasks: list) -> np.ndarray:
-    """``_ladder_gaps`` of every task as a (2, tasks) array in task order,
-    computed by a pool of ``_worker_count`` forked workers or by this process.
-
-    Fork rather than spawn: a spawned worker would start an interpreter
-    and import numpy and this package again, about 0.1 s per worker, which
-    is much of what an experiment of a few dozen draws gains.  Tasks
-    go out largest ladder first, so that the workers run out of work
-    together.  The pool is joined before this returns or raises.
-    """
-    order = sorted(range(len(tasks)), key=lambda i: -tasks[i][0])
-    ordered = [tasks[i] for i in order]
-    workers = _worker_count(tasks)
-    if workers == 1:
-        done = list(map(_ladder_gaps, ordered))
-    else:
-        import multiprocessing  # here, so that a serial run does not pay its import
-
-        pool = multiprocessing.get_context("fork").Pool(workers)
-        try:
-            done = pool.map(_ladder_gaps, ordered, chunksize=1)
-        finally:
-            pool.terminate()  # idle after a full map, abandoned after an error
-            pool.join()
-    gaps = np.empty((2, len(tasks)))
-    gaps[:, order] = np.transpose(done)
-    return gaps
-
-
 def random_ladder_experiment(
     sizes: Sequence[int] = DEFAULT_LADDER_SIZES,
     draws_per_size: int = 250,
@@ -627,7 +573,7 @@ def random_ladder_experiment(
     Rung energies are i.i.d. standard normal, and each gap comes from
     ``ladder_spectral_gap``.  Each (size, draw) task uses its own
     deterministically derived random stream, so the tasks run on every CPU
-    the process may use (see ``_worker_count``) and the result is
+    the process may use (see ``forkmap.map_ordered``) and the result is
     bit-identical to a serial run.
     """
     try:
@@ -642,10 +588,14 @@ def random_ladder_experiment(
     if draws_per_size < 1:
         raise ValueError("draws_per_size must be at least 1")
 
+    # Largest ladder first, so that the processes run out of work together;
+    # serial below RING_GAP_MIN_K, where a draw costs 0.3-1.3 ms, a fork 3.5 ms.
     per_size = np.random.SeedSequence(seed).spawn(len(sizes))
-    tasks = [(int(k), seq) for k, size_seq in zip(sizes, per_size)
-             for seq in size_seq.spawn(draws_per_size)]
-    gaps = _map_ladder_gaps(tasks).reshape(2, len(sizes), draws_per_size)
+    by_size = np.argsort(-sizes, kind="stable")
+    tasks = [(int(sizes[s]), seq) for s in by_size for seq in per_size[s].spawn(draws_per_size)]
+    run = map_ordered if max(sizes) >= RING_GAP_MIN_K else lambda fn, ts: list(map(fn, ts))
+    gaps = np.empty((2, len(sizes), draws_per_size))
+    gaps[:, by_size] = np.transpose(run(_ladder_gaps, tasks)).reshape(2, len(sizes), draws_per_size)
     stats = {}
     for sampler, g in zip(("mjhmc", "hmc"), gaps):
         stats[f"{sampler}_mean"] = g.mean(axis=1)

@@ -57,8 +57,8 @@ class LeapfrogParams:
         check_count("steps", self.steps)
 
 
-def check_count(name: str, value) -> None:
-    """Raise ValueError unless ``value`` is a positive integer.
+def check_count(name: str, value, least: int = 1) -> None:
+    """Raise ValueError unless ``value`` is an integer of at least ``least``.
 
     An integral float or a bool is not a count: a chain loop would die on
     the float and run the bool as 0 or 1.
@@ -69,8 +69,8 @@ def check_count(name: str, value) -> None:
         operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer") from None
-    if value < 1:
-        raise ValueError(f"{name} must be at least 1")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}")
 
 
 def leapfrog_with_grad(

@@ -7,7 +7,9 @@ that never decorrelates scores 0.0, the worst finite decay rate, instead of
 failing: a control that rejects every proposal, or a jump chain whose
 holding-time resample puts every draw on one state.  A jump chain of
 momentum resamples only (R rows) still fails: far past stability its
-trajectories leave every L and F rate at exactly 0.  :func:`run_chain` is
+trajectories leave every L and F rate at exactly 0.  Trials run in forked
+processes (``forkmap.map_ordered``) after all their seeds are drawn, so
+results do not depend on the number of processes.  :func:`run_chain` is
 the library's one way to run a chain of either sampler, shared with the CLI.
 """
 
@@ -22,8 +24,9 @@ import numpy as np
 from .diagnostics import MIN_FIT_LAGS, MIN_SAMPLES, autocorrelation, fit_decay, tuning_objective
 from .energy import EnergyFunction
 from .errors import DecayFitError, DegenerateChainError, IntegrationError
+from .forkmap import map_ordered
 from .jump import Chain, SamplerConfig, hmc_chain, sample_chain, systematic_resample_indices
-from .phase import PhaseState
+from .phase import PhaseState, check_count
 
 
 @dataclass(frozen=True)
@@ -70,10 +73,8 @@ class TuningEvalConfig:
     max_lag_evals: Optional[float] = None
 
     def __post_init__(self):
-        if self.n_samples < MIN_SAMPLES:
-            raise ValueError(f"n_samples must be at least {MIN_SAMPLES}")
-        if self.n_lags < MIN_FIT_LAGS:
-            raise ValueError(f"n_lags must be at least {MIN_FIT_LAGS}")
+        check_count("n_samples", self.n_samples, MIN_SAMPLES)
+        check_count("n_lags", self.n_lags, MIN_FIT_LAGS)
         if self.max_lag_evals is not None and not 0 < self.max_lag_evals < math.inf:
             raise ValueError("max_lag_evals must be positive and finite")
 
@@ -145,13 +146,15 @@ def random_search(
     if budget < 1:
         raise ValueError("budget must be at least 1")
     master = np.random.default_rng(seed)
-    trials = []
+    tasks = []
     for _ in range(budget):
         eps, beta, steps = space.draw(master)
         chain_seed = int(master.integers(2**63))
         aux_seed = int(master.integers(2**63))
         config = SamplerConfig(sampler, eps, steps, beta, eval_config.n_samples, chain_seed)
-        trials.append(evaluate_trial(config, ef, eval_config, aux_seed))
+        tasks.append((config, ef, eval_config, aux_seed))
+    # evaluate_trial by its module-global name, which bench/hooks.py wraps
+    trials = map_ordered(lambda task: evaluate_trial(*task), tasks)
     ok = [t for t in trials if t.status == "ok"]
     if not ok:
         raise RuntimeError("all tuning trials failed")

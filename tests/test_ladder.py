@@ -1,7 +1,7 @@
-import multiprocessing
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -26,6 +26,7 @@ from jumphmc import (
     spectral_distance,
     spectral_gap,
 )
+import jumphmc.forkmap as forkmap
 import jumphmc.ladder as ladder_module
 from jumphmc.cli import main
 from jumphmc.ladder import (
@@ -480,20 +481,36 @@ class TestExperiment:
             random_ladder_experiment(sizes=sizes, draws_per_size=draws)
 
 
+def use_cpus(monkeypatch, cpus):
+    """Make ``map_ordered`` see ``cpus`` usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+def assert_no_child_process():
+    """Every child this process forked has been reaped (unlike
+    ``multiprocessing.active_children``, this sees bare forks too)."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestExperimentWorkers:
     """The (size, draw) tasks give the same bits in any number of processes."""
 
     @staticmethod
     def run(monkeypatch, cpus, **kwargs):
-        monkeypatch.setattr(ladder_module, "_usable_cpus", lambda: cpus)
+        use_cpus(monkeypatch, cpus)
         return random_ladder_experiment(**kwargs)
 
     def test_worker_count(self, monkeypatch):
-        monkeypatch.setattr(ladder_module, "_usable_cpus", lambda: 3)
-        seq = np.random.SeedSequence(0)
-        assert ladder_module._worker_count([(RING_GAP_MIN_K - 1, seq)] * 5) == 1  # dense only
-        assert ladder_module._worker_count([(5, seq), (RING_GAP_MIN_K, seq)]) == 2  # one per task
-        assert ladder_module._worker_count([(RING_GAP_MIN_K, seq)] * 5) == 3  # one per CPU
+        use_cpus(monkeypatch, 3)
+        assert forkmap._worker_count(2) == 2  # one per task
+        assert forkmap._worker_count(5) == 3  # one per CPU
+
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)  # dense only: serial
+        random_ladder_experiment(sizes=[5, RING_GAP_MIN_K - 1], draws_per_size=3)
 
     def test_results_are_identical_at_1_2_and_3_workers(self, monkeypatch):
         runs = [self.run(monkeypatch, cpus, sizes=[5, 33, 65, 129], draws_per_size=3, seed=404)
@@ -507,7 +524,7 @@ class TestExperimentWorkers:
         cfg.write_text('{"sizes": [33, 65], "draws_per_size": 3, "seed": 404}')
         outputs = []
         for cpus in (1, 2):
-            monkeypatch.setattr(ladder_module, "_usable_cpus", lambda: cpus)
+            use_cpus(monkeypatch, cpus)
             out = tmp_path / f"gaps{cpus}.csv"
             assert main(["spectral-gap", str(cfg), "--out", str(out)]) == 0
             outputs.append(out.read_bytes())
@@ -517,19 +534,24 @@ class TestExperimentWorkers:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             self.run(monkeypatch, 2, sizes=[65], draws_per_size=4, seed=1)
-        assert multiprocessing.active_children() == []
+        assert_no_child_process()
         # closed by the experiment, not left running to the garbage collector
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
     def test_a_worker_error_reaches_the_caller(self, monkeypatch):
+        parent = os.getpid()
+
         def fail(ladder, sampler):
+            if os.getpid() == parent:  # slow here, so that a worker claims a task
+                time.sleep(0.1)
+                return 0.5
             raise DegenerateLadderError(f"raised in process {os.getpid()}")
 
         monkeypatch.setattr(ladder_module, "ladder_spectral_gap", fail)
         with pytest.raises(DegenerateLadderError, match="raised in process") as caught:
             self.run(monkeypatch, 2, sizes=[65], draws_per_size=4, seed=1)
         assert str(caught.value) != f"raised in process {os.getpid()}"  # it came from a worker
-        assert multiprocessing.active_children() == []
+        assert_no_child_process()
 
 
 class TestMinExponentialOracle:

@@ -49,6 +49,21 @@ def test_eval_config_rejects_what_cannot_be_fit():
     TuningEvalConfig(max_lag_evals=50.0)
 
 
+@pytest.mark.parametrize("value", [600.5, 600.0, True, "600"])
+def test_eval_config_n_samples_must_be_an_integer(value):
+    # 600.5 used to be refused only when the first trial's SamplerConfig was built
+    with pytest.raises(ValueError, match="^n_samples must be an integer"):
+        TuningEvalConfig(n_samples=value)
+
+
+@pytest.mark.parametrize("value", [40.5, 40.0, True, "40"])
+def test_eval_config_n_lags_must_be_an_integer(value):
+    # 40.5 used to pass here and raise TypeError inside the first trial
+    with pytest.raises(ValueError, match="^n_lags must be an integer"):
+        TuningEvalConfig(n_lags=value)
+    TuningEvalConfig(n_samples=np.int64(600), n_lags=np.int64(40))
+
+
 def test_budget_one_returns_the_single_trial():
     best, trials = random_search(SearchSpace(), 1, "mjhmc", GAUSS_1D, FAST_EVAL, seed=0)
     assert len(trials) == 1
