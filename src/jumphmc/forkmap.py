@@ -1,8 +1,8 @@
 """One ordered map over independent tasks, run in forked processes.
 
 Bare forks, not a ``multiprocessing`` pool: on a 2-core VM a fork with its
-pipe and ``waitpid`` took about 3.5 ms, and starting a pool of two, mapping
-three tiny tasks and joining it about 12 ms, as long as a tuning trial.
+pipe and ``waitpid`` took about 3.5 ms, and a pool of two about 12 ms to
+start, map three tiny tasks and join, as long as a tuning trial.
 """
 
 import os
@@ -22,21 +22,21 @@ def _worker_count(n_tasks: int) -> int:
     return min(cpus, n_tasks)
 
 
-def _run_claims(fn, tasks: list, claims: int, bounds: list) -> tuple[list, tuple]:
-    """``fn`` over each chunk claimed from the pipe ``claims`` until it is empty:
-    the ``(index, result)`` pairs, and ``(index, exception)`` of a task that
-    raised or ``()``.  An error empties the pipe, so every process stops."""
+def _run_claims(fn, tasks: list, claims: int, chunk: int) -> list:
+    """``(index, raised, value)`` of ``fn`` over each chunk of ``chunk`` tasks
+    claimed from the pipe ``claims`` until it is empty.  A task that raises
+    ends the list and empties the pipe, so that every process stops."""
     done = []
     while claim := os.read(claims, 4):
-        (j,) = array("i", claim)
-        for i in range(bounds[j], bounds[j + 1]):
+        (start,) = array("i", claim)
+        for i in range(start, min(start + chunk, len(tasks))):
             try:
-                done.append((i, fn(tasks[i])))
+                done.append((i, False, fn(tasks[i])))
             except BaseException as exc:
                 while os.read(claims, 4096):
                     pass
-                return done, (i, exc)
-    return done, ()
+                return done + [(i, True, exc)]
+    return done
 
 
 def map_ordered(fn, tasks: list) -> list:
@@ -51,37 +51,34 @@ def map_ordered(fn, tasks: list) -> list:
     workers = _worker_count(len(tasks))
     if workers <= 1:  # 0 for no tasks
         return [fn(t) for t in tasks]
-    n_claims = min(len(tasks), 1024)  # 4-byte claims: 4 KiB, the least a pipe holds
-    bounds = [j * len(tasks) // n_claims for j in range(n_claims + 1)]
+    chunk = -(-len(tasks) // 1024)  # at most 1024 4-byte claims: 4 KiB, the least a pipe holds
     claims, w = os.pipe()
-    os.write(w, array("i", range(n_claims)).tobytes())
+    os.write(w, array("i", range(0, len(tasks), chunk)).tobytes())
     os.close(w)
     children = []  # (pid, read end of the pipe it sends its results through)
     try:
         for _ in range(workers - 1):
             r, w = os.pipe()
             if (pid := os.fork()) == 0:
-                try:  # pickled first, so that a result that cannot be sent sends nothing
-                    sent = pickle.dumps(_run_claims(fn, tasks, claims, bounds))
+                try:  # nothing is written unless all of it pickles
                     with open(w, "wb") as out:
-                        out.write(sent)
+                        out.write(pickle.dumps(_run_claims(fn, tasks, claims, chunk)))
                 finally:
                     os._exit(0)
             os.close(w)
             children.append((pid, r))
-        done, error = _run_claims(fn, tasks, claims, bounds)
-        if error and not isinstance(error[1], Exception):
-            raise error[1]
+        done = _run_claims(fn, tasks, claims, chunk)
+        if done and done[-1][1] and not isinstance(done[-1][2], Exception):
+            raise done[-1][2]  # an interrupt here stops the map at once
         for _, r in children:
             with open(r, "rb", closefd=False) as results:
                 if not results.peek(1):
                     raise RuntimeError("a worker process ended without sending its results")
-                child_done, child_error = pickle.load(results)
-            done += child_done
-            error = min(filter(None, (error, child_error)), key=lambda e: e[0], default=())
-        if error:
-            raise error[1]
-        return [result for _, result in sorted(done, key=lambda d: d[0])]
+                done += pickle.load(results)
+        done.sort(key=lambda d: d[0])
+        if raised := [value for _, failed, value in done if failed]:
+            raise raised[0]
+        return [value for _, _, value in done]
     finally:
         os.close(claims)
         for pid, r in children:

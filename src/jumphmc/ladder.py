@@ -593,9 +593,9 @@ def random_ladder_experiment(
     per_size = np.random.SeedSequence(seed).spawn(len(sizes))
     by_size = np.argsort(-sizes, kind="stable")
     tasks = [(int(sizes[s]), seq) for s in by_size for seq in per_size[s].spawn(draws_per_size)]
-    run = map_ordered if max(sizes) >= RING_GAP_MIN_K else lambda fn, ts: list(map(fn, ts))
-    gaps = np.empty((2, len(sizes), draws_per_size))
-    gaps[:, by_size] = np.transpose(run(_ladder_gaps, tasks)).reshape(2, len(sizes), draws_per_size)
+    run = map_ordered if max(sizes) >= RING_GAP_MIN_K else map
+    gaps = np.transpose(list(run(_ladder_gaps, tasks))).reshape(2, len(sizes), draws_per_size)
+    gaps = gaps[:, by_size.argsort()]  # back in the order of sizes
     stats = {}
     for sampler, g in zip(("mjhmc", "hmc"), gaps):
         stats[f"{sampler}_mean"] = g.mean(axis=1)

@@ -1,7 +1,6 @@
 import os
 import subprocess
 import sys
-import time
 import warnings
 from pathlib import Path
 
@@ -26,7 +25,6 @@ from jumphmc import (
     spectral_distance,
     spectral_gap,
 )
-import jumphmc.forkmap as forkmap
 import jumphmc.ladder as ladder_module
 from jumphmc.cli import main
 from jumphmc.ladder import (
@@ -481,77 +479,59 @@ class TestExperiment:
             random_ladder_experiment(sizes=sizes, draws_per_size=draws)
 
 
-def use_cpus(monkeypatch, cpus):
-    """Make ``map_ordered`` see ``cpus`` usable CPUs."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-
-
-def assert_no_child_process():
-    """Every child this process forked has been reaped (unlike
-    ``multiprocessing.active_children``, this sees bare forks too)."""
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 class TestExperimentWorkers:
     """The (size, draw) tasks give the same bits in any number of processes."""
 
     @staticmethod
-    def run(monkeypatch, cpus, **kwargs):
-        use_cpus(monkeypatch, cpus)
+    def run(use_cpus, cpus, **kwargs):
+        use_cpus(cpus)
         return random_ladder_experiment(**kwargs)
 
-    def test_worker_count(self, monkeypatch):
-        use_cpus(monkeypatch, 3)
-        assert forkmap._worker_count(2) == 2  # one per task
-        assert forkmap._worker_count(5) == 3  # one per CPU
-
-        def no_fork():
-            raise AssertionError("forked")
-
-        monkeypatch.setattr(os, "fork", no_fork)  # dense only: serial
+    def test_worker_count(self, use_cpus, forks):
+        use_cpus(3)
         random_ladder_experiment(sizes=[5, RING_GAP_MIN_K - 1], draws_per_size=3)
+        assert forks == []  # dense only: serial
+        random_ladder_experiment(sizes=[5, RING_GAP_MIN_K], draws_per_size=1)
+        assert len(forks) == 1  # one size reaches the ring: one process per task
+        random_ladder_experiment(sizes=[RING_GAP_MIN_K], draws_per_size=5)
+        assert len(forks) == 1 + 2  # one process per CPU
 
-    def test_results_are_identical_at_1_2_and_3_workers(self, monkeypatch):
-        runs = [self.run(monkeypatch, cpus, sizes=[5, 33, 65, 129], draws_per_size=3, seed=404)
+    def test_results_are_identical_at_1_2_and_3_workers(self, use_cpus):
+        runs = [self.run(use_cpus, cpus, sizes=[5, 33, 65, 129], draws_per_size=3, seed=404)
                 for cpus in (1, 2, 3)]
         for other in runs[1:]:
             for field in ("mjhmc_mean", "mjhmc_stderr", "hmc_mean", "hmc_stderr"):
                 np.testing.assert_array_equal(getattr(other, field), getattr(runs[0], field))
 
-    def test_cli_csv_is_identical_at_1_and_2_workers(self, monkeypatch, tmp_path):
+    def test_cli_csv_is_identical_at_1_and_2_workers(self, use_cpus, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text('{"sizes": [33, 65], "draws_per_size": 3, "seed": 404}')
         outputs = []
         for cpus in (1, 2):
-            use_cpus(monkeypatch, cpus)
+            use_cpus(cpus)
             out = tmp_path / f"gaps{cpus}.csv"
             assert main(["spectral-gap", str(cfg), "--out", str(out)]) == 0
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
-    def test_no_worker_is_left_after_a_return(self, monkeypatch):
+    def test_no_worker_is_left_after_a_return(self, use_cpus, assert_no_child_process):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            self.run(monkeypatch, 2, sizes=[65], draws_per_size=4, seed=1)
-        assert_no_child_process()
+            self.run(use_cpus, 2, sizes=[65], draws_per_size=4, seed=1)
+        assert_no_child_process()  # unlike multiprocessing.active_children, sees bare forks
         # closed by the experiment, not left running to the garbage collector
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
-    def test_a_worker_error_reaches_the_caller(self, monkeypatch):
-        parent = os.getpid()
-
+    def test_a_worker_error_reaches_the_caller(self, monkeypatch, use_cpus, in_workers):
         def fail(ladder, sampler):
-            if os.getpid() == parent:  # slow here, so that a worker claims a task
-                time.sleep(0.1)
-                return 0.5
             raise DegenerateLadderError(f"raised in process {os.getpid()}")
 
-        monkeypatch.setattr(ladder_module, "ladder_spectral_gap", fail)
+        # the caller runs tasks too, and its own error would win half the time
+        monkeypatch.setattr(ladder_module, "ladder_spectral_gap",
+                            in_workers(fail, here=lambda ladder, sampler: 0.5))
         with pytest.raises(DegenerateLadderError, match="raised in process") as caught:
-            self.run(monkeypatch, 2, sizes=[65], draws_per_size=4, seed=1)
+            self.run(use_cpus, 2, sizes=[65], draws_per_size=4, seed=1)
         assert str(caught.value) != f"raised in process {os.getpid()}"  # it came from a worker
-        assert_no_child_process()
 
 
 class TestMinExponentialOracle:
