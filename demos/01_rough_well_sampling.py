@@ -14,7 +14,6 @@ holding-time weighting is what makes the visited states a fair sample.
 import numpy as np
 
 from jumphmc import (
-    PhaseState,
     RoughWell,
     SamplerConfig,
     run_chain,
@@ -25,10 +24,10 @@ from jumphmc.chainio import write_chain_csv
 
 ef = RoughWell()
 config = SamplerConfig("mjhmc", epsilon=2.5, steps=25, beta=0.02, n_samples=20_000, seed=0)
-init = PhaseState(np.zeros(2), np.random.default_rng(1).standard_normal(2))
+x0, v0 = np.zeros(2), np.random.default_rng(1).standard_normal(2)  # the start (x, v)
 
 print("running", config.n_samples, "jump-process steps on the rough well ...")
-chain = run_chain(config, ef, init)
+chain = run_chain(config, ef, x0, v0)
 
 print("\n--- race statistics ---")
 counts = chain.transition_counts()

@@ -19,7 +19,6 @@ problem you care about.
 import numpy as np
 
 from jumphmc import (
-    PhaseState,
     RoughWell,
     SamplerConfig,
     autocorrelation,
@@ -30,18 +29,18 @@ from jumphmc import (
 from jumphmc.chainio import write_autocorr_csv
 
 ef = RoughWell()
-init = PhaseState(np.zeros(2), np.random.default_rng(5).standard_normal(2))
+x0, v0 = np.zeros(2), np.random.default_rng(5).standard_normal(2)  # both chains start here
 
 # settings found by demos/04-style random search under this exact protocol;
 # note the jump sampler tunes to a larger step and much rarer momentum
 # corruption than the control
 print("running the jump sampler ...")
 mj_config = SamplerConfig("mjhmc", epsilon=2.546, steps=42, beta=0.0168, n_samples=8000, seed=11)
-mj = run_chain(mj_config, ef, init)
+mj = run_chain(mj_config, ef, x0, v0)
 
 print("running the discrete-time control ...")
 hc_config = SamplerConfig("hmc", epsilon=1.286, steps=29, beta=0.288, n_samples=12000, seed=12)
-hc = run_chain(hc_config, ef, init)
+hc = run_chain(hc_config, ef, x0, v0)
 
 budget = min(c.gradient_evals[-1] - c.gradient_evals[0] for c in (mj, hc))
 max_lag = 0.10 * float(budget)

@@ -6,13 +6,7 @@ complex decay-rate fit, and a random-search hyperparameter tuner.
 """
 
 from .diagnostics import AutocorrSeries, DecayFit, autocorrelation, fit_decay, tuning_objective
-from .energy import (
-    CountingEnergy,
-    DiagonalGaussian,
-    EnergyFunction,
-    RoughWell,
-    joint_energy,
-)
+from .energy import CountingEnergy, DiagonalGaussian, EnergyFunction, RoughWell
 from .errors import (
     DecayFitError,
     DegenerateChainError,
@@ -48,7 +42,6 @@ from .ladder import (
     spectral_distance,
     spectral_gap,
 )
-from .phase import LeapfrogParams, PhaseState
 from .tuner import (
     SearchSpace,
     TrialRecord,

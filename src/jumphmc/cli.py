@@ -44,7 +44,6 @@ from .ladder import (
     similarity_check,
     spectral_distance,
 )
-from .phase import PhaseState
 from .tuner import SearchSpace, TuningEvalConfig, random_search, run_chain, unweighted_samples
 
 EXIT_OK = 0
@@ -213,10 +212,9 @@ def _derived_seeds(seed: int, n: int) -> list:
     return [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(n)]
 
 
-def _initial_state(ef: EnergyFunction, position, seed: int) -> PhaseState:
-    x = np.zeros(ef.dim) if position is None else np.asarray(position, dtype=float)
-    rng = np.random.default_rng(seed)
-    return PhaseState(x, rng.standard_normal(ef.dim))
+def _initial_state(ef: EnergyFunction, position, seed: int) -> tuple:
+    x = np.zeros(ef.dim) if position is None else position  # run_chain converts it
+    return x, np.random.default_rng(seed).standard_normal(ef.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +237,7 @@ def cmd_sample(fields: dict, csv_path: str, json_path: str) -> int:
     )
     failure = None
     try:
-        chain = run_chain(sampler_config, ef, init)
+        chain = run_chain(sampler_config, ef, *init)
     except IntegrationError as err:
         chain, failure = err.partial_chain, err  # the rows recorded before the failure
     if len(chain):
@@ -278,7 +276,7 @@ def cmd_autocorr(fields: dict, mjhmc_path: str, hmc_path: str, fit_path: str) ->
     samples = {}
     for name, sampler_config in sampler_configs.items():
         try:
-            chain = run_chain(sampler_config, ef, init)
+            chain = run_chain(sampler_config, ef, *init)
         except IntegrationError as err:
             print(f"error: integration failure: {err}", file=sys.stderr)
             return EXIT_NUMERICAL

@@ -3,7 +3,10 @@
 An energy function assigns ``E(x) = -log pi(x) + const`` to a position
 ``x``; samplers only ever consume energy *differences* and gradients, so
 the constant never matters.  Momentum is standard normal with unit mass
-throughout, making the joint (total) energy ``E(x) + |v|^2 / 2``.
+throughout, so the total energy of a phase-space point (x, v) is
+``E(x) + kinetic_energy(v)``, which the samplers form once per node of
+their cache (:class:`~jumphmc.jump.StateCache`).  A target also owns its
+leapfrog trajectory (:meth:`EnergyFunction.trajectory`).
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ import math
 import numpy as np
 
 from .errors import DimensionError, IntegrationError
-from .phase import PhaseState
 
 
 def _check_dim(x: np.ndarray, dim: int) -> np.ndarray:
@@ -96,9 +98,7 @@ class EnergyFunction(abc.ABC):
 
 
 def _integration_error(x: np.ndarray, v: np.ndarray) -> IntegrationError:
-    return IntegrationError(
-        "leapfrog integration produced non-finite values", state=PhaseState(x, v)
-    )
+    return IntegrationError("leapfrog integration produced non-finite values", x, v)
 
 
 def _rough_well_partial(xi: float, curvature: float, freq: float) -> float:
@@ -255,9 +255,3 @@ class CountingEnergy(EnergyFunction):
         self.gradient_calls += steps
         return self.inner.trajectory(x, v, grad, epsilon, steps)
 
-
-def joint_energy(zeta: PhaseState, ef: EnergyFunction) -> float:
-    """Total energy H(zeta) = E(x) + |v|^2 / 2 of a phase-space point."""
-    if zeta.dim != ef.dim:
-        raise DimensionError(f"state dimension {zeta.dim} != target dimension {ef.dim}")
-    return ef.energy(zeta.x) + kinetic_energy(zeta.v)

@@ -8,13 +8,13 @@ class DimensionError(ValueError):
 class IntegrationError(RuntimeError):
     """Leapfrog integration produced a non-finite energy, gradient or state.
 
-    Carries the offending phase state and, when raised from a chain run,
-    whatever samples were collected before the failure.
+    Carries the offending position ``x`` and momentum ``v`` and, when raised
+    from a chain run, whatever samples were collected before the failure.
     """
 
-    def __init__(self, message, state=None, partial_chain=None):
+    def __init__(self, message, x=None, v=None, partial_chain=None):
         super().__init__(message)
-        self.state = state
+        self.x, self.v = x, v
         self.partial_chain = partial_chain
 
 

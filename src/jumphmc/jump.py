@@ -23,12 +23,14 @@ the momentum with probability ``beta``.  Flip-on-reject makes the chain's
 restriction to a state ladder well defined, which is what the spectral-gap
 comparison uses.  Accept, reject and redraw are the L, F and R rules of
 :class:`StateCache`, so both samplers keep their state in the same cache,
-and one :class:`SamplerConfig` describes a chain of either.
+and one :class:`SamplerConfig` describes a chain of either.  A chain
+starts from two arrays, x and v, and a cached state is a plain tuple.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -37,7 +39,6 @@ import numpy as np
 
 from .energy import CountingEnergy, EnergyFunction, kinetic_energy
 from .errors import IntegrationError
-from .phase import LeapfrogParams, PhaseState, check_count
 
 _MAX_LOG = math.log(sys.float_info.max)
 _TINY = sys.float_info.min
@@ -46,6 +47,22 @@ _TINY = sys.float_info.min
 def _exp(log_value: float) -> float:
     """``math.exp`` that saturates to inf instead of raising on overflow."""
     return math.exp(log_value) if log_value <= _MAX_LOG else math.inf
+
+
+def check_count(name: str, value, least: int = 1) -> None:
+    """Raise ValueError unless ``value`` is an integer of at least ``least``.
+
+    An integral float or a bool is not a count: a chain loop would die on
+    the float and run the bool as 0 or 1.
+    """
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, not a bool")
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer") from None
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}")
 
 
 @dataclass(frozen=True)
@@ -74,8 +91,10 @@ class SamplerConfig:
                 raise ValueError("beta must lie in (0, 1]")
         else:
             raise ValueError(f"unknown sampler kind: {self.sampler!r}")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be positive and finite")
+        check_count("steps", self.steps)
         check_count("n_samples", self.n_samples)
-        LeapfrogParams(self.epsilon, self.steps)  # validates epsilon/steps
 
 
 def _node(x: np.ndarray, v: np.ndarray, grad: np.ndarray, ef: EnergyFunction) -> tuple:
@@ -86,7 +105,7 @@ def _node(x: np.ndarray, v: np.ndarray, grad: np.ndarray, ef: EnergyFunction) ->
     potential = ef.energy(x)
     h = potential + kinetic_energy(v)
     if not math.isfinite(h):
-        raise IntegrationError("non-finite energy encountered", state=PhaseState(x, v))
+        raise IntegrationError("non-finite energy encountered", x, v)
     return (x, v, grad, potential, h)
 
 
@@ -155,13 +174,13 @@ class StateCache:
         self.forward, self.backward = fwd, bwd
 
 
-def init_cache(zeta: PhaseState, ef: EnergyFunction) -> StateCache:
-    """The cache at a chain start: the current node, with both neighbors missing.
+def init_cache(x: np.ndarray, v: np.ndarray, ef: EnergyFunction) -> StateCache:
+    """The cache at a chain start (x, v): the current node, with both neighbors missing.
 
     Raises IntegrationError, carrying the start, where its total energy is
     not finite.
     """
-    return StateCache(_node(zeta.x, zeta.v, ef.gradient(zeta.x), ef), None, None)
+    return StateCache(_node(x, v, ef.gradient(x), ef), None, None)
 
 
 def _log_rates(cache: StateCache) -> tuple[float, float]:
@@ -301,27 +320,33 @@ def record_chain(config: SamplerConfig, rows: Callable, ef: EnergyFunction, dim:
     return Chain(sampler, *arrays, counter.energy_calls)
 
 
-def sample_chain(config: SamplerConfig, ef: EnergyFunction, init: PhaseState) -> Chain:
-    """Generate ``config.n_samples`` weighted jump-sampler samples starting from ``init``.
+def sample_chain(
+    config: SamplerConfig, ef: EnergyFunction, x0: np.ndarray, v0: np.ndarray
+) -> Chain:
+    """Generate ``config.n_samples`` weighted jump-sampler samples starting from (x0, v0).
 
-    The first recorded state is ``init`` itself.  If the integrator fails,
-    the raised :class:`IntegrationError` carries the rows recorded so far
-    as ``partial_chain``.
+    The start must be two 1-D float arrays of the target's dimension
+    (``tuner.run_chain`` converts and checks it).  The first recorded state
+    is the start itself.  If the integrator fails, the raised
+    :class:`IntegrationError` carries the rows recorded so far as
+    ``partial_chain``.
     """
 
     def rows(counter, rng):
-        cache = init_cache(init, counter)
+        cache = init_cache(x0, v0, counter)
         cache.fill(counter, config.epsilon, config.steps, backward=True)
         while True:
             x, v, _, _, _ = cache.current
             kind, holding_time = step(cache, config, counter, rng)
             yield x, v, holding_time, kind
 
-    return record_chain(config, rows, ef, init.dim)
+    return record_chain(config, rows, ef, x0.size)
 
 
-def hmc_chain(config: SamplerConfig, ef: EnergyFunction, init: PhaseState) -> Chain:
-    """Run ``config.n_samples`` steps of the discrete-time HMC control from ``init``.
+def hmc_chain(
+    config: SamplerConfig, ef: EnergyFunction, x0: np.ndarray, v0: np.ndarray
+) -> Chain:
+    """Run ``config.n_samples`` steps of the discrete-time HMC control from (x0, v0).
 
     Row i is the state after step i, with holding time 1 and transition L
     (accepted) or F (rejected).  A step fills only the cache's forward node,
@@ -333,7 +358,7 @@ def hmc_chain(config: SamplerConfig, ef: EnergyFunction, init: PhaseState) -> Ch
     """
 
     def rows(counter, rng):
-        cache = init_cache(init, counter)
+        cache = init_cache(x0, v0, counter)
         while True:
             cache.fill(counter, config.epsilon, config.steps)
             d_h = cache.forward[4] - cache.current[4]
@@ -349,7 +374,7 @@ def hmc_chain(config: SamplerConfig, ef: EnergyFunction, init: PhaseState) -> Ch
             x, v, _, _, _ = cache.current
             yield x, v, 1.0, kind
 
-    return record_chain(config, rows, ef, init.dim)
+    return record_chain(config, rows, ef, x0.size)
 
 
 def systematic_resample_indices(

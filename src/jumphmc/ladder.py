@@ -577,6 +577,9 @@ def random_ladder_experiment(
     bit-identical to a serial run.
     """
     try:
+        sizes = list(sizes)
+        if any(isinstance(k, bool) for k in [*sizes, draws_per_size]):
+            raise TypeError  # True would run as 1
         sizes = np.array([operator.index(k) for k in sizes], dtype=int)
         draws_per_size = operator.index(draws_per_size)
     except TypeError:

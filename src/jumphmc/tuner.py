@@ -23,10 +23,10 @@ import numpy as np
 
 from .diagnostics import MIN_FIT_LAGS, MIN_SAMPLES, autocorrelation, fit_decay, tuning_objective
 from .energy import EnergyFunction
-from .errors import DecayFitError, DegenerateChainError, IntegrationError
+from .errors import DecayFitError, DegenerateChainError, DimensionError, IntegrationError
 from .forkmap import map_ordered
-from .jump import Chain, SamplerConfig, hmc_chain, sample_chain, systematic_resample_indices
-from .phase import PhaseState, check_count
+from .jump import Chain, SamplerConfig, check_count, hmc_chain, sample_chain
+from .jump import systematic_resample_indices
 
 
 @dataclass(frozen=True)
@@ -41,11 +41,13 @@ class SearchSpace:
         e_lo, e_hi = self.epsilon_range
         b_lo, b_hi = self.beta_range
         s_lo, s_hi = self.steps_range
+        check_count("steps_range[0]", s_lo)
+        check_count("steps_range[1]", s_hi)
         if not 0 < e_lo <= e_hi:
             raise ValueError("epsilon_range must satisfy 0 < lo <= hi")
         if not 0 < b_lo <= b_hi <= 1:
             raise ValueError("beta_range must lie in (0, 1] with lo <= hi")
-        if not 1 <= s_lo <= s_hi:
+        if s_lo > s_hi:
             raise ValueError("steps_range must satisfy 1 <= lo <= hi")
 
     def draw(self, rng: np.random.Generator) -> tuple[float, float, int]:
@@ -79,10 +81,19 @@ class TuningEvalConfig:
             raise ValueError("max_lag_evals must be positive and finite")
 
 
-def run_chain(config: SamplerConfig, ef: EnergyFunction, init: PhaseState) -> Chain:
-    """Run one chain of the sampler that ``config`` names, from ``init``."""
+def run_chain(config: SamplerConfig, ef: EnergyFunction, x0, v0) -> Chain:
+    """Run one chain of the sampler that ``config`` names, from position x0 and momentum v0.
+
+    The start is converted once to 1-D float64 arrays, through which a 1-D
+    float64 array passes as itself.  Raises DimensionError unless the two
+    are 1-D (or scalars) of one shape.
+    """
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    v0 = np.atleast_1d(np.asarray(v0, dtype=float))
+    if x0.shape != v0.shape or x0.ndim != 1:
+        raise DimensionError(f"position shape {x0.shape} != momentum shape {v0.shape}")
     run = sample_chain if config.sampler == "mjhmc" else hmc_chain
-    return run(config, ef, init)
+    return run(config, ef, x0, v0)
 
 
 def unweighted_samples(chain: Chain, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -113,10 +124,10 @@ def evaluate_trial(
     fit failures.
     """
     aux_rng = np.random.default_rng(aux_seed)
-    init = PhaseState(np.zeros(ef.dim), aux_rng.standard_normal(ef.dim))
+    v0 = aux_rng.standard_normal(ef.dim)
     objective = None
     try:
-        chain = run_chain(config, ef, init)
+        chain = run_chain(config, ef, np.zeros(ef.dim), v0)
         series = autocorrelation(
             *unweighted_samples(chain, aux_rng),
             max_lag_evals=eval_config.max_lag_evals, n_lags=eval_config.n_lags,
@@ -143,8 +154,7 @@ def random_search(
     The best trial minimizes the decay-rate objective over trials that
     completed.  Raises if every trial failed.
     """
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
+    check_count("budget", budget)
     master = np.random.default_rng(seed)
     tasks = []
     for _ in range(budget):

@@ -12,8 +12,6 @@ import numpy as np
 from jumphmc import (
     DiagonalGaussian,
     Ladder,
-    LeapfrogParams,
-    PhaseState,
     RoughWell,
     SamplerConfig,
     autocorrelation,
@@ -21,7 +19,6 @@ from jumphmc import (
     build_mjhmc_rate_matrix,
     fit_decay,
     init_cache,
-    joint_energy,
     random_ladder_experiment,
     run_chain,
     similarity_check,
@@ -30,10 +27,15 @@ from jumphmc import (
     weighted_moments,
 )
 from jumphmc.jump import _exp, _holding_time, _log_rates, _log_waiting_times
-from jumphmc.phase import leapfrog_with_grad
+from jumphmc.energy import kinetic_energy
 
 MJHMC_ROUGH_WELL = dict(epsilon=3.0, beta=0.012314, steps=25)
 CONTROL_ROUGH_WELL = dict(epsilon=0.591686, beta=0.429956, steps=25)
+
+
+def leapfrog(ef, x, v, epsilon, steps):
+    """L of (x, v) by the target's trajectory, from a fresh gradient at x."""
+    return ef.trajectory(x, v, ef.gradient(x), epsilon, steps)[:2]
 
 
 def report(name: str, passed: bool, detail: str, elapsed: float) -> None:
@@ -146,8 +148,8 @@ def test_criterion_5_sampler_correctness():
         config = SamplerConfig(
             "mjhmc", epsilon=0.9, steps=5, beta=0.1, n_samples=100_000, seed=seed
         )
-        init = PhaseState(np.zeros(2), np.random.default_rng(seed + 100).standard_normal(2))
-        chain = run_chain(config, ef, init)
+        v0 = np.random.default_rng(seed + 100).standard_normal(2)
+        chain = run_chain(config, ef, np.zeros(2), v0)
         mean, cov = weighted_moments(chain)
         n_batches = 50
         batches = np.array_split(np.arange(len(chain)), n_batches)
@@ -194,15 +196,15 @@ def test_criterion_6_rough_well_decay_ordering():
     for seed in range(5):
         root = np.random.SeedSequence(seed)
         s_init, s_mj, s_hmc, s_res = [int(s.generate_state(1)[0]) for s in root.spawn(4)]
-        init = PhaseState(np.zeros(2), np.random.default_rng(s_init).standard_normal(2))
+        init = (np.zeros(2), np.random.default_rng(s_init).standard_normal(2))
 
         mj_cfg = SamplerConfig("mjhmc", n_samples=14_000, seed=s_mj, **MJHMC_ROUGH_WELL)
-        mj = run_chain(mj_cfg, ef, init)
+        mj = run_chain(mj_cfg, ef, *init)
         idx = systematic_resample_indices(
             mj.holding_times, len(mj), np.random.default_rng(s_res)
         )
         h_cfg = SamplerConfig("hmc", n_samples=20_001, seed=s_hmc, **CONTROL_ROUGH_WELL)
-        hc = run_chain(h_cfg, ef, init)
+        hc = run_chain(h_cfg, ef, *init)
 
         budget_mj = int(mj.gradient_evals[-1] - mj.gradient_evals[0])
         budget_h = int(hc.gradient_evals[-1] - hc.gradient_evals[0])
@@ -237,20 +239,16 @@ def test_criterion_7_integrator_properties():
     for ef in models:
         for epsilon in (0.1, 1.0):
             for steps in (1, 25):
-                params = LeapfrogParams(epsilon, steps)
                 for _ in range(25):
-                    state = PhaseState(rng.normal(scale=2.0, size=2), rng.standard_normal(2))
-                    fwd, _ = leapfrog_with_grad(state, params, ef)
-                    back, _ = leapfrog_with_grad(PhaseState(fwd.x, -fwd.v), params, ef)
-                    num = np.linalg.norm(
-                        np.concatenate([back.x - state.x, -back.v - state.v])
-                    )
-                    den = np.linalg.norm(np.concatenate([state.x, state.v]))
+                    x, v = rng.normal(scale=2.0, size=2), rng.standard_normal(2)
+                    fx, fv = leapfrog(ef, x, v, epsilon, steps)
+                    bx, bv = leapfrog(ef, fx, -fv, epsilon, steps)
+                    num = np.linalg.norm(np.concatenate([bx - x, -bv - v]))
+                    den = np.linalg.norm(np.concatenate([x, v]))
                     worst_rev = max(worst_rev, num / den)
 
     # volume preservation: numerical Jacobian determinant of one application
     ef = RoughWell()
-    params = LeapfrogParams(0.5, 5)
     base = np.array([1.2, -0.4, 0.8, 0.3])
     h = 1e-6
     jac = np.empty((4, 4))
@@ -258,19 +256,21 @@ def test_criterion_7_integrator_properties():
         up, dn = base.copy(), base.copy()
         up[i] += h
         dn[i] -= h
-        fu, _ = leapfrog_with_grad(PhaseState(up[:2], up[2:]), params, ef)
-        fd, _ = leapfrog_with_grad(PhaseState(dn[:2], dn[2:]), params, ef)
-        jac[:, i] = (np.concatenate([fu.x, fu.v]) - np.concatenate([fd.x, fd.v])) / (2 * h)
+        fu = leapfrog(ef, up[:2], up[2:], 0.5, 5)
+        fd = leapfrog(ef, dn[:2], dn[2:], 0.5, 5)
+        jac[:, i] = (np.concatenate(fu) - np.concatenate(fd)) / (2 * h)
     det_err = abs(np.linalg.det(jac) - 1.0)
 
     # second-order energy error: halving the step at fixed trajectory length
     gauss = DiagonalGaussian(np.array([1.0, 4.0]))
-    states = [PhaseState(rng.normal(size=2), rng.standard_normal(2)) for _ in range(64)]
+    states = [(rng.normal(size=2), rng.standard_normal(2)) for _ in range(64)]
+
+    def total_energy(x, v):
+        return gauss.energy(x) + kinetic_energy(v)
 
     def mean_energy_error(epsilon, steps):
-        p = LeapfrogParams(epsilon, steps)
         return np.mean(
-            [abs(joint_energy(leapfrog_with_grad(s, p, gauss)[0], gauss) - joint_energy(s, gauss))
+            [abs(total_energy(*leapfrog(gauss, *s, epsilon, steps)) - total_energy(*s))
              for s in states]
         )
 
@@ -292,8 +292,8 @@ def test_criterion_8_holding_time_law():
     t0 = time.time()
     ef = RoughWell()
     config = SamplerConfig("mjhmc", epsilon=1.0, steps=3, beta=0.5, n_samples=1, seed=0)
-    state = PhaseState([-1.69921191, -1.02124494], [-0.01153306, -1.48537518])
-    cache = init_cache(state, ef)
+    x0, v0 = np.array([-1.69921191, -1.02124494]), np.array([-0.01153306, -1.48537518])
+    cache = init_cache(x0, v0, ef)
     cache.fill(ef, config.epsilon, config.steps, backward=True)
     log_gamma_L, log_gamma_F = _log_rates(cache)
     total = _exp(log_gamma_L) + _exp(log_gamma_F) + config.beta

@@ -6,16 +6,18 @@ verbatim apart from imports, docstrings, config annotations and the names
 ``reference_sample_chain`` and ``reference_hmc_chain``.  Both read only
 ``config.epsilon/steps/beta/n_samples/seed``, and the chain under test is
 run through ``run_chain``.  The former ``config.leapfrog_params`` property
-reads ``LeapfrogParams(config.epsilon, config.steps)``.  The former phase
-operators and ``Transition`` it uses are copied unchanged below.  It builds one ``WeightedSample``, one
-``TransitionRates`` and several ``PhaseState`` objects per step and packs
-them into arrays at the end; both references now pack into the one
-``Chain`` record (the control's accepted flags become L/F kinds with unit
-holding times), with their loops untouched.  The rewrite performs the same floating-point
-operations and draws the same random numbers, so every chain array must
-be equal, not merely close.  The one exception is the control's cache
-hit: a step whose proposal the cache already holds, which the reference
-integrates afresh (see ``test_control_chain_matches_object_loop``).
+reads ``(config.epsilon, config.steps)``.  The former phase operators,
+``leapfrog_with_grad`` adapter and ``Transition`` it uses are copied
+below, with the former ``PhaseState`` as a local ``(x, v)`` pair type,
+``Phase``.  It builds one ``WeightedSample``, one ``TransitionRates`` and
+several ``Phase`` objects per step and packs them into arrays at the end;
+both references now pack into the one ``Chain`` record (the control's
+accepted flags become L/F kinds with unit holding times), with their
+loops untouched.  The rewrite performs the same floating-point operations
+and draws the same random numbers, so every chain array must be equal,
+not merely close.  The one exception is the control's cache hit: a step
+whose proposal the cache already holds, which the reference integrates
+afresh (see ``test_control_chain_matches_object_loop``).
 """
 
 from __future__ import annotations
@@ -34,16 +36,25 @@ from jumphmc import (
     DiagonalGaussian,
     EnergyFunction,
     IntegrationError,
-    PhaseState,
     RoughWell,
     SamplerConfig,
     run_chain,
 )
 from jumphmc.energy import CountingEnergy, kinetic_energy
-from jumphmc.phase import LeapfrogParams, leapfrog_with_grad
 
 # ---------------------------------------------------------------------------
-# the former phase operators and transition kinds
+# the former phase-space point, phase operators and transition kinds
+
+
+class Phase(NamedTuple):
+    """A phase-space point: position ``x`` and momentum ``v``."""
+
+    x: np.ndarray
+    v: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.x.size
 
 
 class Transition(enum.Enum):
@@ -54,25 +65,33 @@ class Transition(enum.Enum):
     R = "R"
 
 
-def flip(zeta: PhaseState) -> PhaseState:
+def flip(zeta: Phase) -> Phase:
     """Negate the momentum, reversing the direction of travel."""
-    return PhaseState(zeta.x, -zeta.v)
+    return Phase(zeta.x, -zeta.v)
+
+
+def leapfrog_with_grad(
+    zeta: Phase, params: tuple[float, int], ef: EnergyFunction, grad0: np.ndarray
+) -> tuple[Phase, np.ndarray]:
+    """L of ``zeta`` with ``params = (epsilon, steps)``, from the gradient ``grad0`` at x."""
+    x, v, g = ef.trajectory(zeta.x, zeta.v, grad0, *params)
+    return Phase(x, v), g
 
 
 def leapfrog_inverse_with_grad(
-    zeta: PhaseState,
-    params: LeapfrogParams,
+    zeta: Phase,
+    params: tuple[float, int],
     ef: EnergyFunction,
     grad0: Optional[np.ndarray] = None,
-) -> tuple[PhaseState, np.ndarray]:
+) -> tuple[Phase, np.ndarray]:
     """As :func:`leapfrog_with_grad` but for L^-1; gradients reuse the same positions."""
     forward, g = leapfrog_with_grad(flip(zeta), params, ef, grad0=grad0)
     return flip(forward), g
 
 
-def randomize_momentum(zeta: PhaseState, rng: np.random.Generator) -> PhaseState:
+def randomize_momentum(zeta: Phase, rng: np.random.Generator) -> Phase:
     """Replace the momentum with a fresh standard-normal draw; position unchanged."""
-    return PhaseState(zeta.x, rng.standard_normal(zeta.dim))
+    return Phase(zeta.x, rng.standard_normal(zeta.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -111,14 +130,14 @@ def _log(rate: float) -> float:
 
 @dataclass(frozen=True)
 class WeightedSample:
-    state: PhaseState
+    state: Phase
     holding_time: float
     transition_out: Transition
     cumulative_gradient_evals: int
 
 
 class _Node(NamedTuple):
-    state: PhaseState
+    state: Phase
     potential: float
     h: float
     grad: np.ndarray
@@ -132,7 +151,7 @@ class StateCache:
     last_transition: Optional[Transition] = None
 
     @property
-    def state(self) -> PhaseState:
+    def state(self) -> Phase:
         return self.current.state
 
 
@@ -140,17 +159,17 @@ def _flipped(node: _Node) -> _Node:
     return node._replace(state=flip(node.state))
 
 
-def _make_node(state: PhaseState, grad: np.ndarray, ef: EnergyFunction) -> _Node:
+def _make_node(state: Phase, grad: np.ndarray, ef: EnergyFunction) -> _Node:
     with np.errstate(over="ignore", invalid="ignore"):
         potential = ef.energy(state.x)
         h = potential + kinetic_energy(state.v)
     if not np.isfinite(h):
-        raise IntegrationError("non-finite energy encountered", state=state)
+        raise IntegrationError("non-finite energy encountered", *state)
     return _Node(state, potential, h, grad)
 
 
-def init_cache(zeta: PhaseState, config: SamplerConfig, ef: EnergyFunction) -> StateCache:
-    params = LeapfrogParams(config.epsilon, config.steps)
+def init_cache(zeta: Phase, config: SamplerConfig, ef: EnergyFunction) -> StateCache:
+    params = (config.epsilon, config.steps)
     g0 = ef.gradient(zeta.x)
     current = _make_node(zeta, g0, ef)
     fwd_state, fwd_grad = leapfrog_with_grad(zeta, params, ef, grad0=g0)
@@ -163,7 +182,7 @@ def init_cache(zeta: PhaseState, config: SamplerConfig, ef: EnergyFunction) -> S
 
 
 def compute_rates(
-    zeta: PhaseState, cache: StateCache, config: SamplerConfig, ef: EnergyFunction
+    zeta: Phase, cache: StateCache, config: SamplerConfig, ef: EnergyFunction
 ) -> TransitionRates:
     cur = cache.current
     if cur.state is not zeta and not (
@@ -173,7 +192,7 @@ def compute_rates(
     if not (
         math.isfinite(cur.h) and math.isfinite(cache.forward.h) and math.isfinite(cache.backward.h)
     ):
-        raise IntegrationError("non-finite energy in neighbor cache", state=zeta)
+        raise IntegrationError("non-finite energy in neighbor cache", *zeta)
     log_gamma_L = -0.5 * (cache.forward.h - cur.h)
     a = -0.5 * (cache.backward.h - cur.h)
     log_gamma_F = a + math.log(-math.expm1(log_gamma_L - a)) if a > log_gamma_L else -math.inf
@@ -196,13 +215,13 @@ def _holding_time(log_wait: float) -> float:
 
 
 def step(
-    zeta: PhaseState,
+    zeta: Phase,
     cache: StateCache,
     config: SamplerConfig,
     ef: EnergyFunction,
     rng: np.random.Generator,
-) -> tuple[PhaseState, WeightedSample, StateCache]:
-    params = LeapfrogParams(config.epsilon, config.steps)
+) -> tuple[Phase, WeightedSample, StateCache]:
+    params = (config.epsilon, config.steps)
     rates = compute_rates(zeta, cache, config, ef)
     log_waits = _log_waiting_times(rates, rng)
     shortest = min(log_waits)
@@ -254,7 +273,7 @@ def _pack_chain(samples: list[WeightedSample], energy_evals: int) -> Chain:
 
 
 def reference_sample_chain(
-    config: SamplerConfig, ef: EnergyFunction, init: PhaseState
+    config: SamplerConfig, ef: EnergyFunction, init: Phase
 ) -> Chain:
     counter = CountingEnergy(ef)
     rng = np.random.default_rng(config.seed)
@@ -276,7 +295,7 @@ def reference_sample_chain(
 
 
 class _Walker(NamedTuple):
-    state: PhaseState
+    state: Phase
     potential: float
     grad: np.ndarray
 
@@ -285,14 +304,14 @@ def _mh_step(
     walker: _Walker, config: SamplerConfig, ef: EnergyFunction, rng: np.random.Generator
 ) -> tuple[_Walker, bool]:
     proposal, end_grad = leapfrog_with_grad(
-        walker.state, LeapfrogParams(config.epsilon, config.steps), ef, grad0=walker.grad
+        walker.state, (config.epsilon, config.steps), ef, grad0=walker.grad
     )
     h_cur = walker.potential + kinetic_energy(walker.state.v)
     with np.errstate(over="ignore", invalid="ignore"):
         pot_prop = ef.energy(proposal.x)
         h_prop = pot_prop + kinetic_energy(proposal.v)
     if not np.isfinite(h_prop):
-        raise IntegrationError("non-finite proposal energy", state=proposal)
+        raise IntegrationError("non-finite proposal energy", *proposal)
     d_h = h_prop - h_cur
     u = rng.random()
     accepted = d_h <= 0 or u < np.exp(-d_h)
@@ -302,7 +321,7 @@ def _mh_step(
         walker = _Walker(flip(walker.state), walker.potential, walker.grad)
     if rng.random() < config.beta:
         walker = _Walker(
-            PhaseState(walker.state.x, rng.standard_normal(walker.state.dim)),
+            Phase(walker.state.x, rng.standard_normal(walker.state.dim)),
             walker.potential,
             walker.grad,
         )
@@ -317,7 +336,7 @@ def _control_chain(positions, momenta, gradient_evals, accepted, energy_evals=0)
     )
 
 
-def reference_hmc_chain(config: SamplerConfig, ef: EnergyFunction, init: PhaseState) -> Chain:
+def reference_hmc_chain(config: SamplerConfig, ef: EnergyFunction, init: Phase) -> Chain:
     counter = CountingEnergy(ef)
     rng = np.random.default_rng(config.seed)
     n, dim = config.n_samples, init.dim
@@ -363,7 +382,7 @@ def assert_same_chain(new, ref, rows=None):
 
 
 def rough_start(seed=1):
-    return PhaseState(np.zeros(2), np.random.default_rng(seed).standard_normal(2))
+    return Phase(np.zeros(2), np.random.default_rng(seed).standard_normal(2))
 
 
 BENCH_GAUSSIAN = DiagonalGaussian(np.logspace(0.0, 2.0, 50))
@@ -376,21 +395,21 @@ BENCH_GAUSSIAN = DiagonalGaussian(np.logspace(0.0, 2.0, 50))
         (SamplerConfig("mjhmc", 3.0, 25, 0.012314, 3000, seed=0), RoughWell(), rough_start()),
         (SamplerConfig("mjhmc", 3.0, 25, 0.012314, 3000, seed=7), RoughWell(), rough_start(3)),
         (SamplerConfig("mjhmc", 1.0, 10, 0.2, 2000, seed=2), RoughWell(),
-         PhaseState([40.0, -15.0], [0.5, 2.0])),
+         Phase(np.array([40.0, -15.0]), np.array([0.5, 2.0]))),
         # the 50-D Gaussian of the benchmark
         (SamplerConfig("mjhmc", 0.1, 20, 0.1, 1500, seed=4), BENCH_GAUSSIAN,
-         PhaseState(np.zeros(50), np.random.default_rng(5).standard_normal(50))),
+         Phase(np.zeros(50), np.random.default_rng(5).standard_normal(50))),
         # far starts, where the energy drop along L overflows exp
         (SamplerConfig("mjhmc", 1.9, 5, 0.01, 3000, seed=0), DiagonalGaussian.isotropic(2),
-         PhaseState(np.array([300.0, 300.0]), np.zeros(2))),
+         Phase(np.array([300.0, 300.0]), np.zeros(2))),
         (SamplerConfig("mjhmc", 1.99, 50, 0.01, 3000, seed=0), DiagonalGaussian.isotropic(2),
-         PhaseState(np.array([1e4, 0.0]), np.zeros(2))),
+         Phase(np.array([1e4, 0.0]), np.zeros(2))),
     ],
     ids=["rough-published-0", "rough-published-7", "rough-off-mode", "gaussian-50d",
          "far-300-300", "far-1e4-0"],
 )
 def test_jump_chain_matches_object_loop(config, ef, init):
-    new = run_chain(config, ef, init)
+    new = run_chain(config, ef, *init)
     ref = reference_sample_chain(config, ef, init)
     assert_same_chain(new, ref)
     assert set(new.transition_counts()) == {"L", "F", "R"}  # every cache rule ran
@@ -403,7 +422,7 @@ def test_jump_chain_matches_object_loop(config, ef, init):
         (SamplerConfig("hmc", 0.591686, 25, 0.429956, 3000, seed=0), RoughWell(), rough_start()),
         (SamplerConfig("hmc", 0.591686, 25, 0.429956, 3000, seed=9), RoughWell(), rough_start(4)),
         (SamplerConfig("hmc", 0.1, 20, 0.1, 1500, seed=4), BENCH_GAUSSIAN,
-         PhaseState(np.zeros(50), np.random.default_rng(5).standard_normal(50))),
+         Phase(np.zeros(50), np.random.default_rng(5).standard_normal(50))),
         # a redraw every step: nothing is ever cached
         (SamplerConfig("hmc", 0.591686, 25, 1.0, 3000, seed=0), RoughWell(), rough_start()),
     ],
@@ -416,7 +435,7 @@ def test_control_chain_matches_object_loop(config, ef, init):
     # for bit before the first hit and to rounding at it.  The error there
     # is measured on the whole phase-space point: a coordinate that returns
     # to exactly 0 in the cache reads about 1e-16 in the reference.
-    new = run_chain(config, ef, init)
+    new = run_chain(config, ef, *init)
     ref = reference_hmc_chain(config, ef, init)
     hits = np.flatnonzero(np.diff(new.gradient_evals, prepend=0) == 0)
     if config.beta == 1:
@@ -455,14 +474,14 @@ class WalledGaussian(EnergyFunction):
     ids=["jump", "control"],
 )
 def test_partial_chain_matches_object_loop(reference, config):
-    init = PhaseState([0.0], [0.1])
+    init = Phase(np.array([0.0]), np.array([0.1]))
     with pytest.raises(IntegrationError) as new:
-        run_chain(config, WalledGaussian(), init)
+        run_chain(config, WalledGaussian(), *init)
     with pytest.raises(IntegrationError) as ref:
         reference(config, WalledGaussian(), init)
     assert str(new.value) == "non-finite energy encountered"  # the cache's one message
-    np.testing.assert_array_equal(new.value.state.x, ref.value.state.x)
-    np.testing.assert_array_equal(new.value.state.v, ref.value.state.v)
+    np.testing.assert_array_equal(new.value.x, ref.value.x)
+    np.testing.assert_array_equal(new.value.v, ref.value.v)
     assert 0 < len(new.value.partial_chain) < config.n_samples
     assert_same_chain(new.value.partial_chain, ref.value.partial_chain)
 
@@ -477,10 +496,10 @@ def test_partial_chain_matches_object_loop(reference, config):
 )
 def test_non_finite_start_fails_at_init_cache(config):
     # both samplers check the start where they build the cache, before any row
-    init = PhaseState([3.0], [0.1])
+    init = Phase(np.array([3.0]), np.array([0.1]))
     with pytest.raises(IntegrationError) as err:
-        run_chain(config, WalledGaussian(), init)
+        run_chain(config, WalledGaussian(), *init)
     assert str(err.value) == "non-finite energy encountered"
-    np.testing.assert_array_equal(err.value.state.x, init.x)
-    np.testing.assert_array_equal(err.value.state.v, init.v)
+    np.testing.assert_array_equal(err.value.x, init.x)
+    np.testing.assert_array_equal(err.value.v, init.v)
     assert len(err.value.partial_chain) == 0

@@ -10,7 +10,6 @@ import pytest
 from jumphmc import (
     AutocorrSeries,
     GapExperimentResult,
-    PhaseState,
     RoughWell,
     SamplerConfig,
     autocorrelation,
@@ -124,13 +123,13 @@ def assert_same_bytes(tmp_path, writer, reference, obj, config=CONFIG, seed=5):
 
 @pytest.fixture(scope="module")
 def init():
-    return PhaseState(np.array([0.3, -1.2]), np.array([0.7, 0.1]))
+    return np.array([0.3, -1.2]), np.array([0.7, 0.1])
 
 
 def test_jump_chain(tmp_path, init):
     chain = run_chain(
         SamplerConfig("mjhmc", epsilon=3.0, steps=25, beta=0.012314, n_samples=300, seed=4),
-        RoughWell(), init,
+        RoughWell(), *init,
     )
     assert set(chain.transitions) == {"L", "F", "R"}
     assert_same_bytes(tmp_path, write_chain_csv, reference_write_chain_csv, chain)
@@ -139,7 +138,7 @@ def test_jump_chain(tmp_path, init):
 def test_control_chain(tmp_path, init):
     chain = run_chain(
         SamplerConfig("hmc", epsilon=0.59, steps=25, beta=0.43, n_samples=300, seed=4),
-        RoughWell(), init,
+        RoughWell(), *init,
     )
     assert_same_bytes(tmp_path, write_chain_csv, reference_write_chain_csv, chain)
 

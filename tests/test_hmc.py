@@ -4,7 +4,6 @@ import pytest
 from jumphmc import (
     DiagonalGaussian,
     EnergyFunction,
-    PhaseState,
     RoughWell,
     SamplerConfig,
     run_chain,
@@ -28,7 +27,7 @@ def test_flat_energy_always_accepts_and_advances():
     # zero gradient: momentum is constant, position advances by eps*steps*v
     config = SamplerConfig("hmc", epsilon=0.1, steps=5, beta=1e-12, n_samples=20, seed=0)
     v0 = np.array([1.0, -2.0])
-    chain = run_chain(config, FlatEnergy(), PhaseState(np.zeros(2), v0))
+    chain = run_chain(config, FlatEnergy(), np.zeros(2), v0)
     assert chain.acceptance_rate == 1.0
     for i in range(20):
         np.testing.assert_allclose(chain.positions[i], (i + 1) * 0.5 * v0, rtol=1e-12)
@@ -41,11 +40,10 @@ def test_downhill_proposals_always_accepted():
     trials = 200
     for seed in range(trials):
         config = SamplerConfig("hmc", epsilon=0.1, steps=5, beta=1.0, n_samples=1, seed=seed)
-        state = PhaseState([3.0], [-0.5])
-        chain = run_chain(config, ef, state)
+        chain = run_chain(config, ef, [3.0], [-0.5])
         # moving downhill from x=3 with inward momentum lowers H, so the
         # proposal must be taken: the position must have moved
-        assert not np.array_equal(chain.positions[0], state.x)
+        assert not np.array_equal(chain.positions[0], [3.0])
         accepted += 1
     assert accepted == trials
 
@@ -53,16 +51,16 @@ def test_downhill_proposals_always_accepted():
 def test_gaussian_variance_recovered():
     ef = DiagonalGaussian.isotropic(1, precision=4.0)
     config = SamplerConfig("hmc", epsilon=0.1, steps=10, beta=0.5, n_samples=100_000, seed=1)
-    chain = run_chain(config, ef, PhaseState([0.0], [1.0]))
+    chain = run_chain(config, ef, [0.0], [1.0])
     assert chain.positions.var() == pytest.approx(0.25, rel=0.05)
     assert chain.acceptance_rate > 0.5
 
 
 def test_chain_deterministic_under_seed():
     config = SamplerConfig("hmc", epsilon=0.5, steps=3, beta=0.4, n_samples=300, seed=9)
-    init = PhaseState(np.zeros(2), np.array([1.0, 1.0]))
-    a = run_chain(config, RoughWell(), init)
-    b = run_chain(config, RoughWell(), init)
+    init = (np.zeros(2), np.array([1.0, 1.0]))
+    a = run_chain(config, RoughWell(), *init)
+    b = run_chain(config, RoughWell(), *init)
     np.testing.assert_array_equal(a.positions, b.positions)
     np.testing.assert_array_equal(a.accepted, b.accepted)
 
@@ -70,13 +68,13 @@ def test_chain_deterministic_under_seed():
 def test_acceptance_rate_at_reported_control_hyperparameters():
     # the published control optimum accepts some but not all proposals
     config = SamplerConfig("hmc", epsilon=0.591686, steps=25, beta=0.429956, n_samples=2000, seed=2)
-    chain = run_chain(config, RoughWell(), PhaseState(np.zeros(2), np.ones(2)))
+    chain = run_chain(config, RoughWell(), np.zeros(2), np.ones(2))
     assert 0.0 < chain.acceptance_rate < 1.0
 
 
 def test_single_step_chain():
     config = SamplerConfig("hmc", epsilon=0.2, steps=2, beta=0.5, n_samples=1, seed=3)
-    chain = run_chain(config, DiagonalGaussian.isotropic(2), PhaseState(np.zeros(2), np.ones(2)))
+    chain = run_chain(config, DiagonalGaussian.isotropic(2), np.zeros(2), np.ones(2))
     assert len(chain) == 1
     assert chain.gradient_evals[0] > 0
 
@@ -85,7 +83,7 @@ def test_gradient_cost_equals_one_leapfrog_application():
     steps = 7
     config = SamplerConfig("hmc", epsilon=0.3, steps=steps, beta=0.5, n_samples=50, seed=4)
     ef = DiagonalGaussian.isotropic(2)
-    chain = run_chain(config, ef, PhaseState(np.zeros(2), np.ones(2)))
+    chain = run_chain(config, ef, np.zeros(2), np.ones(2))
     # first step pays the initial gradient; later steps reuse the cached one
     assert chain.gradient_evals[0] == steps + 1
     np.testing.assert_array_equal(np.diff(chain.gradient_evals), steps)
@@ -95,7 +93,7 @@ def test_momentum_corruption_probability():
     # beta = 1 redraws momentum every step, so consecutive momenta decorrelate
     ef = DiagonalGaussian.isotropic(1)
     config = SamplerConfig("hmc", epsilon=0.05, steps=1, beta=1.0, n_samples=5000, seed=5)
-    chain = run_chain(config, ef, PhaseState([0.0], [1.0]))
+    chain = run_chain(config, ef, [0.0], [1.0])
     v = chain.momenta[:, 0]
     corr = np.corrcoef(v[:-1], v[1:])[0, 1]
     assert abs(corr) < 0.05
@@ -107,8 +105,8 @@ def rejecting_chain():
     # means no redraw
     ef = DiagonalGaussian.isotropic(1, precision=4.0)
     config = SamplerConfig("hmc", epsilon=1.9, steps=1, beta=1e-12, n_samples=60, seed=6)
-    init = PhaseState([0.3], [0.7])
-    return config, init, run_chain(config, ef, init)
+    init = (np.array([0.3]), np.array([0.7]))
+    return config, init, run_chain(config, ef, *init)
 
 
 def test_rejection_flips_momentum():
@@ -116,8 +114,9 @@ def test_rejection_flips_momentum():
     _, init, chain = rejecting_chain()
     rejected = ~chain.accepted
     assert rejected.sum() > 0
-    prev_v = np.concatenate([[init.v[0]], chain.momenta[:-1, 0]])
-    prev_x = np.concatenate([[init.x[0]], chain.positions[:-1, 0]])
+    x0, v0 = init
+    prev_v = np.concatenate([[v0[0]], chain.momenta[:-1, 0]])
+    prev_x = np.concatenate([[x0[0]], chain.positions[:-1, 0]])
     np.testing.assert_array_equal(chain.momenta[rejected, 0], -prev_v[rejected])
     np.testing.assert_array_equal(chain.positions[rejected, 0], prev_x[rejected])
 
@@ -138,7 +137,7 @@ def test_gaussian_variance_recovered_when_cache_hits_dominate():
     # so most proposals come from the cache instead of the integrator
     ef = DiagonalGaussian.isotropic(1, precision=4.0)
     config = SamplerConfig("hmc", epsilon=0.95, steps=2, beta=0.05, n_samples=50_000, seed=0)
-    chain = run_chain(config, ef, PhaseState([0.0], [1.0]))
+    chain = run_chain(config, ef, [0.0], [1.0])
     hit_share = np.mean(np.diff(chain.gradient_evals) == 0)
     assert hit_share > 0.4
     assert chain.positions.var() * 4.0 == pytest.approx(1.0, rel=0.05)

@@ -6,11 +6,9 @@ from jumphmc import (
     DiagonalGaussian,
     EnergyFunction,
     IntegrationError,
-    PhaseState,
     RoughWell,
     SamplerConfig,
     init_cache,
-    joint_energy,
     run_chain,
     step,
     systematic_resample_indices,
@@ -24,7 +22,7 @@ from jumphmc.jump import (
     _log_rates,
     _log_waiting_times,
 )
-from jumphmc.phase import LeapfrogParams, leapfrog_with_grad
+from jumphmc.energy import kinetic_energy
 
 LN2 = np.log(2.0)
 
@@ -40,8 +38,8 @@ def pinned_cache(h_cur, h_fwd, h_bwd):
 
 
 def filled_cache(state, config, ef):
-    """The sampler cache at ``state`` with both neighbors integrated, as a chain start has it."""
-    cache = init_cache(state, ef)
+    """The cache at ``state = (x, v)`` with both neighbors integrated, as a chain start has it."""
+    cache = init_cache(*state, ef)
     cache.fill(ef, config.epsilon, config.steps, backward=True)
     return cache
 
@@ -55,6 +53,8 @@ def total_rate(log_gamma_L, log_gamma_F, beta):
     return _exp(log_gamma_L) + _exp(log_gamma_F) + beta
 
 
+# a rough-well state where all three arms of the race have sizeable rates
+PINNED_ROUGH = (np.array([-1.69921191, -1.02124494]), np.array([-0.01153306, -1.48537518]))
 CFG = SamplerConfig("mjhmc", epsilon=0.5, steps=3, beta=0.25, n_samples=10, seed=0)
 GAUSS_2D = DiagonalGaussian.isotropic(2)
 
@@ -105,15 +105,15 @@ class TestWaitingTimes:
 class TestStep:
     def test_huge_beta_dominates(self):
         config = SamplerConfig("mjhmc", epsilon=0.5, steps=1, beta=1e12, n_samples=10_000, seed=3)
-        chain = run_chain(config, GAUSS_2D, PhaseState(np.zeros(2), np.ones(2)))
+        chain = run_chain(config, GAUSS_2D, np.zeros(2), np.ones(2))
         counts = chain.transition_counts()
         assert counts.get("R", 0) / len(chain) >= 0.999
 
     def test_fixed_seed_reproducible(self):
         config = SamplerConfig("mjhmc", epsilon=0.7, steps=4, beta=0.3, n_samples=500, seed=11)
-        init = PhaseState(np.zeros(2), np.array([1.0, -1.0]))
-        a = run_chain(config, RoughWell(), init)
-        b = run_chain(config, RoughWell(), init)
+        init = (np.zeros(2), np.array([1.0, -1.0]))
+        a = run_chain(config, RoughWell(), *init)
+        b = run_chain(config, RoughWell(), *init)
         np.testing.assert_array_equal(a.positions, b.positions)
         np.testing.assert_array_equal(a.holding_times, b.holding_times)
         np.testing.assert_array_equal(a.transitions, b.transitions)
@@ -122,8 +122,7 @@ class TestStep:
         # repeated races from one state follow the multinomial rate shares
         ef = RoughWell()
         config = SamplerConfig("mjhmc", epsilon=1.0, steps=3, beta=0.5, n_samples=1, seed=0)
-        state = PhaseState([-1.69921191, -1.02124494], [-0.01153306, -1.48537518])
-        cache = filled_cache(state, config, ef)
+        cache = filled_cache(PINNED_ROUGH, config, ef)
         log_gamma_L, log_gamma_F = _log_rates(cache)
         rates = np.array([_exp(log_gamma_L), _exp(log_gamma_F), config.beta])
         probs = rates / total_rate(log_gamma_L, log_gamma_F, config.beta)
@@ -145,7 +144,7 @@ class TestStep:
         ef = GAUSS_2D
         config = SamplerConfig("mjhmc", epsilon=0.6, steps=2, beta=0.2, n_samples=1, seed=9)
         rng = np.random.default_rng(9)
-        state = PhaseState(np.array([0.5, -0.2]), np.array([1.0, 0.3]))
+        state = (np.array([0.5, -0.2]), np.array([1.0, 0.3]))
         cache = filled_cache(state, config, ef)
         for _ in range(200):
             current, forward = cache.current, cache.forward
@@ -159,16 +158,16 @@ class TestStep:
 class TestSampleChain:
     def test_single_sample_is_init(self):
         config = SamplerConfig("mjhmc", epsilon=0.5, steps=2, beta=0.5, n_samples=1, seed=0)
-        init = PhaseState(np.array([0.3, 0.4]), np.array([-1.0, 2.0]))
-        chain = run_chain(config, GAUSS_2D, init)
+        x0, v0 = np.array([0.3, 0.4]), np.array([-1.0, 2.0])
+        chain = run_chain(config, GAUSS_2D, x0, v0)
         assert len(chain) == 1
-        np.testing.assert_array_equal(chain.positions[0], init.x)
-        np.testing.assert_array_equal(chain.momenta[0], init.v)
+        np.testing.assert_array_equal(chain.positions[0], x0)
+        np.testing.assert_array_equal(chain.momenta[0], v0)
         assert chain.holding_times[0] > 0
 
     def test_gaussian_weighted_mean_near_zero(self):
         config = SamplerConfig("mjhmc", epsilon=0.9, steps=5, beta=0.1, n_samples=20_000, seed=4)
-        chain = run_chain(config, GAUSS_2D, PhaseState(np.zeros(2), np.ones(2)))
+        chain = run_chain(config, GAUSS_2D, np.zeros(2), np.ones(2))
         mean, cov = weighted_moments(chain)
         # batch-means standard error absorbs the autocorrelation
         n_batches = 50
@@ -188,8 +187,8 @@ class TestSampleChain:
         config = SamplerConfig(
             "mjhmc", epsilon=3.0, steps=25, beta=0.012314, n_samples=100_000, seed=0
         )
-        init = PhaseState(np.zeros(2), np.random.default_rng(1).standard_normal(2))
-        chain = run_chain(config, RoughWell(), init)
+        v0 = np.random.default_rng(1).standard_normal(2)
+        chain = run_chain(config, RoughWell(), np.zeros(2), v0)
         assert len(chain) == 100_000
         assert np.all(np.isfinite(chain.positions))
         assert np.all(chain.holding_times > 0)
@@ -197,7 +196,7 @@ class TestSampleChain:
 
     def test_no_self_transitions(self):
         config = SamplerConfig("mjhmc", epsilon=0.5, steps=2, beta=0.4, n_samples=2000, seed=6)
-        chain = run_chain(config, GAUSS_2D, PhaseState(np.zeros(2), np.ones(2)))
+        chain = run_chain(config, GAUSS_2D, np.zeros(2), np.ones(2))
         same_x = np.all(chain.positions[1:] == chain.positions[:-1], axis=1)
         same_v = np.all(chain.momenta[1:] == chain.momenta[:-1], axis=1)
         assert not np.any(same_x & same_v)
@@ -215,7 +214,7 @@ class TestSampleChain:
 
         config = SamplerConfig("mjhmc", epsilon=0.8, steps=4, beta=0.5, n_samples=10_000, seed=12)
         with pytest.raises(IntegrationError) as excinfo:
-            run_chain(config, WalledGaussian(), PhaseState([0.0], [0.1]))
+            run_chain(config, WalledGaussian(), [0.0], [0.1])
         partial = excinfo.value.partial_chain
         assert partial is not None
         assert 0 < len(partial) < 10_000
@@ -224,8 +223,7 @@ class TestSampleChain:
         # sojourn time at a pinned state is exponential with the total rate
         ef = RoughWell()
         config = SamplerConfig("mjhmc", epsilon=1.0, steps=3, beta=0.5, n_samples=1, seed=0)
-        state = PhaseState([-1.69921191, -1.02124494], [-0.01153306, -1.48537518])
-        log_rates = (*_log_rates(filled_cache(state, config, ef)), config.beta)
+        log_rates = (*_log_rates(filled_cache(PINNED_ROUGH, config, ef)), config.beta)
         rng = np.random.default_rng(7)
         mins = np.array([min(waiting_times(*log_rates, rng)) for _ in range(20_000)])
         assert mins.mean() == pytest.approx(1.0 / total_rate(*log_rates), rel=0.02)
@@ -234,8 +232,8 @@ class TestSampleChain:
         # row i holds the state step() left, its holding time, the kind and
         # the cumulative cost: replaying the races reproduces every row
         config = SamplerConfig("mjhmc", epsilon=0.5, steps=2, beta=0.3, n_samples=50, seed=2)
-        init = PhaseState(np.zeros(2), np.ones(2))
-        chain = run_chain(config, GAUSS_2D, init)
+        init = (np.zeros(2), np.ones(2))
+        chain = run_chain(config, GAUSS_2D, *init)
         ef = CountingEnergy(GAUSS_2D)
         rng = np.random.default_rng(config.seed)
         cache = filled_cache(init, config, ef)
@@ -318,7 +316,7 @@ class TestResample:
 
     def test_single_input_copies(self):
         config = SamplerConfig("mjhmc", epsilon=0.5, steps=2, beta=0.5, n_samples=1, seed=0)
-        chain = run_chain(config, GAUSS_2D, PhaseState(np.zeros(2), np.ones(2)))
+        chain = run_chain(config, GAUSS_2D, np.zeros(2), np.ones(2))
         idx = systematic_resample_indices(chain.holding_times, 7, np.random.default_rng(0))
         out = chain.positions[idx]
         assert len(out) == 7
@@ -365,13 +363,13 @@ class TestWeightedMoments:
     def test_gaussian_variance_recovered(self):
         ef = DiagonalGaussian.isotropic(1, precision=4.0)
         config = SamplerConfig("mjhmc", epsilon=0.4, steps=5, beta=0.3, n_samples=100_000, seed=8)
-        chain = run_chain(config, ef, PhaseState([0.0], [1.0]))
+        chain = run_chain(config, ef, [0.0], [1.0])
         _, cov = weighted_moments(chain)
         assert cov[0, 0] == pytest.approx(0.25, rel=0.05)
 
     def test_single_sample_zero_covariance(self):
         config = SamplerConfig("mjhmc", epsilon=0.5, steps=2, beta=0.5, n_samples=1, seed=0)
-        chain = run_chain(config, GAUSS_2D, PhaseState(np.zeros(2), np.ones(2)))
+        chain = run_chain(config, GAUSS_2D, np.zeros(2), np.ones(2))
         _, cov = weighted_moments(chain)
         np.testing.assert_array_equal(cov, np.zeros((2, 2)))
 
@@ -382,12 +380,9 @@ class TestWeightedMoments:
 ROUGH_PUBLISHED = SamplerConfig(
     "mjhmc", epsilon=3.0, steps=25, beta=0.012314, n_samples=3000, seed=5
 )
-PINNED_ROUGH = PhaseState([-1.69921191, -1.02124494], [-0.01153306, -1.48537518])
-
-
 def rough_chain(config=ROUGH_PUBLISHED):
-    init = PhaseState(np.zeros(2), np.random.default_rng(1).standard_normal(2))
-    return run_chain(config, RoughWell(), init)
+    v0 = np.random.default_rng(1).standard_normal(2)
+    return run_chain(config, RoughWell(), np.zeros(2), v0)
 
 
 class TestCacheRules:
@@ -410,9 +405,8 @@ class TestCacheRules:
         # bit for bit, and evaluates nothing
         ef = CountingEnergy(RoughWell())
         config = SamplerConfig("mjhmc", epsilon=1.0, steps=3, beta=0.5, n_samples=1, seed=0)
-        params = LeapfrogParams(config.epsilon, config.steps)
-        state = PINNED_ROUGH
-        fresh = filled_cache(state, config, ef)
+        x0, v0 = PINNED_ROUGH
+        fresh = filled_cache(PINNED_ROUGH, config, ef)
         nodes = (fresh.current, fresh.forward, fresh.backward)
         for seed in range(100):
             calls = (ef.gradient_calls, ef.energy_calls)
@@ -424,19 +418,16 @@ class TestCacheRules:
             pytest.fail("no F transition in 100 races")
         assert (ef.gradient_calls, ef.energy_calls) == calls
 
-        flipped = PhaseState(state.x, -state.v)
-        g0 = ef.inner.gradient(state.x)
-        fwd, fwd_g = leapfrog_with_grad(flipped, params, ef.inner, grad0=g0)
-        bwd, bwd_g = leapfrog_with_grad(state, params, ef.inner, grad0=g0)  # L^-1 F = F L
-        bwd = PhaseState(bwd.x, -bwd.v)
-        for (x, v, g, _, h), (ref, ref_g) in (
-            (cache.forward, (fwd, fwd_g)), (cache.backward, (bwd, bwd_g))
-        ):
-            np.testing.assert_array_equal(x, ref.x)
-            np.testing.assert_array_equal(v, ref.v)
+        g0 = ef.inner.gradient(x0)
+        fwd = ef.inner.trajectory(x0, -v0, g0, config.epsilon, config.steps)
+        xb, vb, gb = ef.inner.trajectory(x0, v0, g0, config.epsilon, config.steps)
+        bwd = (xb, -vb, gb)  # L^-1 F = F L
+        for (x, v, g, _, h), (ref_x, ref_v, ref_g) in ((cache.forward, fwd), (cache.backward, bwd)):
+            np.testing.assert_array_equal(x, ref_x)
+            np.testing.assert_array_equal(v, ref_v)
             np.testing.assert_array_equal(g, ref_g)
-            assert h == joint_energy(ref, ef.inner)
-        np.testing.assert_array_equal(cache.current[1], -state.v)
+            assert h == ef.inner.energy(ref_x) + kinetic_energy(ref_v)
+        np.testing.assert_array_equal(cache.current[1], -v0)
         assert cache.current[4] == nodes[0][4]
 
     def test_flip_after_leapfrog_retraces_exactly(self):
@@ -459,8 +450,8 @@ class TestCacheRules:
         # |ratio - 1| 0.066; the tolerance is 4 of the wider deviation.
         precision = np.array([1.0, 3.8])
         config = SamplerConfig("mjhmc", epsilon=1.0, steps=5, beta=0.1, n_samples=50_000, seed=0)
-        init = PhaseState(np.zeros(2), np.random.default_rng(100).standard_normal(2))
-        chain = run_chain(config, DiagonalGaussian(precision), init)
+        v0 = np.random.default_rng(100).standard_normal(2)
+        chain = run_chain(config, DiagonalGaussian(precision), np.zeros(2), v0)
         assert chain.transition_counts()["F"] / len(chain) > 0.15
         mean, cov = weighted_moments(chain)
         n_batches = 50
@@ -511,7 +502,7 @@ class TestRateOverflow:
             "mjhmc", epsilon=epsilon, steps=steps, beta=0.01, n_samples=3000, seed=0
         )
         with np.errstate(all="raise"):
-            chain = run_chain(config, GAUSS_2D, PhaseState(np.array(x0), np.zeros(2)))
+            chain = run_chain(config, GAUSS_2D, np.array(x0), np.zeros(2))
         h = chain.holding_times
         assert np.all(np.isfinite(h)) and np.all(h > 0)
         assert np.any(h == np.finfo(float).tiny)  # the clamped, overflowing states

@@ -473,6 +473,9 @@ class TestExperiment:
         ([5.9], 1, "integers"),  # not truncated to k=5
         ([], 1, "at least one"),  # not an empty result
         ([5], 2.5, "integers"),  # not a TypeError from SeedSequence.spawn
+        ([5], True, "integers"),  # not one draw
+        ([True, 5], 1, "integers"),  # not a ladder of 1 rung
+        ([5, np.True_], 1, "integers"),
     ])
     def test_malformed_input_is_refused(self, sizes, draws, message):
         with pytest.raises(ValueError, match=message):

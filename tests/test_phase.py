@@ -1,3 +1,7 @@
+"""Phase-space tests: the leapfrog operator L as the targets' ``trajectory``
+runs it, the F and R rules of the sampler cache, and the start (x, v) of
+a chain."""
+
 import numpy as np
 import pytest
 
@@ -7,37 +11,49 @@ from jumphmc import (
     DimensionError,
     EnergyFunction,
     IntegrationError,
-    LeapfrogParams,
-    PhaseState,
     RoughWell,
+    SamplerConfig,
     init_cache,
-    joint_energy,
+    run_chain,
 )
+from jumphmc import tuner
+from jumphmc.energy import kinetic_energy
 from jumphmc.phase import leapfrog_with_grad
 
 UNIT_1D = DiagonalGaussian.isotropic(1)
+CHAIN_FIELDS = ("positions", "momenta", "holding_times", "transitions", "gradient_evals")
 
 
 def random_states(rng, n, dim=2, scale=2.0):
-    return [PhaseState(rng.normal(scale=scale, size=dim), rng.standard_normal(dim)) for _ in range(n)]
+    return [(rng.normal(scale=scale, size=dim), rng.standard_normal(dim)) for _ in range(n)]
 
 
-def filled_cache(state, params, ef):
+def leapfrog(ef, state, epsilon, steps):
+    """L of ``state = (x, v)`` by the target's trajectory: (x, v, grad) at the endpoint."""
+    x, v = state
+    return ef.trajectory(x, v, ef.gradient(x), epsilon, steps)
+
+
+def filled_cache(state, epsilon, steps, ef):
     """The sampler cache at ``state`` with both neighbors integrated."""
-    cache = init_cache(state, ef)
-    cache.fill(ef, params.epsilon, params.steps, backward=True)
+    cache = init_cache(*state, ef)
+    cache.fill(ef, epsilon, steps, backward=True)
     return cache
 
 
-def backward(state, params, ef):
+def backward(state, epsilon, steps, ef):
     """L^-1 of ``state``: the backward node of a filled sampler cache."""
-    x, v, _, _, _ = filled_cache(state, params, ef).backward
-    return PhaseState(x, v)
+    x, v, _, _, _ = filled_cache(state, epsilon, steps, ef).backward
+    return x, v
 
 
 def test_phase_state_validation():
-    with pytest.raises(DimensionError):
-        PhaseState(np.zeros(2), np.zeros(3))
+    # a chain starts from a 1-D position and a momentum of the same shape
+    for sampler in ("mjhmc", "hmc"):
+        config = SamplerConfig(sampler, 0.1, 1, 0.5, 2)
+        for x, v in ((np.zeros(2), np.zeros(3)), (np.zeros((1, 2)), np.zeros((1, 2)))):
+            with pytest.raises(DimensionError):
+                run_chain(config, DiagonalGaussian.isotropic(2), x, v)
 
 
 @pytest.mark.parametrize(
@@ -47,49 +63,74 @@ def test_phase_state_validation():
      (np.array([1.5]), np.array(2.0))],
 )
 def test_phase_state_converts_other_inputs(x, v):
-    state = PhaseState(x, v)
-    for a, ref in ((state.x, x), (state.v, v)):
-        assert type(a) is np.ndarray and a.dtype == np.float64 and a.ndim == 1
-        np.testing.assert_array_equal(a, np.atleast_1d(ref))
+    # run_chain converts the start once: a list, int, float32 or 0-d start
+    # runs the chain of its 1-D float64 arrays
+    x64, v64 = (np.atleast_1d(np.asarray(a, dtype=np.float64)) for a in (x, v))
+    ef = DiagonalGaussian.isotropic(x64.size)
+    for sampler in ("mjhmc", "hmc"):
+        config = SamplerConfig(sampler, 0.3, 3, 0.5, 20, seed=1)
+        chain, ref = run_chain(config, ef, x, v), run_chain(config, ef, x64, v64)
+        for name in CHAIN_FIELDS:
+            np.testing.assert_array_equal(getattr(chain, name), getattr(ref, name))
+        if sampler == "mjhmc":  # the first jump row is the start itself
+            np.testing.assert_array_equal(chain.positions[0], np.atleast_1d(x))
+            np.testing.assert_array_equal(chain.momenta[0], np.atleast_1d(v))
 
 
-def test_phase_state_keeps_valid_arrays():
+def test_phase_state_keeps_valid_arrays(monkeypatch):
+    # a 1-D float64 start reaches the sampler as the same objects, unwritten
     x, v = np.array([1.0, 2.0]), np.array([3.0, 4.0])
-    state = PhaseState(x, v)
-    assert state.x is x and state.v is v
+    config = SamplerConfig("mjhmc", 0.3, 3, 0.5, 50)
+    run_chain(config, DiagonalGaussian.isotropic(2), x, v)
+    np.testing.assert_array_equal(x, [1.0, 2.0])
+    np.testing.assert_array_equal(v, [3.0, 4.0])
+    seen = []
+    monkeypatch.setattr(tuner, "sample_chain", lambda config, ef, x0, v0: seen.append((x0, v0)))
+    run_chain(config, DiagonalGaussian.isotropic(2), x, v)
+    assert seen[0][0] is x and seen[0][1] is v
 
 
 def test_leapfrog_params_validation():
+    with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+        SamplerConfig("mjhmc", 0.0, 1, 0.5, 10)
     with pytest.raises(ValueError):
-        LeapfrogParams(0.0, 1)
-    with pytest.raises(ValueError):
-        LeapfrogParams(0.1, 0)
+        SamplerConfig("mjhmc", 0.1, 0, 0.5, 10)
     for steps in (2.5, 3.0, True, "3"):
         with pytest.raises(ValueError, match="steps must be an integer"):
-            LeapfrogParams(0.1, steps)
+            SamplerConfig("mjhmc", 0.1, steps, 0.5, 10)
+
+
+def test_leapfrog_with_grad_runs_the_trajectory():
+    # the one-call form of L: (x, v) and (epsilon, steps) in, grad0 fourth
+    ef = RoughWell()
+    x, v = np.array([1.0, -0.5]), np.array([0.3, 0.7])
+    ref = ef.trajectory(x, v, ef.gradient(x), 0.5, 7)
+    for out in (leapfrog_with_grad((x, v), (0.5, 7), ef),
+                leapfrog_with_grad((x, v), (0.5, 7), ef, ef.gradient(x))):
+        for a, b in zip(out, ref, strict=True):
+            np.testing.assert_array_equal(a, b)
 
 
 def test_tiny_step_is_near_identity():
-    state = PhaseState(np.array([1.0, -0.5]), np.array([0.3, 0.7]))
-    out, _ = leapfrog_with_grad(state, LeapfrogParams(1e-12, 1), RoughWell())
-    np.testing.assert_allclose(out.x, state.x, atol=1e-10)
-    np.testing.assert_allclose(out.v, state.v, atol=1e-10)
+    x, v = np.array([1.0, -0.5]), np.array([0.3, 0.7])
+    out_x, out_v, _ = leapfrog(RoughWell(), (x, v), 1e-12, 1)
+    np.testing.assert_allclose(out_x, x, atol=1e-10)
+    np.testing.assert_allclose(out_v, v, atol=1e-10)
 
 
 def test_harmonic_oscillator_single_step():
     # hand-executed half-kick / drift / half-kick on E = x^2/2 from (1, 0):
     # v_half = -0.05, x' = 0.995, v' = -0.05 - 0.05 * 0.995 = -0.09975
-    out, _ = leapfrog_with_grad(PhaseState([1.0], [0.0]), LeapfrogParams(0.1, 1), UNIT_1D)
-    assert out.x[0] == pytest.approx(0.995, rel=1e-15)
-    assert out.v[0] == pytest.approx(-0.09975, rel=1e-15)
+    out_x, out_v, _ = leapfrog(UNIT_1D, (np.array([1.0]), np.array([0.0])), 0.1, 1)
+    assert out_x[0] == pytest.approx(0.995, rel=1e-15)
+    assert out_v[0] == pytest.approx(-0.09975, rel=1e-15)
 
 
 def test_harmonic_oscillator_inverse_recovers_start():
-    params = LeapfrogParams(0.1, 1)
-    forward, _ = leapfrog_with_grad(PhaseState([1.0], [0.0]), params, UNIT_1D)
-    back = backward(forward, params, UNIT_1D)
-    np.testing.assert_allclose(back.x, [1.0], atol=1e-12)
-    np.testing.assert_allclose(back.v, [0.0], atol=1e-12)
+    fx, fv, _ = leapfrog(UNIT_1D, (np.array([1.0]), np.array([0.0])), 0.1, 1)
+    back_x, back_v = backward((fx, fv), 0.1, 1, UNIT_1D)
+    np.testing.assert_allclose(back_x, [1.0], atol=1e-12)
+    np.testing.assert_allclose(back_v, [0.0], atol=1e-12)
 
 
 @pytest.mark.parametrize("epsilon", [0.1, 1.0])
@@ -99,44 +140,40 @@ def test_harmonic_oscillator_inverse_recovers_start():
 )
 def test_flfl_reversibility(epsilon, steps, ef):
     # F L F L = I: exact in exact arithmetic, 1e-9 relative in floats
-    params = LeapfrogParams(epsilon, steps)
     rng = np.random.default_rng(21)
-    for state in random_states(rng, 25):
-        fwd, _ = leapfrog_with_grad(state, params, ef)
-        back, _ = leapfrog_with_grad(PhaseState(fwd.x, -fwd.v), params, ef)
-        orig = np.concatenate([state.x, state.v])
-        diff = np.concatenate([back.x - state.x, -back.v - state.v])
+    for x, v in random_states(rng, 25):
+        fx, fv, _ = leapfrog(ef, (x, v), epsilon, steps)
+        bx, bv, _ = leapfrog(ef, (fx, -fv), epsilon, steps)
+        orig = np.concatenate([x, v])
+        diff = np.concatenate([bx - x, -bv - v])
         assert np.linalg.norm(diff) <= 1e-9 * np.linalg.norm(orig)
 
 
 def test_leapfrog_inverse_inverts():
-    params = LeapfrogParams(0.5, 10)
     ef = RoughWell()
     rng = np.random.default_rng(2)
-    for state in random_states(rng, 20):
-        round_trip = backward(leapfrog_with_grad(state, params, ef)[0], params, ef)
-        orig = np.concatenate([state.x, state.v])
-        diff = np.concatenate([round_trip.x - state.x, round_trip.v - state.v])
+    for x, v in random_states(rng, 20):
+        rx, rv = backward(leapfrog(ef, (x, v), 0.5, 10)[:2], 0.5, 10, ef)
+        orig = np.concatenate([x, v])
+        diff = np.concatenate([rx - x, rv - v])
         assert np.linalg.norm(diff) <= 1e-9 * np.linalg.norm(orig)
 
 
 def test_leapfrog_inverse_tiny_step():
-    state = PhaseState(np.array([0.4, 0.2]), np.array([-1.0, 0.8]))
-    out = backward(state, LeapfrogParams(1e-12, 1), RoughWell())
-    np.testing.assert_allclose(out.x, state.x, atol=1e-10)
-    np.testing.assert_allclose(out.v, state.v, atol=1e-10)
+    x, v = np.array([0.4, 0.2]), np.array([-1.0, 0.8])
+    out_x, out_v = backward((x, v), 1e-12, 1, RoughWell())
+    np.testing.assert_allclose(out_x, x, atol=1e-10)
+    np.testing.assert_allclose(out_v, v, atol=1e-10)
 
 
 def test_volume_preservation_jacobian():
     # numerical 4x4 Jacobian of the leapfrog map in 2D: |det - 1| <= 1e-5
     ef = RoughWell()
-    params = LeapfrogParams(0.5, 5)
     base = np.array([1.2, -0.4, 0.8, 0.3])
     h = 1e-6
 
     def apply(z):
-        out, _ = leapfrog_with_grad(PhaseState(z[:2], z[2:]), params, ef)
-        return np.concatenate([out.x, out.v])
+        return np.concatenate(leapfrog(ef, (z[:2], z[2:]), 0.5, 5)[:2])
 
     jac = np.empty((4, 4))
     for i in range(4):
@@ -155,10 +192,12 @@ def test_energy_error_is_second_order():
     rng = np.random.default_rng(8)
     states = random_states(rng, 64, scale=1.0)
 
+    def total_energy(x, v):
+        return ef.energy(x) + kinetic_energy(v)
+
     def mean_energy_error(epsilon, steps):
-        params = LeapfrogParams(epsilon, steps)
         errs = [
-            abs(joint_energy(leapfrog_with_grad(s, params, ef)[0], ef) - joint_energy(s, ef))
+            abs(total_energy(*leapfrog(ef, s, epsilon, steps)[:2]) - total_energy(*s))
             for s in states
         ]
         return np.mean(errs)
@@ -190,28 +229,28 @@ def redrawn_momentum(cache, rng):
 
 
 def free_cache(state):
-    return filled_cache(state, LeapfrogParams(0.1, 1), FreeParticle(state.dim))
+    return filled_cache(state, 0.1, 1, FreeParticle(state[0].size))
 
 
 def test_randomize_momentum_keeps_position():
     rng = np.random.default_rng(0)
-    state = PhaseState(np.array([1.0, 2.0]), np.array([3.0, -4.0]))
-    cache = free_cache(state)
+    x, v0 = np.array([1.0, 2.0]), np.array([3.0, -4.0])
+    cache = free_cache((x, v0))
     v = redrawn_momentum(cache, rng)
-    np.testing.assert_array_equal(cache.current[0], state.x)
-    assert not np.array_equal(v, state.v)
+    np.testing.assert_array_equal(cache.current[0], x)
+    assert not np.array_equal(v, v0)
 
 
 def test_randomize_momentum_moments():
     rng = np.random.default_rng(123)
-    cache = free_cache(PhaseState(np.zeros(2), np.zeros(2)))
+    cache = free_cache((np.zeros(2), np.zeros(2)))
     draws = np.array([redrawn_momentum(cache, rng) for _ in range(100_000)])
     np.testing.assert_allclose(draws.mean(axis=0), 0.0, atol=0.02)
     np.testing.assert_allclose(draws.var(axis=0), 1.0, atol=0.03)
 
 
 def test_randomize_momentum_reproducible():
-    state = PhaseState(np.zeros(3), np.zeros(3))
+    state = (np.zeros(3), np.zeros(3))
     a = redrawn_momentum(free_cache(state), np.random.default_rng(42))
     b = redrawn_momentum(free_cache(state), np.random.default_rng(42))
     np.testing.assert_array_equal(a, b)
@@ -219,8 +258,7 @@ def test_randomize_momentum_reproducible():
 
 def test_flip_is_involution():
     # the F rule of the sampler cache negates the momentum and keeps the position
-    state = PhaseState(np.array([1.0, 2.0]), np.array([3.0, -4.0]))
-    cache = free_cache(state)
+    cache = free_cache((np.array([1.0, 2.0]), np.array([3.0, -4.0])))
     nodes = (cache.current, cache.forward, cache.backward)
     cache.flip()
     np.testing.assert_array_equal(cache.current[0], [1.0, 2.0])
@@ -234,27 +272,25 @@ def test_flip_is_involution():
 def test_integration_failure_carries_state():
     # far beyond the stability limit the trajectory overflows
     ef = DiagonalGaussian.isotropic(1)
-    state = PhaseState([1.0], [1.0])
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(IntegrationError) as excinfo:
-            leapfrog_with_grad(state, LeapfrogParams(1e6, 400), ef)
-    assert excinfo.value.state is not None
-    assert not np.all(np.isfinite(excinfo.value.state.x)) or not np.all(
-        np.isfinite(excinfo.value.state.v)
-    )
+            leapfrog(ef, (np.array([1.0]), np.array([1.0])), 1e6, 400)
+    bad = excinfo.value
+    assert bad.x is not None and bad.v is not None
+    assert not np.all(np.isfinite(bad.x)) or not np.all(np.isfinite(bad.v))
 
 
-def two_half_kick_leapfrog(zeta, params, ef):
+def two_half_kick_leapfrog(zeta, epsilon, steps, ef):
     """Reference: each step as half-kick / drift / half-kick, applied literally."""
-    half = 0.5 * params.epsilon
-    x, v = zeta.x.copy(), zeta.v.copy()
+    half = 0.5 * epsilon
+    x, v = zeta[0].copy(), zeta[1].copy()
     g = ef.gradient(x)
-    for _ in range(params.steps):
+    for _ in range(steps):
         v -= half * g
-        x += params.epsilon * v
+        x += epsilon * v
         g = ef.gradient(x)
         v -= half * g
-    return PhaseState(x, v), g
+    return x, v, g
 
 
 @pytest.mark.parametrize(
@@ -266,13 +302,11 @@ def test_fused_kicks_match_two_half_kick_loop(ef):
     rng = np.random.default_rng(31)
     for steps, check in ((1, np.testing.assert_array_equal),
                          (25, lambda a, b: np.testing.assert_allclose(a, b, rtol=1e-12, atol=0))):
-        params = LeapfrogParams(0.5, steps)
         for state in random_states(rng, 20):
-            out, g = leapfrog_with_grad(state, params, ef)
-            ref, ref_g = two_half_kick_leapfrog(state, params, ef)
-            check(out.x, ref.x)
-            check(out.v, ref.v)
-            check(g, ref_g)
+            out = leapfrog(ef, state, 0.5, steps)
+            ref = two_half_kick_leapfrog(state, 0.5, steps, ef)
+            for a, b in zip(out, ref):
+                check(a, b)
 
 
 
@@ -283,26 +317,26 @@ def test_rough_well_trajectory_matches_generic_loop(epsilon, steps):
     # same order, so the two agree bit for bit
     ef = RoughWell()
     rng = np.random.default_rng(41)
-    for state in random_states(rng, 20, scale=20.0):
-        x, v = state.x.copy(), state.v.copy()
+    for x0, v0 in random_states(rng, 20, scale=20.0):
+        x, v = x0.copy(), v0.copy()
         grad = ef.gradient(x)
-        out = ef.trajectory(state.x, state.v, grad, epsilon, steps)
-        ref = EnergyFunction.trajectory(ef, state.x, state.v, grad, epsilon, steps)
+        out = ef.trajectory(x0, v0, grad, epsilon, steps)
+        ref = EnergyFunction.trajectory(ef, x0, v0, grad, epsilon, steps)
         assert np.isfinite(np.concatenate(out)).all()
         for a, b in zip(out, ref):
             np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(state.x, x)  # the inputs are left untouched
-        np.testing.assert_array_equal(state.v, v)
+        np.testing.assert_array_equal(x0, x)  # the inputs are left untouched
+        np.testing.assert_array_equal(v0, v)
 
 
 def test_rough_well_overflow_raises_integration_error():
     # math.sin(inf) raises ValueError inside the kernel; the caller must
     # still see an IntegrationError carrying a non-finite state
-    state = PhaseState(np.array([1.0, -0.5]), np.array([0.3, 0.7]))
+    state = (np.array([1.0, -0.5]), np.array([0.3, 0.7]))
     with pytest.raises(IntegrationError) as excinfo:
-        leapfrog_with_grad(state, LeapfrogParams(1e200, 3), RoughWell())
-    bad = excinfo.value.state
-    assert bad is not None
+        leapfrog(RoughWell(), state, 1e200, 3)
+    bad = excinfo.value
+    assert bad.x is not None and bad.v is not None
     assert not (np.all(np.isfinite(bad.x)) and np.all(np.isfinite(bad.v)))
 
 
@@ -324,8 +358,8 @@ def test_counting_energy_counts_steps_per_trajectory(make, steps):
     inner = make()
     counter = CountingEnergy(inner)
     rng = np.random.default_rng(5)
-    for i, state in enumerate(random_states(rng, 4), start=1):
-        counter.trajectory(state.x, state.v, inner.gradient(state.x), 0.5, steps)
+    for i, (x, v) in enumerate(random_states(rng, 4), start=1):
+        counter.trajectory(x, v, inner.gradient(x), 0.5, steps)
         assert counter.gradient_calls == i * steps
     if isinstance(inner, SpyGaussian):
         # each counted evaluation is one real gradient call (plus the 4 above)

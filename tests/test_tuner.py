@@ -3,7 +3,6 @@ import pytest
 
 from jumphmc import (
     DiagonalGaussian,
-    PhaseState,
     RoughWell,
     SamplerConfig,
     SearchSpace,
@@ -24,6 +23,14 @@ def test_space_validation():
         SearchSpace(beta_range=(0.1, 1.5))
     with pytest.raises(ValueError):
         SearchSpace(steps_range=(5, 2))
+
+
+@pytest.mark.parametrize("steps_range", [(2.5, 10), (2, 10.5), (True, 3), (2, True), ("2", 10)])
+def test_space_steps_range_must_be_integers(steps_range):
+    # (2.5, 10) and (True, 3) used to be accepted, and draw sampled from them
+    with pytest.raises(ValueError, match=r"^steps_range\[[01]\] must be an integer"):
+        SearchSpace(steps_range=steps_range)
+    SearchSpace(steps_range=(np.int64(2), np.int64(10)))
 
 
 def test_space_draw_respects_bounds():
@@ -62,6 +69,13 @@ def test_eval_config_n_lags_must_be_an_integer(value):
     with pytest.raises(ValueError, match="^n_lags must be an integer"):
         TuningEvalConfig(n_lags=value)
     TuningEvalConfig(n_samples=np.int64(600), n_lags=np.int64(40))
+
+
+@pytest.mark.parametrize("budget", [2.5, 1.0, True, "1", 0])
+def test_budget_must_be_a_positive_integer(budget):
+    # 2.5 used to raise TypeError from range, and True ran one trial
+    with pytest.raises(ValueError, match="^budget must be"):
+        random_search(SearchSpace(), budget, "mjhmc", GAUSS_1D, FAST_EVAL, seed=0)
 
 
 def test_budget_one_returns_the_single_trial():
@@ -110,9 +124,9 @@ def test_frozen_control_scores_zero_decay():
     # far past the rough well's stability limit the control rejects every
     # proposal, so its positions never vary: no decay, but no failure either
     ef, eval_cfg = RoughWell(), TuningEvalConfig(n_samples=400)
-    init = PhaseState(np.zeros(2), np.random.default_rng(0).standard_normal(2))
+    v0 = np.random.default_rng(0).standard_normal(2)
     config = SamplerConfig("hmc", 4.847, 34, 0.712, 400, 0)
-    assert run_chain(config, ef, init).acceptance_rate == 0.0
+    assert run_chain(config, ef, np.zeros(2), v0).acceptance_rate == 0.0
     trial = evaluate_trial(config, ef, eval_cfg, aux_seed=0)
     assert trial.status == "ok"
     assert trial.objective == 0.0
