@@ -80,6 +80,7 @@ def autocorrelation(
 
     Each grid lag is mapped to the sample offset whose cumulative cost is
     nearest, so the series is defined even when per-step costs vary.
+    Raises DecayFitError when no lag reaches a sample past the first one's cost.
     """
     x = np.asarray(positions, dtype=float)
     if x.ndim == 1:
@@ -115,6 +116,8 @@ def autocorrelation(
     use_left = (grid - rel[pos - 1]) <= (rel[pos] - grid)
     idx = np.where(use_left, pos - 1, pos)
     idx[0] = 0
+    if rel[idx[-1]] == 0:  # a flat series, which a fit would score as never decaying
+        raise DecayFitError("every lag maps to the first sample: max_lag_evals is too short")
     return AutocorrSeries(lags=grid, values=rho[idx])
 
 

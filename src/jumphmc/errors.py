@@ -27,4 +27,4 @@ class DegenerateChainError(ValueError):
 
 
 class DecayFitError(RuntimeError):
-    """Every candidate decay rate produced a non-finite objective."""
+    """No decay rate can be fit: no finite objective, or a lag window inside one step."""

@@ -77,6 +77,8 @@ class TuningEvalConfig:
     def __post_init__(self):
         check_count("n_samples", self.n_samples, MIN_SAMPLES)
         check_count("n_lags", self.n_lags, MIN_FIT_LAGS)
+        if isinstance(self.max_lag_evals, bool):
+            raise ValueError("max_lag_evals must be a number, not a bool")
         if self.max_lag_evals is not None and not 0 < self.max_lag_evals < math.inf:
             raise ValueError("max_lag_evals must be positive and finite")
 

@@ -1,7 +1,10 @@
 """The CSV writers emit byte for byte what the former csv.writer-based writer did."""
 
 import csv
+import errno
 import json
+import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -9,13 +12,16 @@ import pytest
 
 from jumphmc import (
     AutocorrSeries,
+    DiagonalGaussian,
     GapExperimentResult,
     RoughWell,
     SamplerConfig,
     autocorrelation,
     run_chain,
 )
+from jumphmc import chainio
 from jumphmc.chainio import (
+    CHAIN_BLOCK_FIELDS,
     _header_lines,
     write_autocorr_csv,
     write_best_json,
@@ -157,6 +163,90 @@ def test_wide_chain_without_header_extras(tmp_path):
     assert_same_bytes(
         tmp_path, write_chain_csv, reference_write_chain_csv, chain, config=None, seed=None,
     )
+
+
+WIDE_BLOCK_ROWS = CHAIN_BLOCK_FIELDS // (1 + 2 * 50 + 3)  # the rows of a 50-D chain in a block
+
+
+def wide_chain(n):
+    return run_chain(
+        SamplerConfig("mjhmc", epsilon=0.1, steps=20, beta=0.1, n_samples=n, seed=8),
+        DiagonalGaussian(np.logspace(0.0, 2.0, 50)), np.zeros(50), np.ones(50),
+    )
+
+
+@pytest.fixture(scope="module")
+def block_chains(init):
+    """Chains of several blocks (the last one short), of one block, and of one row."""
+    control = run_chain(
+        SamplerConfig("hmc", epsilon=0.59, steps=25, beta=0.43, n_samples=3000, seed=4),
+        RoughWell(), *init,
+    )
+    return {
+        "wide": wide_chain(2 * WIDE_BLOCK_ROWS + 37),
+        "one_block": wide_chain(WIDE_BLOCK_ROWS),
+        "control_2d": control,
+        "one_row": wide_chain(1),
+    }
+
+
+@pytest.fixture
+def temporary_files(monkeypatch, tmp_path):
+    """The temporary files the writer opens, in a directory of their own."""
+    made, make = [], tempfile.TemporaryFile
+
+    def temporary_file(*args, **kwargs):
+        made.append(make(*args, **kwargs))
+        return made[-1]
+
+    (tmp_path / "tmp").mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+    monkeypatch.setattr(tempfile, "TemporaryFile", temporary_file)
+    return made
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("name", ["wide", "one_block", "control_2d", "one_row"])
+def test_block_writer_bytes_do_not_depend_on_workers(tmp_path, block_chains, use_cpus, forks,
+                                                      temporary_files, cpus, name):
+    chain = block_chains[name]
+    use_cpus(cpus)
+    assert_same_bytes(tmp_path, write_chain_csv, reference_write_chain_csv, chain)
+    rows_per_block = CHAIN_BLOCK_FIELDS // (2 * chain.positions.shape[1] + 4)
+    blocks = -(-len(chain) // rows_per_block)
+    # a chain of one block forks nothing and is written straight to its file
+    assert len(forks) == min(cpus, blocks) - 1
+    assert len(temporary_files) == (blocks if blocks > 1 else 0)
+    assert all(f.closed for f in temporary_files)
+
+
+def test_long_chain_gets_longer_blocks(tmp_path, block_chains, use_cpus, forks,
+                                       temporary_files, monkeypatch):
+    # one row per block would open 3000 temporary files at once; 256 is the most
+    monkeypatch.setattr(chainio, "CHAIN_BLOCK_FIELDS", 8)
+    use_cpus(2)
+    chain = block_chains["control_2d"]
+    assert_same_bytes(tmp_path, write_chain_csv, reference_write_chain_csv, chain)
+    assert len(temporary_files) == -(-3000 // -(-3000 // 256)) == 250
+    assert len(forks) == 1
+
+
+def test_worker_os_error_reaches_the_caller(tmp_path, block_chains, use_cpus, forks,
+                                            temporary_files, in_workers, monkeypatch):
+    use_cpus(2)
+
+    def disk_full(*args):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(chainio, "_chain_rows", in_workers(disk_full, chainio._chain_rows))
+    path = tmp_path / "out" / "c.csv"
+    with pytest.raises(OSError, match=r"^\[Errno 28\] No space left on device$") as excinfo:
+        write_chain_csv(path, block_chains["wide"])
+    assert excinfo.value.errno == errno.ENOSPC
+    assert len(forks) == 1
+    assert len(temporary_files) == 3 and all(f.closed for f in temporary_files)
+    assert os.listdir(tmp_path / "tmp") == []  # no temporary file is left
+    assert not path.parent.exists()  # and no partial output
 
 
 def test_gap_result(tmp_path):

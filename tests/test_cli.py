@@ -290,6 +290,26 @@ class TestAutocorr:
         err = capsys.readouterr().err
         assert err.startswith("numerical error:") and err.count("\n") == 1
 
+    def test_lag_window_inside_one_step_exits_2(self, tmp_path, capsys):
+        # every lag maps to the first sample, so the series is all 1s; it
+        # used to be fit and scored as never decaying, with exit 0
+        cfg = write_config(
+            tmp_path / "c.json",
+            {
+                "model": {"name": "gaussian", "precision_diag": [1.0, 4.0]},
+                "mjhmc": {"epsilon": 0.5, "steps": 5, "beta": 0.3},
+                "hmc": {"epsilon": 0.5, "steps": 5, "beta": 0.3},
+                "n_samples": 400,
+                "n_lags": 40,
+                "max_lag_evals": 1e-9,
+                "seed": 3,
+            },
+        )
+        assert main(["autocorr", cfg, "--out", str(tmp_path / "ac")]) == 2
+        err = capsys.readouterr().err
+        assert err == "numerical error: every lag maps to the first sample: " \
+                      "max_lag_evals is too short\n"
+
     def test_control_beta_above_one_rejected(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path / "c.json",

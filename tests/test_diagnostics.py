@@ -73,6 +73,19 @@ class TestAutocorrelation:
         expected = 0.9 ** (series.lags / 2)
         np.testing.assert_allclose(series.values, expected, atol=0.06)
 
+    def test_window_that_reaches_no_later_cost_raises(self):
+        x = ar1_chain(0.5, 200, seed=6)
+        evals = 5 * np.arange(1, 201)
+        with pytest.raises(DecayFitError, match="^every lag maps to the first sample"):
+            autocorrelation(x, evals, max_lag_evals=2.4, n_lags=40)
+        series = autocorrelation(x, evals, max_lag_evals=2.6, n_lags=40)
+        assert series.values[-1] < 1.0  # the last lag reaches the second sample
+        # a lag mapped to a later sample of the same cost (a repeated draw)
+        # reaches no later cost either
+        evals[1:3] = evals[0]
+        with pytest.raises(DecayFitError, match="^every lag maps to the first sample"):
+            autocorrelation(x, evals, max_lag_evals=2.4, n_lags=40)
+
     def test_short_chain_rejected(self):
         with pytest.raises(ValueError):
             autocorrelation(np.zeros(5), np.arange(5), max_lag_evals=2)

@@ -329,6 +329,42 @@ def test_rough_well_trajectory_matches_generic_loop(epsilon, steps):
         np.testing.assert_array_equal(v0, v)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 50])
+@pytest.mark.parametrize("epsilon", [0.05, 0.5, 3.0])
+@pytest.mark.parametrize("steps", [1, 2, 25])
+def test_gaussian_trajectory_matches_generic_loop(dim, epsilon, steps):
+    # the buffered kernel runs the numpy loop's operations into buffers of
+    # its own, so the two agree bit for bit, unstable regimes included
+    ef = DiagonalGaussian(np.logspace(0.0, 2.0, dim))
+    rng = np.random.default_rng(43)
+    for _ in range(10):
+        x0, v0 = 3.0 * rng.standard_normal(dim), rng.standard_normal(dim)
+        grad = ef.gradient(x0)
+        x, v, g = x0.copy(), v0.copy(), grad.copy()
+        out = ef.trajectory(x0, v0, grad, epsilon, steps)
+        ref = EnergyFunction.trajectory(ef, x0, v0, grad, epsilon, steps)
+        assert np.isfinite(np.concatenate(out)).all()
+        for a, b in zip(out, ref):
+            np.testing.assert_array_equal(a, b)
+        for before, after in ((x, x0), (v, v0), (g, grad)):  # the inputs are left untouched
+            np.testing.assert_array_equal(before, after)
+
+
+def test_gaussian_overflow_raises_the_generic_loops_integration_error():
+    ef = DiagonalGaussian(np.logspace(0.0, 2.0, 50))
+    rng = np.random.default_rng(47)
+    x0, v0 = rng.standard_normal(50), rng.standard_normal(50)
+    errors = []
+    for run in (ef.trajectory, lambda *a: EnergyFunction.trajectory(ef, *a)):
+        with pytest.raises(IntegrationError) as excinfo:
+            run(x0, v0, ef.gradient(x0), 1e3, 60)  # x grows about 1e8-fold per step
+        errors.append(excinfo.value)
+    kernel, generic = errors
+    assert not np.isfinite(kernel.x).all()
+    np.testing.assert_array_equal(kernel.x, generic.x)  # nan where nan
+    np.testing.assert_array_equal(kernel.v, generic.v)
+
+
 def test_rough_well_overflow_raises_integration_error():
     # math.sin(inf) raises ValueError inside the kernel; the caller must
     # still see an IntegrationError carrying a non-finite state
@@ -350,6 +386,8 @@ class SpyGaussian(DiagonalGaussian):
     def gradient(self, x):
         self.calls += 1
         return super().gradient(x)
+
+    trajectory = EnergyFunction.trajectory  # not DiagonalGaussian's own kernel
 
 
 @pytest.mark.parametrize("make", [RoughWell, SpyGaussian])

@@ -56,6 +56,23 @@ def test_eval_config_rejects_what_cannot_be_fit():
     TuningEvalConfig(max_lag_evals=50.0)
 
 
+@pytest.mark.parametrize("value", [True, False])
+def test_eval_config_max_lag_evals_must_not_be_a_bool(value):
+    # True used to pass as a one-evaluation window (0 < True < inf)
+    with pytest.raises(ValueError, match="^max_lag_evals must be a number, not a bool$"):
+        TuningEvalConfig(max_lag_evals=value)
+
+
+@pytest.mark.parametrize("max_lag_evals", [1e-9, 1.0])
+def test_lag_window_inside_one_step_fails_the_trial(max_lag_evals):
+    # every lag maps to the first sample: this used to score "ok" with -0.0
+    trial = evaluate_trial(
+        SamplerConfig("hmc", 0.5, 5, 0.3, 400, 1), DiagonalGaussian.isotropic(2),
+        TuningEvalConfig(n_samples=400, n_lags=40, max_lag_evals=max_lag_evals), 3,
+    )
+    assert (trial.status, trial.objective) == ("failed", None)
+
+
 @pytest.mark.parametrize("value", [600.5, 600.0, True, "600"])
 def test_eval_config_n_samples_must_be_an_integer(value):
     # 600.5 used to be refused only when the first trial's SamplerConfig was built
