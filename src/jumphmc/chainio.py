@@ -4,9 +4,9 @@ Every CSV starts with a small comment header (version, config hash, seed,
 gradient-count convention) so an output file is a self-describing artifact;
 the body stays plain CSV, readable by any tool that skips ``#`` lines.
 
-A chain of more than one block of ``CHAIN_BLOCK_FIELDS`` fields is formatted
-in forked workers (``forkmap.map_ordered``), each block into an unnamed
-temporary file that the caller then copies in order.
+A chain of 1.5 blocks of ``CHAIN_BLOCK_FIELDS`` fields or more is split
+evenly into blocks and formatted in forked workers (``forkmap.map_ordered``),
+each block into an unnamed temporary file that the caller then copies in order.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import csv
 import dataclasses
 import hashlib
 import json
-import shutil
 import tempfile
 from itertools import repeat
 from pathlib import Path
@@ -124,27 +123,31 @@ def write_chain_csv(
     dim = chain.positions.shape[1]
     columns = ["step", *(f"x{d}" for d in range(dim)), *(f"v{d}" for d in range(dim)),
                "holding_time", "transition", "gradient_evals"]
-    # A long chain gets longer blocks: at most 256 temporary files are open.
-    size = max(1, CHAIN_BLOCK_FIELDS // len(columns), -(-len(chain) // 256))
-    starts = range(0, len(chain), size)
-    if len(starts) <= 1:  # no fork and no temporary file
+    # The nearest whole number of blocks, with at most 256 temporary files open,
+    # and the rows split evenly: a chain under 1.5 blocks is not worth a fork.
+    n_blocks = min(256, round(len(chain) / max(1, CHAIN_BLOCK_FIELDS // len(columns))))
+    if n_blocks <= 1:  # no fork and no temporary file
         _write_csv(path, "chain", columns, _chain_rows(chain, 0, len(chain)), config, seed)
         return
+    bounds = [len(chain) * b // n_blocks for b in range(n_blocks + 1)]
     with contextlib.ExitStack() as stack:
         # Unnamed, and opened before any fork: no exit leaves one behind.
-        blocks = [stack.enter_context(tempfile.TemporaryFile()) for _ in starts]
+        blocks = [stack.enter_context(tempfile.TemporaryFile()) for _ in range(n_blocks)]
 
         def fill(b: int) -> None:
-            rows = _chain_rows(chain, starts[b], starts[b] + size)
+            rows = _chain_rows(chain, bounds[b], bounds[b + 1])
             with open(blocks[b].fileno(), "w", newline="", closefd=False) as out:
                 out.writelines(",".join(row) + "\r\n" for row in rows)
 
         map_ordered(fill, list(range(len(blocks))))
         _write_csv(path, "chain", columns, (), config, seed)
+        # One reused buffer: copyfileobj's fresh 64 KiB per read fragmented the heap.
+        buffer = memoryview(bytearray(1 << 16))
         with open(path, "ab") as fh:
             for block in blocks:
                 block.seek(0)
-                shutil.copyfileobj(block, fh)
+                while n := block.readinto(buffer):
+                    fh.write(buffer[:n])
 
 
 def write_chain_metadata(

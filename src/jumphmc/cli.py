@@ -30,19 +30,15 @@ from .chainio import (
     write_trials_csv,
 )
 from .diagnostics import MIN_FIT_LAGS, MIN_SAMPLES, autocorrelation, fit_decay
-from .energy import DiagonalGaussian, EnergyFunction, RoughWell
+from .energy import DiagonalGaussian, EnergyFunction, RoughWell, worst_reversibility
 from .errors import DecayFitError, DegenerateChainError, DegenerateLadderError, IntegrationError
 from .jump import SamplerConfig
 from .ladder import (
     DEFAULT_LADDER_SIZES,
-    Ladder,
-    balance_check,
-    build_mjhmc_rate_matrix,
-    embedded_fixed_point_check,
-    min_exponential_oracle,
     random_ladder_experiment,
-    similarity_check,
-    spectral_distance,
+    worst_balance,
+    worst_race_deviation,
+    worst_similarity,
 )
 from .tuner import SearchSpace, TuningEvalConfig, random_search, run_chain, unweighted_samples
 
@@ -318,74 +314,30 @@ def cmd_tune(fields: dict, trials_path: str, best_path: str) -> int:
 def _run_check_suite(seed: int, balance_ladders: int = 100, similarity_ladders: int = 50,
                      race_vectors: int = 20, fault_injection: bool = False) -> list:
     """Run every invariant check; returns (name, passed, worst, tolerance) rows."""
-    root = np.random.SeedSequence(seed)
-    rngs = [np.random.default_rng(s) for s in root.spawn(5)]
-    results = []
-
-    # Balance condition and the embedded chain's fixed point on random ladders.
-    worst_balance = 0.0
-    worst_fixed = 0.0
-    rng = rngs[0]
-    for i in range(balance_ladders):
-        k = int(rng.integers(4, 129))
-        ladder = Ladder(rng.standard_normal(k))
-        rates = build_mjhmc_rate_matrix(ladder)
-        if fault_injection and i == 0:
-            rates = rates.copy()
-            rates[1, 0] += 1e-3
-            rates[0, 0] -= 1e-3
-        worst_balance = max(worst_balance, balance_check(rates, ladder))
-        worst_fixed = max(worst_fixed, embedded_fixed_point_check(rates, ladder))
-    results.append(("balance_condition", worst_balance <= 1e-10, worst_balance, 1e-10))
-    results.append(("embedded_fixed_point", worst_fixed <= 1e-10, worst_fixed, 1e-10))
-
-    # Similarity of the embedded and holding-time-scaled spectra.
-    rng = rngs[1]
-    worst = 0.0
-    for _ in range(similarity_ladders):
-        k = int(rng.integers(4, 129))
-        rates = build_mjhmc_rate_matrix(Ladder(rng.standard_normal(k)))
-        spec_a, spec_b = similarity_check(rates)
-        worst = max(worst, spectral_distance(spec_a, spec_b))
-    results.append(("similarity_spectra", worst <= 1e-8, worst, 1e-8))
-
-    # Reversibility of the integrator: F L F L = identity.
-    rng = rngs[2]
-    worst = 0.0
-    for ef in (RoughWell(), DiagonalGaussian([1.0, 4.0])):
-        for _ in range(50):
-            x, v = rng.normal(scale=2.0, size=2), rng.standard_normal(2)
-            epsilon, steps = float(rng.choice([0.1, 1.0])), int(rng.choice([1, 25]))
-            x1, v1, _ = ef.trajectory(x, v, ef.gradient(x), epsilon, steps)
-            x2, v2, _ = ef.trajectory(x1, -v1, ef.gradient(x1), epsilon, steps)
-            num = np.linalg.norm(np.concatenate([x2 - x, -v2 - v]))  # F L F L (x, v) - (x, v)
-            den = np.linalg.norm(np.concatenate([x, v]))
-            worst = max(worst, num / den)
-    results.append(("leapfrog_reversibility", worst <= 1e-9, worst, 1e-9))
-
-    # Exponential race: analytic embedded probabilities vs simulation.
-    rng = rngs[3]
-    n_trials = 100_000
-    worst_sigma = 0.0
-    for _ in range(race_vectors):
-        m = int(rng.integers(2, 4))
-        rates_vec = rng.uniform(0.2, 3.0, size=m)
-        analytic = rates_vec / rates_vec.sum()
-        freqs = min_exponential_oracle(rates_vec, n_trials, rng)
-        sigma = np.sqrt(analytic * (1 - analytic) / n_trials)
-        worst_sigma = max(worst_sigma, float(np.max(np.abs(freqs - analytic) / sigma)))
-    results.append(("exponential_race", worst_sigma <= 3.0, worst_sigma, 3.0))
-    return results
+    balance_rng, similarity_rng, rng, race_rng = (
+        np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(4))
+    balance, fixed = worst_balance(balance_rng, balance_ladders, 1e-3 if fault_injection else 0.0)
+    leapfrog_cases = ((ef, rng.normal(scale=2.0, size=2), rng.standard_normal(2),
+                       float(rng.choice([0.1, 1.0])), int(rng.choice([1, 25])))
+                      for ef in (RoughWell(), DiagonalGaussian([1.0, 4.0])) for _ in range(50))
+    vectors = (race_rng.uniform(0.2, 3.0, size=int(race_rng.integers(2, 4)))
+               for _ in range(race_vectors))
+    return [(name, worst <= tol, worst, tol) for name, worst, tol in (
+        ("balance_condition", balance, 1e-10),
+        ("embedded_fixed_point", fixed, 1e-10),
+        ("similarity_spectra", worst_similarity(similarity_rng, similarity_ladders), 1e-8),
+        ("leapfrog_reversibility", worst_reversibility(leapfrog_cases), 1e-9),
+        ("exponential_race", worst_race_deviation(vectors, 100_000, race_rng), 3.0),
+    )]
 
 
 def cmd_check(fields: dict) -> int:
     results = _run_check_suite(**fields)
     width = max(len(name) for name, *_ in results)
-    all_passed = True
     for name, passed, worst, tol in results:
         status = "PASS" if passed else "FAIL"
-        all_passed &= passed
         print(f"{name:<{width}}  {status}  worst={worst:.3e}  tolerance={tol:.0e}")
+    all_passed = all(passed for _, passed, _, _ in results)
     print("check suite:", "all passed" if all_passed else "FAILURES detected")
     return EXIT_OK if all_passed else EXIT_CHECK_FAILED
 

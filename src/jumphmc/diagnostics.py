@@ -76,11 +76,12 @@ def autocorrelation(
         Largest lag of the grid; defaults to 10% of the total gradient
         evaluations spanned by the chain.
     n_lags : int
-        Number of grid points, including lag 0.
+        Number of grid points, including lag 0; at least ``MIN_FIT_LAGS``.
 
     Each grid lag is mapped to the sample offset whose cumulative cost is
     nearest, so the series is defined even when per-step costs vary.
-    Raises DecayFitError when no lag reaches a sample past the first one's cost.
+    Raises DecayFitError when the lags reach fewer than ``MIN_FIT_LAGS``
+    distinct samples: a fit would score such a series as never decaying.
     """
     x = np.asarray(positions, dtype=float)
     if x.ndim == 1:
@@ -93,8 +94,8 @@ def autocorrelation(
         raise ValueError("gradient_evals must have one entry per sample")
     if np.any(np.diff(evals) < 0):
         raise ValueError("gradient_evals must be nondecreasing")
-    if n_lags < 2:
-        raise ValueError("need at least two lags")
+    if n_lags < MIN_FIT_LAGS:
+        raise ValueError(f"need at least {MIN_FIT_LAGS} lags")
 
     centered = x - x.mean(axis=0)
     variances = np.mean(centered**2, axis=0)
@@ -116,8 +117,10 @@ def autocorrelation(
     use_left = (grid - rel[pos - 1]) <= (rel[pos] - grid)
     idx = np.where(use_left, pos - 1, pos)
     idx[0] = 0
-    if rel[idx[-1]] == 0:  # a flat series, which a fit would score as never decaying
-        raise DecayFitError("every lag maps to the first sample: max_lag_evals is too short")
+    if np.count_nonzero(np.diff(idx)) + 1 < MIN_FIT_LAGS:  # idx is nondecreasing
+        reached = ("every lag maps to the first sample" if rel[idx[-1]] == 0
+                   else f"the lags reach fewer than {MIN_FIT_LAGS} samples")
+        raise DecayFitError(f"{reached}: max_lag_evals is too short")
     return AutocorrSeries(lags=grid, values=rho[idx])
 
 

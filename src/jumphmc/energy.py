@@ -274,3 +274,14 @@ class CountingEnergy(EnergyFunction):
         self.gradient_calls += steps
         return self.inner.trajectory(x, v, grad, epsilon, steps)
 
+
+def worst_reversibility(cases) -> float:
+    """Worst |F L F L (x, v) - (x, v)| / |(x, v)| over ``(ef, x, v, epsilon, steps)`` cases, which
+    may be a generator: L is ``ef.trajectory`` from a fresh gradient, F the momentum flip."""
+    worst = 0.0
+    for ef, x, v, epsilon, steps in cases:
+        x1, v1, _ = ef.trajectory(x, v, ef.gradient(x), epsilon, steps)
+        x2, v2, _ = ef.trajectory(x1, -v1, ef.gradient(x1), epsilon, steps)
+        error = np.linalg.norm(np.concatenate([x2 - x, -v2 - v]))
+        worst = max(worst, float(error / np.linalg.norm(np.concatenate([x, v]))))
+    return worst

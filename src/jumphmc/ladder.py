@@ -9,7 +9,7 @@ a different ladder), so the jump process has at most two outgoing arms per
 state.
 
 The continuous-time rate matrix, its embedded discrete-time chain, the
-holding-time scaling between them, and the numerical balance checks all
+holding-time scaling between them, and the invariant checks (``worst_*``)
 live here, together with the randomized spectral-gap experiment comparing
 the jump process against the discrete-time control chain.  Its draws are
 independent, so it runs them through ``forkmap.map_ordered``, one process
@@ -212,17 +212,17 @@ def spectral_gap(chain: np.ndarray) -> float:
     return float(mags[0] - mags[1])
 
 
-def similarity_check(rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Spectra of the embedded chain and of its holding-time-scaled sibling.
+def similarity_check(rates: np.ndarray) -> float:
+    """``spectral_distance`` between the spectra of the embedded chain and of
+    its holding-time-scaled sibling.
 
     The sample-evolution chain D T D^-1 is similar to the embedded chain T,
-    so the two returned spectra must agree as multisets; callers assert the
-    tolerance.
+    so the two spectra must agree as multisets: the distance is rounding noise.
     """
     t_hat = embedded_chain(rates)
     d = holding_time_diag(rates)
     t_scaled = (d[:, None] * t_hat) / d[None, :]
-    return np.linalg.eigvals(t_hat), np.linalg.eigvals(t_scaled)
+    return spectral_distance(np.linalg.eigvals(t_hat), np.linalg.eigvals(t_scaled))
 
 
 def spectral_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -281,6 +281,28 @@ def embedded_fixed_point_check(rates: np.ndarray, ladder: Ladder) -> float:
     d = holding_time_diag(rates)
     p_hat = ladder_stationary(ladder) / d
     return float(np.max(np.abs(t_hat @ p_hat - p_hat)) / p_hat.max())
+
+
+def worst_balance(rng: np.random.Generator, count: int, fault: float = 0.0) -> tuple[float, float]:
+    """Worst ``balance_check`` and ``embedded_fixed_point_check`` over ``count`` ladders of
+    4..128 rungs drawn from ``rng``.  ``fault`` is moved from the first matrix's diagonal
+    to its 0 -> 1 rate, an error that both checks must catch."""
+    balance = fixed = 0.0
+    for i in range(count):
+        ladder = _draw_ladder(int(rng.integers(4, 129)), rng)
+        rates = build_mjhmc_rate_matrix(ladder)
+        if i == 0:
+            rates[1, 0] += fault
+            rates[0, 0] -= fault
+        balance = max(balance, balance_check(rates, ladder))
+        fixed = max(fixed, embedded_fixed_point_check(rates, ladder))
+    return balance, fixed
+
+
+def worst_similarity(rng: np.random.Generator, count: int) -> float:
+    """Worst ``similarity_check`` over ``count`` ladders drawn as in ``worst_balance``."""
+    ladders = (_draw_ladder(int(rng.integers(4, 129)), rng) for _ in range(count))
+    return max((similarity_check(build_mjhmc_rate_matrix(lad)) for lad in ladders), default=0.0)
 
 
 # Below this many rungs one dense eigensolve is faster than the ring search.
@@ -626,3 +648,17 @@ def min_exponential_oracle(
     draws = rng.standard_exponential((int(n_trials), rates.size)) / rates
     winners = np.argmin(draws, axis=1)
     return np.bincount(winners, minlength=rates.size) / float(n_trials)
+
+
+def worst_race_deviation(rate_vectors: Iterable[np.ndarray], n_trials: int,
+                         rng: np.random.Generator) -> float:
+    """Worst distance, in standard errors, between ``min_exponential_oracle``'s win
+    frequencies and the embedded chain's rate / total over ``rate_vectors``.  The
+    races draw from ``rng``; ``rate_vectors`` may be a generator drawing from it too."""
+    worst = 0.0
+    for rates in rate_vectors:
+        share = rates / rates.sum()
+        freqs = min_exponential_oracle(rates, n_trials, rng)
+        sigma = np.sqrt(share * (1 - share) / n_trials)
+        worst = max(worst, float(np.max(np.abs(freqs - share) / sigma)))
+    return worst

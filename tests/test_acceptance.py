@@ -11,23 +11,19 @@ import numpy as np
 
 from jumphmc import (
     DiagonalGaussian,
-    Ladder,
     RoughWell,
     SamplerConfig,
     autocorrelation,
-    balance_check,
-    build_mjhmc_rate_matrix,
     fit_decay,
     init_cache,
     random_ladder_experiment,
     run_chain,
-    similarity_check,
-    spectral_distance,
     systematic_resample_indices,
     weighted_moments,
 )
 from jumphmc.jump import _exp, _holding_time, _log_rates, _log_waiting_times
-from jumphmc.energy import kinetic_energy
+from jumphmc.energy import kinetic_energy, worst_reversibility
+from jumphmc.ladder import worst_balance, worst_race_deviation, worst_similarity
 
 MJHMC_ROUGH_WELL = dict(epsilon=3.0, beta=0.012314, steps=25)
 CONTROL_ROUGH_WELL = dict(epsilon=0.591686, beta=0.429956, steps=25)
@@ -46,12 +42,7 @@ def report(name: str, passed: bool, detail: str, elapsed: float) -> None:
 def test_criterion_1_balance_condition():
     """Rate matrices leave the target distribution exactly stationary."""
     t0 = time.time()
-    rng = np.random.default_rng(101)
-    worst = 0.0
-    for _ in range(100):
-        k = int(rng.integers(4, 129))
-        ladder = Ladder(rng.standard_normal(k))
-        worst = max(worst, balance_check(build_mjhmc_rate_matrix(ladder), ladder))
+    worst, _ = worst_balance(np.random.default_rng(101), 100)
     elapsed = time.time() - t0
     passed = worst <= 1e-10 and elapsed < 10
     report("balance condition (100 ladders, k in 4..128)", passed,
@@ -63,13 +54,7 @@ def test_criterion_1_balance_condition():
 def test_criterion_2_similarity_spectra():
     """Embedded and holding-time-scaled chains share their spectra."""
     t0 = time.time()
-    rng = np.random.default_rng(202)
-    worst = 0.0
-    for _ in range(50):
-        k = int(rng.integers(4, 129))
-        rates = build_mjhmc_rate_matrix(Ladder(rng.standard_normal(k)))
-        spec_a, spec_b = similarity_check(rates)
-        worst = max(worst, spectral_distance(spec_a, spec_b))
+    worst = worst_similarity(np.random.default_rng(202), 50)
     elapsed = time.time() - t0
     passed = worst <= 1e-8 and elapsed < 10
     report("similarity spectra (50 ladders)", passed,
@@ -87,15 +72,8 @@ def test_criterion_3_competing_exponentials():
     n = 1_000_000
     vectors = [np.array([1.0, 3.0]), np.array([1.0, 1.0]), np.array([1.0, 2.0, 3.0]),
                np.array([0.5, 1.5, 2.5])]
-    for _ in range(16):
-        m = int(rng.integers(2, 4))
-        vectors.append(rng.uniform(0.2, 3.0, size=m))
-    worst_sigmas = 0.0
-    for rates_vec in vectors:
-        analytic = rates_vec / rates_vec.sum()
-        freqs = min_exponential_oracle(rates_vec, n, rng)
-        sigma = np.sqrt(analytic * (1 - analytic) / n)
-        worst_sigmas = max(worst_sigmas, float(np.max(np.abs(freqs - analytic) / sigma)))
+    vectors += [rng.uniform(0.2, 3.0, size=int(rng.integers(2, 4))) for _ in range(16)]
+    worst_sigmas = worst_race_deviation(vectors, n, rng)
 
     # the length-3 case refutes the pairwise-product formula
     rates_vec = np.array([1.0, 2.0, 3.0])
@@ -235,17 +213,10 @@ def test_criterion_7_integrator_properties():
     rng = np.random.default_rng(707)
     models = [RoughWell(), DiagonalGaussian(np.array([1.0, 0.25]))]
 
-    worst_rev = 0.0
-    for ef in models:
-        for epsilon in (0.1, 1.0):
-            for steps in (1, 25):
-                for _ in range(25):
-                    x, v = rng.normal(scale=2.0, size=2), rng.standard_normal(2)
-                    fx, fv = leapfrog(ef, x, v, epsilon, steps)
-                    bx, bv = leapfrog(ef, fx, -fv, epsilon, steps)
-                    num = np.linalg.norm(np.concatenate([bx - x, -bv - v]))
-                    den = np.linalg.norm(np.concatenate([x, v]))
-                    worst_rev = max(worst_rev, num / den)
+    worst_rev = worst_reversibility(
+        (ef, rng.normal(scale=2.0, size=2), rng.standard_normal(2), epsilon, steps)
+        for ef in models for epsilon in (0.1, 1.0) for steps in (1, 25) for _ in range(25)
+    )
 
     # volume preservation: numerical Jacobian determinant of one application
     ef = RoughWell()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from jumphmc.chainio import read_csv_rows
-from jumphmc.cli import main
+from jumphmc.cli import _run_check_suite, main
 
 
 def write_config(path, obj):
@@ -511,7 +511,15 @@ class TestCheck:
     def test_fault_injection_fails_with_exit_3(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", dict(self.QUICK, fault_injection=True))
         assert main(["check", cfg]) == 3
-        assert "FAIL" in capsys.readouterr().out
+        *rows, summary = capsys.readouterr().out.splitlines()
+        assert {row.split()[0]: row.split()[1] for row in rows} == dict(
+            balance_condition="FAIL", embedded_fixed_point="FAIL", similarity_spectra="PASS",
+            leapfrog_reversibility="PASS", exponential_race="PASS")
+        assert summary == "check suite: FAILURES detected"
+
+    def test_rows_have_one_type(self):
+        rows = _run_check_suite(0, **self.QUICK)
+        assert [tuple(map(type, row)) for row in rows] == [(str, bool, float, float)] * 5
 
     def test_runs_without_config(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

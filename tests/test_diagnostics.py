@@ -78,13 +78,21 @@ class TestAutocorrelation:
         evals = 5 * np.arange(1, 201)
         with pytest.raises(DecayFitError, match="^every lag maps to the first sample"):
             autocorrelation(x, evals, max_lag_evals=2.4, n_lags=40)
-        series = autocorrelation(x, evals, max_lag_evals=2.6, n_lags=40)
-        assert series.values[-1] < 1.0  # the last lag reaches the second sample
+        # reaching the second sample at the last lag alone is no better
+        with pytest.raises(DecayFitError, match="^the lags reach fewer than 4 samples"):
+            autocorrelation(x, evals, max_lag_evals=2.6, n_lags=40)
+        series = autocorrelation(x, evals, max_lag_evals=12.6, n_lags=40)
+        assert series.values[-1] < 1.0  # the last lag reaches the fourth sample
         # a lag mapped to a later sample of the same cost (a repeated draw)
         # reaches no later cost either
         evals[1:3] = evals[0]
         with pytest.raises(DecayFitError, match="^every lag maps to the first sample"):
             autocorrelation(x, evals, max_lag_evals=2.4, n_lags=40)
+
+    def test_fewer_lags_than_a_fit_needs_rejected(self):
+        x = ar1_chain(0.5, 200, seed=6)
+        with pytest.raises(ValueError, match="^need at least 4 lags$"):
+            autocorrelation(x, np.arange(1, 201), max_lag_evals=50, n_lags=3)
 
     def test_short_chain_rejected(self):
         with pytest.raises(ValueError):

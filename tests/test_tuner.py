@@ -63,9 +63,10 @@ def test_eval_config_max_lag_evals_must_not_be_a_bool(value):
         TuningEvalConfig(max_lag_evals=value)
 
 
-@pytest.mark.parametrize("max_lag_evals", [1e-9, 1.0])
+@pytest.mark.parametrize("max_lag_evals", [1e-9, 1.0, 2.6, 5.0])
 def test_lag_window_inside_one_step_fails_the_trial(max_lag_evals):
-    # every lag maps to the first sample: this used to score "ok" with -0.0
+    # the lags reach only the first sample, or it and the second (2.6 and 5.0,
+    # one 5-step trajectory): these used to score "ok" with -0.0
     trial = evaluate_trial(
         SamplerConfig("hmc", 0.5, 5, 0.3, 400, 1), DiagonalGaussian.isotropic(2),
         TuningEvalConfig(n_samples=400, n_lags=40, max_lag_evals=max_lag_evals), 3,
