@@ -4,14 +4,13 @@ Every CSV starts with a small comment header (version, config hash, seed,
 gradient-count convention) so an output file is a self-describing artifact;
 the body stays plain CSV, readable by any tool that skips ``#`` lines.
 
-A chain of 1.5 blocks of ``CHAIN_BLOCK_FIELDS`` fields or more is split
-evenly into blocks and formatted in forked workers (``forkmap.map_ordered``),
-each block into an unnamed temporary file that the caller then copies in order.
+A chain CSV is formatted while the chain is sampled, each block of rows in
+a child forked once the block is recorded (:class:`ChainBlocks`); the caller
+formats the tail and copies the blocks in order after the header.
 """
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -22,15 +21,16 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .diagnostics import AutocorrSeries, DecayFit, tuning_objective
-from .forkmap import map_ordered
+from .forkmap import Forks, _worker_count
 from .jump import Chain
 from .ladder import GapExperimentResult
 from .tuner import TrialRecord
 
 FORMAT_VERSION = "3"
 
-# Fields per block of a chain CSV: about 13 ms of formatting, 3x the cost of a fork.
-CHAIN_BLOCK_FIELDS = 10_000
+# A chain CSV of F fields gets round(sqrt(F / FORK_FIELDS)) blocks: n forks (2.7 ms each
+# on a 2-core VM) and a tail of F / 2n fields (1.1 us each) cost least at that n.
+FORK_FIELDS = 5_000
 
 GRADIENT_COUNT_CONVENTION = (
     "true gradient calls counted, cumulative after each row's cache update; "
@@ -108,43 +108,67 @@ def _chain_rows(chain: Chain, start: int, stop: int) -> Iterator[list[str]]:
         ]
 
 
+def _fill(block, chain: Chain, start: int, stop: int) -> None:
+    with open(block.fileno(), "w", newline="", closefd=False) as out:
+        out.writelines(",".join(row) + "\r\n" for row in _chain_rows(chain, start, stop))
+
+
+class ChainBlocks(Forks):
+    """The body of a chain CSV in blocks, each formatted by a child forked at its last row.
+
+    ``n_rows`` rows are split evenly into at most 256 blocks (``FORK_FIELDS``) and the
+    last one in halves; the caller formats the second half, the tail.  ``stops`` is empty
+    where ``forkmap`` would not fork or for a chain under 1.5 blocks.  Each block goes to
+    an unnamed temporary file; closing closes them and kills and reaps the children."""
+
+    def __init__(self, n_rows: int, dim: int):
+        super().__init__()
+        n = min(256, round((n_rows * (2 * dim + 4) / FORK_FIELDS) ** 0.5))  # blocks
+        halves = [*range(2, 2 * n, 2), 2 * n - 1] if _worker_count(n) > 1 else []
+        self.stops = [n_rows * h // (2 * n) for h in halves]  # in half blocks
+        self.files, self.start = [], 0  # start: the first row not yet in a block
+
+    def block(self):
+        self.files.append(self.enter_context(tempfile.TemporaryFile()))
+        return self.files[-1]
+
+    def __call__(self, chain: Chain, stop: int) -> None:
+        """Fork a child that formats rows ``start`` to ``stop`` into a new block."""
+        self.fork(_fill, self.block(), chain, self.start, stop)
+        self.start = stop
+
+
 def write_chain_csv(
     path: Union[str, Path],
     chain: Chain,
     config: Optional[Mapping] = None,
     seed: Optional[int] = None,
+    blocks: Optional[ChainBlocks] = None,
 ) -> None:
     """Chain rows: step, positions, momenta, holding time, transition, cost.
 
     A control chain's rows carry equal weight and its accept/reject kinds
     are not jump transitions, so its holding-time and transition columns
     are written as 1 and empty; the two samplers share one format.
+    ``blocks`` holds the blocks forked while the chain was sampled; the rest
+    are forked here, and ``blocks`` is closed when this returns.
     """
     dim = chain.positions.shape[1]
     columns = ["step", *(f"x{d}" for d in range(dim)), *(f"v{d}" for d in range(dim)),
                "holding_time", "transition", "gradient_evals"]
-    # The nearest whole number of blocks, with at most 256 temporary files open,
-    # and the rows split evenly: a chain under 1.5 blocks is not worth a fork.
-    n_blocks = min(256, round(len(chain) / max(1, CHAIN_BLOCK_FIELDS // len(columns))))
-    if n_blocks <= 1:  # no fork and no temporary file
-        _write_csv(path, "chain", columns, _chain_rows(chain, 0, len(chain)), config, seed)
-        return
-    bounds = [len(chain) * b // n_blocks for b in range(n_blocks + 1)]
-    with contextlib.ExitStack() as stack:
-        # Unnamed, and opened before any fork: no exit leaves one behind.
-        blocks = [stack.enter_context(tempfile.TemporaryFile()) for _ in range(n_blocks)]
-
-        def fill(b: int) -> None:
-            rows = _chain_rows(chain, bounds[b], bounds[b + 1])
-            with open(blocks[b].fileno(), "w", newline="", closefd=False) as out:
-                out.writelines(",".join(row) + "\r\n" for row in rows)
-
-        map_ordered(fill, list(range(len(blocks))))
-        _write_csv(path, "chain", columns, (), config, seed)
+    with blocks or ChainBlocks(len(chain), dim) as blocks:
+        for stop in blocks.stops:
+            if blocks.start < stop <= len(chain):
+                blocks(chain, stop)
+        if blocks.files:  # the tail, formatted here while the children run
+            _fill(blocks.block(), chain, blocks.start, len(chain))
+            list(blocks.results())  # the first child that raised raises here
+        rows = () if blocks.files else _chain_rows(chain, 0, len(chain))  # no fork: no block
+        _write_csv(path, "chain", columns, rows, config, seed)
         # One reused buffer: copyfileobj's fresh 64 KiB per read fragmented the heap.
         buffer = memoryview(bytearray(1 << 16))
         with open(path, "ab") as fh:
-            for block in blocks:
+            for block in blocks.files:
                 block.seek(0)
                 while n := block.readinto(buffer):
                     fh.write(buffer[:n])

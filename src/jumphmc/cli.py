@@ -21,6 +21,7 @@ import numpy as np
 
 from . import __version__
 from .chainio import (
+    ChainBlocks,
     write_autocorr_csv,
     write_best_json,
     write_chain_csv,
@@ -232,13 +233,14 @@ def cmd_sample(fields: dict, csv_path: str, json_path: str) -> int:
         fields["beta"], fields["n_samples"], chain_seed,
     )
     failure = None
-    try:
-        chain = run_chain(sampler_config, ef, *init)
-    except IntegrationError as err:
-        chain, failure = err.partial_chain, err  # the rows recorded before the failure
-    if len(chain):
-        write_chain_csv(csv_path, chain, config=fields, seed=seed)
-        write_chain_metadata(json_path, chain, fields, seed)
+    with ChainBlocks(sampler_config.n_samples, ef.dim) as blocks:
+        try:
+            chain = run_chain(sampler_config, ef, *init, blocks=blocks)
+        except IntegrationError as err:
+            chain, failure = err.partial_chain, err  # the rows recorded before the failure
+        if len(chain):
+            write_chain_csv(csv_path, chain, config=fields, seed=seed, blocks=blocks)
+            write_chain_metadata(json_path, chain, fields, seed)
     if failure is not None:
         written = f"partial output in {csv_path}" if len(chain) else "no samples were written"
         print(f"error: integration failure: {failure} ({written})", file=sys.stderr)

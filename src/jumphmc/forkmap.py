@@ -1,10 +1,11 @@
-"""One ordered map over independent tasks, run in forked processes.
+"""Forked children that each run one call, and an ordered map over tasks in them.
 
 Bare forks, not a ``multiprocessing`` pool: on a 2-core VM a fork with its
 pipe and ``waitpid`` took about 3.5 ms, and a pool of two about 12 ms to
 start, map three tiny tasks and join, as long as a tuning trial.
 """
 
+import contextlib
 import os
 import pickle
 import signal
@@ -39,6 +40,43 @@ def _run_claims(fn, tasks: list, claims: int, chunk: int) -> list:
     return done
 
 
+class Forks(contextlib.ExitStack):
+    """Children forked to run one call each, which pickle back ``(raised, value)``:
+    the value or what it raised (nothing unless all of it pickles).  Closing kills
+    and reaps every child."""
+
+    _pipes = ()  # the read ends the children send their results through, in fork order
+
+    def fork(self, fn, *args) -> None:
+        r, w = os.pipe()
+        if (pid := os.fork()) == 0:
+            try:
+                try:
+                    result = (False, fn(*args))
+                except BaseException as exc:
+                    result = (True, exc)
+                with open(w, "wb") as out:
+                    out.write(pickle.dumps(result))
+            finally:
+                os._exit(0)
+        os.close(w)
+        self._pipes += (r,)
+        self.callback(os.waitpid, pid, 0)  # callbacks run last first: close, kill, reap
+        self.callback(os.kill, pid, signal.SIGKILL)
+        self.callback(os.close, r)
+
+    def results(self):
+        """Yield the children's values in fork order; the first child that raised raises here."""
+        for r in self._pipes:
+            with open(r, "rb", closefd=False) as results:
+                if not results.peek(1):
+                    raise RuntimeError("a worker process ended without sending its results")
+                raised, value = pickle.load(results)
+            if raised:
+                raise value
+            yield value
+
+
 def map_ordered(fn, tasks: list) -> list:
     """``[fn(t) for t in tasks]``, bit for bit, in ``_worker_count`` processes.
 
@@ -46,7 +84,7 @@ def map_ordered(fn, tasks: list) -> list:
     of tasks from one pipe, so a slow task holds up no queue.  Children
     inherit ``fn`` and ``tasks`` and pickle back only their results.  The
     first failing task in task order raises here, as in a serial run (an
-    interrupt here at once).  Every child is killed and reaped in the end.
+    interrupt here at once).
     """
     workers = _worker_count(len(tasks))
     if workers <= 1:  # 0 for no tasks
@@ -55,33 +93,16 @@ def map_ordered(fn, tasks: list) -> list:
     claims, w = os.pipe()
     os.write(w, array("i", range(0, len(tasks), chunk)).tobytes())
     os.close(w)
-    children = []  # (pid, read end of the pipe it sends its results through)
-    try:
+    with Forks() as forks:
+        forks.callback(os.close, claims)
         for _ in range(workers - 1):
-            r, w = os.pipe()
-            if (pid := os.fork()) == 0:
-                try:  # nothing is written unless all of it pickles
-                    with open(w, "wb") as out:
-                        out.write(pickle.dumps(_run_claims(fn, tasks, claims, chunk)))
-                finally:
-                    os._exit(0)
-            os.close(w)
-            children.append((pid, r))
+            forks.fork(_run_claims, fn, tasks, claims, chunk)
         done = _run_claims(fn, tasks, claims, chunk)
         if done and done[-1][1] and not isinstance(done[-1][2], Exception):
             raise done[-1][2]  # an interrupt here stops the map at once
-        for _, r in children:
-            with open(r, "rb", closefd=False) as results:
-                if not results.peek(1):
-                    raise RuntimeError("a worker process ended without sending its results")
-                done += pickle.load(results)
-        done.sort(key=lambda d: d[0])
-        if raised := [value for _, failed, value in done if failed]:
-            raise raised[0]
-        return [value for _, _, value in done]
-    finally:
-        os.close(claims)
-        for pid, r in children:
-            os.close(r)
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        for results in forks.results():
+            done += results
+    done.sort(key=lambda d: d[0])
+    if raised := [value for _, failed, value in done if failed]:
+        raise raised[0]
+    return [value for _, _, value in done]

@@ -292,7 +292,9 @@ class Chain:
         return float(np.mean(self.accepted))
 
 
-def record_chain(config: SamplerConfig, rows: Callable, ef: EnergyFunction, dim: int) -> Chain:
+def record_chain(
+    config: SamplerConfig, rows: Callable, ef: EnergyFunction, dim: int, blocks=None
+) -> Chain:
     """Record the first ``config.n_samples`` rows of a chain; the one loop of both samplers.
 
     ``rows(counter, rng)`` yields ``(x, v, holding_time, kind)`` per row,
@@ -300,7 +302,8 @@ def record_chain(config: SamplerConfig, rows: Callable, ef: EnergyFunction, dim:
     which is seeded with ``config.seed``.  Each row's gradient count is
     read from ``counter`` once the row is produced.  If producing row i
     raises :class:`IntegrationError`, the error carries rows ``[:i]`` as
-    ``partial_chain``.
+    ``partial_chain``.  Once rows ``[:stop]`` are recorded, for each stop in
+    ``blocks.stops``, ``blocks(chain, stop)`` gets them (``chainio.ChainBlocks``).
     """
     n, sampler = config.n_samples, config.sampler
     counter = CountingEnergy(ef)
@@ -310,10 +313,13 @@ def record_chain(config: SamplerConfig, rows: Callable, ef: EnergyFunction, dim:
         np.empty(n, dtype="<U1"), np.empty(n, dtype=np.int64),
     )
     positions, momenta, holding_times, transitions, gradient_evals = arrays
+    stops = set(blocks.stops) if blocks else ()
     try:
         for i in range(n):
             positions[i], momenta[i], holding_times[i], transitions[i] = next(produce)
             gradient_evals[i] = counter.gradient_calls
+            if i + 1 in stops:
+                blocks(Chain(sampler, *arrays), i + 1)
     except IntegrationError as err:
         err.partial_chain = Chain(sampler, *(a[:i].copy() for a in arrays), counter.energy_calls)
         raise
@@ -321,7 +327,7 @@ def record_chain(config: SamplerConfig, rows: Callable, ef: EnergyFunction, dim:
 
 
 def sample_chain(
-    config: SamplerConfig, ef: EnergyFunction, x0: np.ndarray, v0: np.ndarray
+    config: SamplerConfig, ef: EnergyFunction, x0: np.ndarray, v0: np.ndarray, blocks=None
 ) -> Chain:
     """Generate ``config.n_samples`` weighted jump-sampler samples starting from (x0, v0).
 
@@ -340,11 +346,11 @@ def sample_chain(
             kind, holding_time = step(cache, config, counter, rng)
             yield x, v, holding_time, kind
 
-    return record_chain(config, rows, ef, x0.size)
+    return record_chain(config, rows, ef, x0.size, blocks)
 
 
 def hmc_chain(
-    config: SamplerConfig, ef: EnergyFunction, x0: np.ndarray, v0: np.ndarray
+    config: SamplerConfig, ef: EnergyFunction, x0: np.ndarray, v0: np.ndarray, blocks=None
 ) -> Chain:
     """Run ``config.n_samples`` steps of the discrete-time HMC control from (x0, v0).
 
@@ -374,7 +380,7 @@ def hmc_chain(
             x, v, _, _, _ = cache.current
             yield x, v, 1.0, kind
 
-    return record_chain(config, rows, ef, x0.size)
+    return record_chain(config, rows, ef, x0.size, blocks)
 
 
 def systematic_resample_indices(

@@ -83,19 +83,19 @@ class TuningEvalConfig:
             raise ValueError("max_lag_evals must be positive and finite")
 
 
-def run_chain(config: SamplerConfig, ef: EnergyFunction, x0, v0) -> Chain:
+def run_chain(config: SamplerConfig, ef: EnergyFunction, x0, v0, blocks=None) -> Chain:
     """Run one chain of the sampler that ``config`` names, from position x0 and momentum v0.
 
     The start is converted once to 1-D float64 arrays, through which a 1-D
     float64 array passes as itself.  Raises DimensionError unless the two
-    are 1-D (or scalars) of one shape.
+    are 1-D (or scalars) of one shape.  ``blocks`` goes to ``jump.record_chain``.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     v0 = np.atleast_1d(np.asarray(v0, dtype=float))
     if x0.shape != v0.shape or x0.ndim != 1:
         raise DimensionError(f"position shape {x0.shape} != momentum shape {v0.shape}")
     run = sample_chain if config.sampler == "mjhmc" else hmc_chain
-    return run(config, ef, x0, v0)
+    return run(config, ef, x0, v0, blocks=blocks)
 
 
 def unweighted_samples(chain: Chain, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:

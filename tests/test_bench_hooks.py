@@ -7,8 +7,12 @@ test installs the hooks in-process and fails on such a drop instead.
 """
 
 import importlib.util
+import json
+import os
 import sys
 from pathlib import Path
+
+from jumphmc.cli import main
 
 HOOKS_PATH = Path(__file__).resolve().parent.parent / "bench" / "hooks.py"
 
@@ -30,3 +34,35 @@ def test_every_layer_metric_has_its_spans_installed(monkeypatch):
         assert needed - tracer.installed == set()
     finally:
         tracer.uninstall()
+
+
+def test_sample_is_one_chain_span_and_one_complete_csv_write(monkeypatch, tmp_path, use_cpus,
+                                                             forks):
+    """A traced ``sample`` sees the chain through ``tuner.run_chain``'s module
+    globals and the CSV through ``cli.write_chain_csv``, whose file is complete
+    (its byte count read) when the call returns, with its blocks forked mid-chain."""
+    use_cpus(2)
+    hooks = load_hooks(monkeypatch)
+    tracer = hooks.Tracer()
+    tracer.install()
+    written = 0
+    try:
+        for sampler, chain_span in (("mjhmc", "jump.sample_chain"), ("hmc", "hmc.hmc_chain")):
+            cfg = tmp_path / f"{sampler}_config.json"
+            cfg.write_text(json.dumps({"sampler": sampler, "model": {"name": "rough_well"},
+                                       "epsilon": 0.5, "steps": 5, "beta": 0.3,
+                                       "n_samples": 1500, "seed": 3}))
+            out = tmp_path / sampler
+            code, _ = tracer.run_command(lambda: main(["sample", str(cfg), "--out", str(out)]))
+            assert code == 0
+            spans = [name for command, name, *_ in tracer.spans if command == tracer._command_id]
+            assert spans.count(chain_span) == 1
+            assert spans.count("jump.sample_chain") + spans.count("hmc.hmc_chain") == 1
+            assert spans.count("chainio.write_chain_csv") == 1
+            written += sum(os.path.getsize(f"{out}{suffix}") for suffix in (".csv", ".json"))
+    finally:
+        tracer.uninstall()
+    assert "chainio.write_chain_csv" not in tracer.broken
+    # the CSV's and the metadata JSON's bytes, read once each write returned
+    assert tracer.counters["chainio.bytes"] == written
+    assert len(forks) == 4  # each 1500-row chain is two blocks: a child per block and half

@@ -3,6 +3,7 @@
 import csv
 import errno
 import json
+import math
 import os
 import tempfile
 from pathlib import Path
@@ -19,9 +20,9 @@ from jumphmc import (
     autocorrelation,
     run_chain,
 )
-from jumphmc import chainio
+from jumphmc import chainio, cli, jump
 from jumphmc.chainio import (
-    CHAIN_BLOCK_FIELDS,
+    FORK_FIELDS,
     _header_lines,
     write_autocorr_csv,
     write_best_json,
@@ -29,6 +30,7 @@ from jumphmc.chainio import (
     write_gap_csv,
     write_trials_csv,
 )
+from jumphmc.errors import IntegrationError
 from jumphmc.jump import Chain
 from jumphmc.tuner import TrialRecord
 
@@ -165,7 +167,13 @@ def test_wide_chain_without_header_extras(tmp_path):
     )
 
 
-WIDE_BLOCK_ROWS = CHAIN_BLOCK_FIELDS // (1 + 2 * 50 + 3)  # the rows of a 50-D chain in a block
+def block_count(rows, dim):
+    """The writer's rule: round(sqrt(fields / FORK_FIELDS)) blocks, at most 256."""
+    return min(256, round((rows * (2 * dim + 4) / chainio.FORK_FIELDS) ** 0.5))
+
+
+# The most rows of a 50-D chain that make one block (under 1.5)
+WIDE_BLOCK_ROWS = math.ceil(2.25 * FORK_FIELDS / (1 + 2 * 50 + 3)) - 1
 
 
 def wide_chain(n):
@@ -177,20 +185,21 @@ def wide_chain(n):
 
 @pytest.fixture(scope="module")
 def block_chains(init):
-    """Chains of 2.4 blocks (229 and 3000 rows), of one block, of one block and a
-    row (a fork and a copy of 96 + 1 rows cost more than the second block saves),
-    and of one row."""
+    """Chains of 2.1 blocks (229 rows of 50-D and 3000 rows of 2-D), of one
+    block, of one block and a row, and of one row."""
     control = run_chain(
         SamplerConfig("hmc", epsilon=0.59, steps=25, beta=0.43, n_samples=3000, seed=4),
         RoughWell(), *init,
     )
-    return {
-        "wide": wide_chain(2 * WIDE_BLOCK_ROWS + 37),
+    chains = {
+        "wide": wide_chain(229),
         "one_block": wide_chain(WIDE_BLOCK_ROWS),
         "one_block_and_a_row": wide_chain(WIDE_BLOCK_ROWS + 1),
         "control_2d": control,
         "one_row": wide_chain(1),
     }
+    assert [block_count(len(c), c.positions.shape[1]) for c in chains.values()] == [2, 1, 2, 2, 0]
+    return chains
 
 
 @pytest.fixture
@@ -208,6 +217,12 @@ def temporary_files(monkeypatch, tmp_path):
     return made
 
 
+def assert_blocks_closed(temporary_files, forked):
+    """One block per child and one for the tail formatted here, or none without a fork."""
+    assert len(temporary_files) == (forked + 1 if forked else 0)
+    assert all(f.closed for f in temporary_files)
+
+
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 @pytest.mark.parametrize("name", ["wide", "one_block", "one_block_and_a_row", "control_2d",
                                   "one_row"])
@@ -216,41 +231,171 @@ def test_block_writer_bytes_do_not_depend_on_workers(tmp_path, block_chains, use
     chain = block_chains[name]
     use_cpus(cpus)
     assert_same_bytes(tmp_path, write_chain_csv, reference_write_chain_csv, chain)
-    rows_per_block = CHAIN_BLOCK_FIELDS // (2 * chain.positions.shape[1] + 4)
-    blocks = max(1, round(len(chain) / rows_per_block))  # the nearest whole number
-    # a chain of one block (under 1.5) forks nothing and is written straight to its file
-    assert len(forks) == min(cpus, blocks) - 1
-    assert len(temporary_files) == (blocks if blocks > 1 else 0)
-    assert all(f.closed for f in temporary_files)
+    blocks = block_count(len(chain), chain.positions.shape[1])
+    # A child per block, the last one's first half included; a chain of one
+    # block (under 1.5), or on one CPU, forks nothing and is written straight to its file.
+    forked = blocks if blocks > 1 and cpus > 1 else 0
+    assert len(forks) == forked
+    assert_blocks_closed(temporary_files, forked)
 
 
 def test_long_chain_gets_longer_blocks(tmp_path, block_chains, use_cpus, forks,
                                        temporary_files, monkeypatch):
-    # one row per block would open 3000 temporary files at once; 256 is the most
-    monkeypatch.setattr(chainio, "CHAIN_BLOCK_FIELDS", 8)
+    # one row per block would fork 3000 children; 256 blocks is the most
+    monkeypatch.setattr(chainio, "FORK_FIELDS", 0.1)
     use_cpus(2)
     chain = block_chains["control_2d"]
     assert_same_bytes(tmp_path, write_chain_csv, reference_write_chain_csv, chain)
-    assert len(temporary_files) == 256
-    assert len(forks) == 1
+    assert len(forks) == 256
+    assert_blocks_closed(temporary_files, 256)
+
+
+def disk_full(*args):
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
+DISK_FULL = r"^\[Errno 28\] No space left on device$"
 
 
 def test_worker_os_error_reaches_the_caller(tmp_path, block_chains, use_cpus, forks,
                                             temporary_files, in_workers, monkeypatch):
     use_cpus(2)
-
-    def disk_full(*args):
-        raise OSError(errno.ENOSPC, "No space left on device")
-
     monkeypatch.setattr(chainio, "_chain_rows", in_workers(disk_full, chainio._chain_rows))
     path = tmp_path / "out" / "c.csv"
-    with pytest.raises(OSError, match=r"^\[Errno 28\] No space left on device$") as excinfo:
+    with pytest.raises(OSError, match=DISK_FULL) as excinfo:
         write_chain_csv(path, block_chains["wide"])
     assert excinfo.value.errno == errno.ENOSPC
-    assert len(forks) == 1
-    assert len(temporary_files) == 2 and all(f.closed for f in temporary_files)
+    assert len(forks) == 2
+    assert_blocks_closed(temporary_files, 2)
     assert os.listdir(tmp_path / "tmp") == []  # no temporary file is left
     assert not path.parent.exists()  # and no partial output
+
+
+# `sample` formats its CSV while the chain is sampled (ChainBlocks).
+WIDE_MODEL = {"name": "gaussian", "precision_diag": np.logspace(0.0, 2.0, 50).tolist()}
+ROUGH_MJHMC = {"sampler": "mjhmc", "model": {"name": "rough_well"}, "epsilon": 3.0,
+               "steps": 25, "beta": 0.012314, "n_samples": 3000, "seed": 5}
+STREAMED = {
+    "rough_mjhmc": ROUGH_MJHMC,
+    "rough_hmc": {"sampler": "hmc", "model": {"name": "rough_well"}, "epsilon": 0.591686,
+                  "steps": 25, "beta": 0.429956, "n_samples": 3000, "seed": 6},
+    "wide_mjhmc": {"sampler": "mjhmc", "model": WIDE_MODEL, "epsilon": 0.1, "steps": 20,
+                   "beta": 0.1, "n_samples": 1000, "seed": 7},
+    "wide_hmc": {"sampler": "hmc", "model": WIDE_MODEL, "epsilon": 0.1, "steps": 20,
+                 "beta": 0.5, "n_samples": 1000, "seed": 8},
+    # 3-D chains of one block (700 rows) and of 2 blocks (1500 rows)
+    "gaussian_3d_mjhmc": {"sampler": "mjhmc", "model": {"name": "gaussian",
+                          "precision_diag": [1.0, 4.0, 9.0]}, "epsilon": 0.3, "steps": 10,
+                          "beta": 0.2, "n_samples": 700, "seed": 9},
+    "gaussian_3d_hmc": {"sampler": "hmc", "model": {"name": "gaussian",
+                        "precision_diag": [1.0, 4.0, 9.0]}, "epsilon": 0.3, "steps": 10,
+                        "beta": 0.4, "n_samples": 1500, "seed": 10},
+    "warm_up": dict(ROUGH_MJHMC, n_samples=20),
+    "one_block_and_a_row": {"sampler": "mjhmc", "model": WIDE_MODEL, "epsilon": 0.1,
+                            "steps": 20, "beta": 0.1, "n_samples": WIDE_BLOCK_ROWS + 1,
+                            "seed": 11},
+    "partial_mid_block": ROUGH_MJHMC,  # its blocks end at rows 1500 and 2250
+    "partial_on_a_boundary": ROUGH_MJHMC,
+}
+# The row whose production raises IntegrationError in the partial chains
+FAILING_ROW = {"partial_mid_block": 1900, "partial_on_a_boundary": 1500}
+
+
+STEP = jump.step
+
+
+def fail_at_row(monkeypatch, row, error):
+    """Make producing jump-chain row ``row`` raise ``error`` (row i ends with step i + 1)."""
+    steps = []
+
+    def failing(*args):
+        steps.append(1)
+        if len(steps) == row + 1:
+            raise error
+        return STEP(*args)
+
+    monkeypatch.setattr(jump, "step", failing)
+
+
+def run_sample(tmp_path, cfg, label):
+    """``sample`` on ``cfg``: its exit code, and the chain and keyword arguments that
+    ``write_chain_csv`` got (None where it was not called)."""
+    (tmp_path / "c.json").write_text(json.dumps(cfg))
+    written = []
+
+    def spy(path, chain, **kwargs):
+        written.append((chain, kwargs))
+        return write_chain_csv(path, chain, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "write_chain_csv", spy)
+        code = cli.main(["sample", str(tmp_path / "c.json"), "--out", str(tmp_path / label)])
+    return (code, *written[0]) if written else (code, None, None)
+
+
+@pytest.mark.parametrize("name", sorted(STREAMED))
+def test_sample_writes_the_serial_reference_bytes(tmp_path, use_cpus, forks, temporary_files,
+                                                  monkeypatch, name):
+    outputs = []
+    for cpus in (1, 2, 3):
+        use_cpus(cpus)
+        forks.clear()
+        temporary_files.clear()
+        if name in FAILING_ROW:
+            fail_at_row(monkeypatch, FAILING_ROW[name], IntegrationError("injected failure"))
+        code, chain, kwargs = run_sample(tmp_path, STREAMED[name], f"s{cpus}")
+        assert code == (2 if name.startswith("partial") else 0)
+        ref, out = tmp_path / f"ref{cpus}", tmp_path / f"s{cpus}"
+        reference_write_chain_csv(f"{ref}.csv", chain, kwargs["config"], kwargs["seed"])
+        chainio.write_chain_metadata(f"{ref}.json", chain, kwargs["config"], kwargs["seed"])
+        outputs.append([Path(f"{out}{x}").read_bytes() for x in (".csv", ".json")])
+        assert outputs[-1] == [Path(f"{ref}{x}").read_bytes() for x in (".csv", ".json")]
+        # a child per stop the chain reached, each forked while it was sampled
+        stops = kwargs["blocks"].stops
+        blocks = block_count(STREAMED[name]["n_samples"], chain.positions.shape[1])
+        assert len(stops) == (blocks if blocks > 1 and cpus > 1 else 0)
+        forked = sum(stop <= len(chain) for stop in stops)
+        assert len(forks) == forked
+        assert_blocks_closed(temporary_files, forked)
+        if name in FAILING_ROW:
+            assert len(chain) == FAILING_ROW[name]
+            assert (len(chain) in stops) == (name == "partial_on_a_boundary" and cpus > 1)
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+def test_a_start_that_fails_writes_no_file(tmp_path, use_cpus, forks, temporary_files,
+                                           monkeypatch):
+    use_cpus(2)
+    fail_at_row(monkeypatch, 0, IntegrationError("injected failure"))
+    code, chain, _ = run_sample(tmp_path, ROUGH_MJHMC, "boom")
+    assert code == 2 and chain is None
+    assert not (tmp_path / "boom.csv").exists() and not (tmp_path / "boom.json").exists()
+    assert forks == [] and temporary_files == []
+
+
+def test_sample_disk_full_in_a_formatter(tmp_path, use_cpus, forks, temporary_files,
+                                         in_workers, monkeypatch, assert_no_child_process):
+    use_cpus(2)
+    monkeypatch.setattr(chainio, "_chain_rows", in_workers(disk_full, chainio._chain_rows))
+    with pytest.raises(OSError, match=DISK_FULL) as excinfo:
+        run_sample(tmp_path, ROUGH_MJHMC, "full")
+    assert excinfo.value.errno == errno.ENOSPC
+    assert len(forks) == 2
+    assert_blocks_closed(temporary_files, 2)
+    assert not (tmp_path / "full.csv").exists()
+    assert_no_child_process()
+
+
+def test_no_child_or_block_outlives_an_interrupt_mid_chain(
+        tmp_path, use_cpus, forks, temporary_files, monkeypatch, assert_no_child_process):
+    use_cpus(2)
+    fail_at_row(monkeypatch, 2500, KeyboardInterrupt())  # past the blocks ending at 1500 and 2250
+    with pytest.raises(KeyboardInterrupt):
+        run_sample(tmp_path, ROUGH_MJHMC, "stopped")
+    assert len(forks) == 2
+    assert all(f.closed for f in temporary_files) and len(temporary_files) == 2
+    assert not (tmp_path / "stopped.csv").exists()
+    assert_no_child_process()
 
 
 def test_gap_result(tmp_path):

@@ -85,7 +85,8 @@ def test_phase_state_keeps_valid_arrays(monkeypatch):
     np.testing.assert_array_equal(x, [1.0, 2.0])
     np.testing.assert_array_equal(v, [3.0, 4.0])
     seen = []
-    monkeypatch.setattr(tuner, "sample_chain", lambda config, ef, x0, v0: seen.append((x0, v0)))
+    monkeypatch.setattr(tuner, "sample_chain",
+                        lambda config, ef, x0, v0, blocks: seen.append((x0, v0)))
     run_chain(config, DiagonalGaussian.isotropic(2), x, v)
     assert seen[0][0] is x and seen[0][1] is v
 
