@@ -102,14 +102,6 @@ def _integration_error(x: np.ndarray, v: np.ndarray) -> IntegrationError:
     return IntegrationError("leapfrog integration produced non-finite values", x, v)
 
 
-def _rough_well_partial(xi: float, curvature: float, freq: float) -> float:
-    """One coordinate of the rough-well gradient: c x_i - f sin(f x_i).
-
-    Raises ValueError where f x_i is infinite, since math.sin(inf) does.
-    """
-    return curvature * xi - freq * math.sin(freq * xi)
-
-
 class RoughWell(EnergyFunction):
     """The 2D rough-well target.
 
@@ -153,15 +145,10 @@ class RoughWell(EnergyFunction):
 
     def gradient(self, x) -> np.ndarray:
         """x_i / sigma1^2 - (pi / sigma2) sin(pi x_i / sigma2)."""
-        x0, x1 = _check_dim(x, 2).tolist()
         c, f = self._curvature, self._freq
-        try:
-            g = [_rough_well_partial(x0, c, f), _rough_well_partial(x1, c, f)]
-        except ValueError:
-            # math.sin(inf) raises where np.sin gives nan (an infinite start)
-            g = [_rough_well_partial(xi, c, f) if math.isfinite(f * xi) else math.nan
-                 for xi in (x0, x1)]
-        return np.array(g)
+        # the kernel's operations; math.sin(inf) raises where np.sin gives nan
+        return np.array([c * xi - f * math.sin(f * xi) if math.isfinite(f * xi) else math.nan
+                         for xi in _check_dim(x, 2).tolist()])
 
     def trajectory(self, x, v, grad, epsilon, steps):
         """The leapfrog loop of :meth:`EnergyFunction.trajectory` on Python floats.
@@ -182,7 +169,7 @@ class RoughWell(EnergyFunction):
             for _ in range(steps - 1):
                 x0 += eps * v0
                 x1 += eps * v1
-                g0 = c * x0 - f * sin(f * x0)  # _rough_well_partial, without the call
+                g0 = c * x0 - f * sin(f * x0)  # gradient's formula, without the call
                 g1 = c * x1 - f * sin(f * x1)
                 v0 -= eps * g0
                 v1 -= eps * g1

@@ -8,14 +8,13 @@ class DimensionError(ValueError):
 class IntegrationError(RuntimeError):
     """Leapfrog integration produced a non-finite energy, gradient or state.
 
-    Carries the offending position ``x`` and momentum ``v`` and, when raised
-    from a chain run, whatever samples were collected before the failure.
+    Carries the offending position ``x`` and momentum ``v``.  A chain run
+    sets ``partial_chain`` to the rows it recorded before the failure.
     """
 
-    def __init__(self, message, x=None, v=None, partial_chain=None):
+    def __init__(self, message, x=None, v=None):
         super().__init__(message)
-        self.x, self.v = x, v
-        self.partial_chain = partial_chain
+        self.x, self.v, self.partial_chain = x, v, None
 
 
 class DegenerateLadderError(ValueError):

@@ -123,7 +123,6 @@ def build_mjhmc_rate_matrix(ladder: Ladder) -> np.ndarray:
     rates[desc, asc] = flip_asc
     rates[k + (r - 1) % k, desc] = dn_rate
     rates[asc, desc] = flip_desc
-    np.fill_diagonal(rates, 0.0)
     np.fill_diagonal(rates, -rates.sum(axis=0))
     return rates
 
@@ -166,13 +165,15 @@ def ladder_chain(ladder: Ladder, sampler: str) -> np.ndarray:
     return chain
 
 
-def _offdiag_column_totals(rates: np.ndarray) -> np.ndarray:
+def _split_offdiag(rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The off-diagonal part of ``rates`` and its column totals, each state's
+    total outgoing rate; raises if a state has none."""
     off = rates.copy()
     np.fill_diagonal(off, 0.0)
     totals = off.sum(axis=0)
     if np.any(totals <= 0):
         raise DegenerateLadderError("a state has no outgoing transitions")
-    return totals
+    return off, totals
 
 
 def embedded_chain(rates: np.ndarray) -> np.ndarray:
@@ -183,15 +184,13 @@ def embedded_chain(rates: np.ndarray) -> np.ndarray:
     T[i, j] = rate(i, j) / total(j) with a zero diagonal (no
     self-transitions).
     """
-    off = rates.copy()
-    np.fill_diagonal(off, 0.0)
-    totals = _offdiag_column_totals(rates)
+    off, totals = _split_offdiag(rates)
     return off / totals
 
 
 def holding_time_diag(rates: np.ndarray) -> np.ndarray:
     """Expected holding time of each state: one over its total outgoing rate."""
-    return 1.0 / _offdiag_column_totals(rates)
+    return 1.0 / _split_offdiag(rates)[1]
 
 
 def spectral_gap(chain: np.ndarray) -> float:
@@ -347,17 +346,17 @@ class _RingTransfer:
 
     def __init__(self, alpha: np.ndarray, delta: np.ndarray):
         delta_next = np.roll(delta, -1)
-        # M_r = N_r / alpha_r with N_r = [[z, b_r], [c_r, d_r / z]]
-        self.b = alpha - 1.0
-        self.c = 1.0 - delta_next
-        self.d = alpha + delta_next - 1.0
+        # M_r = N_r / alpha_r with N_r = [[z, b_r], [c_r, d_r / z]], as float
+        # lists: the rung loops read one entry at a time
+        self.b = (alpha - 1.0).tolist()
+        self.c = (1.0 - delta_next).tolist()
+        self.d = (alpha + delta_next - 1.0).tolist()
         log_alpha = float(np.sum(np.log(alpha)))
         self.log_norm = -log_alpha  # log of prod 1 / alpha_r
         # det P = prod delta_{r+1} / alpha_r, as a scalar: from the rescaled
         # product entries it would cancel catastrophically
         self.one_plus_det = 1.0 + math.exp(float(np.sum(np.log(delta))) - log_alpha)
         self.k = alpha.size
-        self.b_list, self.c_list, self.d_list = self.b.tolist(), self.c.tolist(), self.d.tolist()
 
     def phi(self, z: np.ndarray, rate: bool = False):
         """Scaled det(P - I) at every point of ``z``; with ``rate``, also the
@@ -401,7 +400,7 @@ class _RingTransfer:
         p00, p01, p10, p11 = 1.0, 0.0, 0.0, 1.0
         xi = 1.0 / x
         log_scale = self.log_norm
-        for r, (b, c, d) in enumerate(zip(self.b_list, self.c_list, self.d_list)):
+        for r, (b, c, d) in enumerate(zip(self.b, self.c, self.d)):
             dz = d * xi
             p00, p10 = x * p00 + b * p10, c * p00 + dz * p10
             p01, p11 = x * p01 + b * p11, c * p01 + dz * p11
@@ -651,13 +650,17 @@ def min_exponential_oracle(
 
 
 def worst_race_deviation(rate_vectors: Iterable[np.ndarray], n_trials: int,
-                         rng: np.random.Generator) -> float:
+                         rng: np.random.Generator, fault: bool = False) -> float:
     """Worst distance, in standard errors, between ``min_exponential_oracle``'s win
     frequencies and the embedded chain's rate / total over ``rate_vectors``.  The
-    races draw from ``rng``; ``rate_vectors`` may be a generator drawing from it too."""
+    races draw from ``rng``; ``rate_vectors`` may be a generator drawing from it too.
+    ``fault`` replaces the shares by the pairwise-product formula prod_j r_i / (r_i + r_j),
+    wrong for three clocks or more, an error that the check must catch."""
     worst = 0.0
     for rates in rate_vectors:
         share = rates / rates.sum()
+        if fault:  # the product includes j = i, whose factor 1/2 the 2 cancels
+            share = 2.0 * np.prod(rates[:, None] / np.add.outer(rates, rates), axis=1)
         freqs = min_exponential_oracle(rates, n_trials, rng)
         sigma = np.sqrt(share * (1 - share) / n_trials)
         worst = max(worst, float(np.max(np.abs(freqs - share) / sigma)))

@@ -128,11 +128,12 @@ class TestSample:
         out = tmp_path / "boom"
         assert main(["sample", cfg, "--out", str(out)]) == 2
         err = capsys.readouterr().err
+        assert err.startswith("numerical error:") and err.count("\n") == 1
         assert "no samples were written" in err and "partial output" not in err
         assert not Path(f"{out}.csv").exists() and not Path(f"{out}.json").exists()
 
         # epsilon * sqrt(precision) = 3 is past the stability limit of 2, and
-        # after 2035 races a 184-step trajectory from a redrawn momentum
+        # after 44 rows a 184-step trajectory from a redrawn momentum
         # overflows: the rows before it are written
         cfg = write_config(
             tmp_path / "c.json",
@@ -143,11 +144,13 @@ class TestSample:
                 "steps": 184,
                 "beta": 0.3,
                 "n_samples": 5000,
-                "seed": 2,
+                "seed": 40,
             },
         )
         assert main(["sample", cfg, "--out", str(out)]) == 2
-        assert f"partial output in {out}.csv" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error:") and err.count("\n") == 1
+        assert f"partial output in {out}.csv" in err
         _, rows = read_csv_rows(f"{out}.csv")
         assert 0 < len(rows) < 5000
         meta = json.loads(Path(f"{out}.json").read_text())
@@ -289,6 +292,24 @@ class TestAutocorr:
         assert main(["autocorr", cfg, "--out", str(tmp_path / "ac")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("numerical error:") and err.count("\n") == 1
+
+    def test_overflowing_chain_exits_2(self, tmp_path, capsys):
+        # the jump chain's start overflows: main reports it on one line, as it
+        # does the command's other numerical failures, and nothing is written
+        cfg = write_config(
+            tmp_path / "c.json",
+            {
+                "model": {"name": "gaussian", "precision_diag": [1.0]},
+                "mjhmc": {"epsilon": 90.0, "steps": 40, "beta": 0.3},
+                "hmc": {"epsilon": 0.5, "steps": 4, "beta": 0.3},
+                "n_samples": 400,
+                "seed": 1,
+            },
+        )
+        assert main(["autocorr", cfg, "--out", str(tmp_path / "ac")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error:") and err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
 
     def test_lag_window_inside_one_step_exits_2(self, tmp_path, capsys):
         # every lag maps to the first sample, so the series is all 1s; it
@@ -446,6 +467,15 @@ class TestTune:
         assert best["best"]["objective"] == 0.0
         assert best["n_failed"] == 0
 
+    def test_all_trials_failed_exits_2(self, tmp_path, capsys):
+        # far beyond the stability limit every trial fails (as in
+        # test_tuner.test_failed_trials_are_recorded_not_fatal)
+        space = {"epsilon": [80.0, 100.0], "beta": [0.1, 0.2], "steps": [30, 50]}
+        cfg = write_config(tmp_path / "c.json", dict(TUNE_GAUSSIAN, budget=3, space=space))
+        assert main(["tune", cfg, "--out", str(tmp_path / "t")]) == 2
+        assert capsys.readouterr().err == "numerical error: all tuning trials failed\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
     def test_hash_covers_validated_values(self, tmp_path):
         # 400 and 400.0 validate to the same eval config, so both runs are
         # the same experiment: same trials, same config_hash
@@ -514,8 +544,17 @@ class TestCheck:
         *rows, summary = capsys.readouterr().out.splitlines()
         assert {row.split()[0]: row.split()[1] for row in rows} == dict(
             balance_condition="FAIL", embedded_fixed_point="FAIL", similarity_spectra="PASS",
-            leapfrog_reversibility="PASS", exponential_race="PASS")
+            leapfrog_reversibility="PASS", exponential_race="FAIL")
         assert summary == "check suite: FAILURES detected"
+
+    def test_race_row_of_seed_1_passes(self, tmp_path, capsys):
+        # The race row draws from its own stream, so this is the row of the
+        # config {"seed": 1}: its worst of about 50 z-scores is 3.05, which
+        # failed a tolerance of 3.0 meant for one z-score.
+        cfg = write_config(tmp_path / "c.json",
+                           {"seed": 1, "balance_ladders": 1, "similarity_ladders": 1})
+        assert main(["check", cfg]) == 0
+        assert "exponential_race        PASS  worst=3.054e+00" in capsys.readouterr().out
 
     def test_rows_have_one_type(self):
         rows = _run_check_suite(0, **self.QUICK)

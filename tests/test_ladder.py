@@ -35,6 +35,7 @@ from jumphmc.ladder import (
     _exit_probabilities,
     _RingTransfer,
     _draw_ladder,
+    worst_race_deviation,
 )
 
 LN2 = np.log(2.0)
@@ -569,6 +570,16 @@ class TestMinExponentialOracle:
         sigma = np.sqrt(rate_share * (1 - rate_share) / n)
         np.testing.assert_array_less(np.abs(freqs - rate_share), 3 * sigma)
         assert np.all(np.abs(freqs - product_form) > 10 * sigma)
+
+    def test_fault_is_the_pairwise_product(self):
+        # worst_race_deviation's fault swaps the rate shares for the product
+        # form: the same shares for two clocks, refuted for three
+        def worst(fault, *rates):
+            return worst_race_deviation([np.array(rates)], 100_000, np.random.default_rng(3), fault)
+
+        assert worst(True, 1.0, 3.0) == pytest.approx(worst(False, 1.0, 3.0))
+        assert worst(False, 1.0, 2.0, 3.0) < 4.0
+        assert worst(True, 1.0, 2.0, 3.0) > 50.0
 
     def test_input_validation(self):
         rng = np.random.default_rng(0)
