@@ -60,7 +60,7 @@ class EnergyFunction(abc.ABC):
 
     def trajectory(
         self, x: np.ndarray, v: np.ndarray, grad: np.ndarray, epsilon: float, steps: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
         """Run ``steps`` leapfrog steps from (x, v); ``grad`` is the gradient at x.
 
         Each step is the half-kick / drift / half-kick scheme.  The closing
@@ -68,15 +68,18 @@ class EnergyFunction(abc.ABC):
         same gradient, so they are applied as one full kick: a half-kick at
         each end and ``steps - 1`` full kicks in between, ``steps`` gradient
         evaluations in all.  Returns fresh (x, v, grad) at the endpoint and
-        leaves the inputs untouched.  Both shipped targets run the same IEEE
-        operations in faster kernels of their own, so they return the same bits.
+        the endpoint's potential E(x), which may be inf, and leaves the
+        inputs untouched.  Both shipped targets run the same IEEE operations
+        in faster kernels of their own and take the potential from the
+        formula their :meth:`energy` uses, so they return the same bits.
 
         Raises
         ------
         IntegrationError
             If the endpoint position, momentum or gradient is not finite.  A
             trajectory that overflows ends non-finite, so this one check
-            catches any failure along it.  The error carries the endpoint.
+            catches any failure along it.  The error carries the endpoint,
+            and no potential is evaluated.
         """
         half = 0.5 * epsilon
         # Fresh buffers, updated in place: the loop runs millions of times on
@@ -95,7 +98,7 @@ class EnergyFunction(abc.ABC):
             v -= half * g
         if not (np.isfinite(x).all() and np.isfinite(v).all() and np.isfinite(g).all()):
             raise _integration_error(x, v)
-        return x, v, g
+        return x, v, g, self.energy(x)
 
 
 def _integration_error(x: np.ndarray, v: np.ndarray) -> IntegrationError:
@@ -133,7 +136,11 @@ class RoughWell(EnergyFunction):
 
     def energy(self, x) -> float:
         x = _check_dim(x, 2)
-        x0, x1 = x.tolist()
+        return self._potential(x, *x.tolist())
+
+    def _potential(self, x: np.ndarray, x0: float, x1: float) -> float:
+        """E at ``x``, whose coordinates are the floats x0 and x1: the one formula
+        of :meth:`energy` and the kernel's endpoint potential."""
         f = self._freq
         try:
             # the two cosines on floats: the same sum as np.sum(np.cos(f * x))
@@ -155,7 +162,8 @@ class RoughWell(EnergyFunction):
 
         On two coordinates numpy's per-call overhead dwarfs the arithmetic.
         The scalar updates are the same IEEE operations as the array ones,
-        so the results are the same numbers.
+        so the results are the same numbers.  The endpoint potential comes
+        from the floats the loop ends with.
         """
         x0, x1 = _check_dim(x, 2).tolist()
         v0, v1 = v.tolist()
@@ -187,7 +195,8 @@ class RoughWell(EnergyFunction):
         if not (isfinite(x0) and isfinite(x1) and isfinite(v0) and isfinite(v1)
                 and isfinite(g0) and isfinite(g1)):
             raise _integration_error(np.array([x0, x1]), np.array([v0, v1]))
-        return np.array([x0, x1]), np.array([v0, v1]), np.array([g0, g1])
+        x = np.array([x0, x1])
+        return x, np.array([v0, v1]), np.array([g0, g1]), self._potential(x, x0, x1)
 
 
 class DiagonalGaussian(EnergyFunction):
@@ -209,29 +218,41 @@ class DiagonalGaussian(EnergyFunction):
     def energy(self, x) -> float:
         x = _check_dim(x, self.dim)
         with np.errstate(over="ignore"):  # far out in the tail the energy is inf
-            return 0.5 * float(np.vdot(self.precision_diag, x * x))
+            return self._potential(x)
+
+    def _potential(self, x: np.ndarray) -> float:
+        """The one formula of :meth:`energy` and the kernel's endpoint potential."""
+        return 0.5 * float(np.vdot(self.precision_diag, x * x))
 
     def gradient(self, x) -> np.ndarray:
         """p_i x_i."""
         return self.precision_diag * _check_dim(x, self.dim)
 
     def trajectory(self, x, v, grad, epsilon, steps):
-        """:meth:`EnergyFunction.trajectory` with g = p x inline and no temporaries."""
-        mul, add, sub, half = np.multiply, np.add, np.subtract, 0.5 * epsilon
+        """:meth:`EnergyFunction.trajectory` with g = p x inline and no temporaries.
+
+        The step sizes are 0-d float64 arrays: numpy multiplies by one in
+        about half the time it takes to convert a Python float, with the
+        same bits.
+        """
+        mul, add, sub = np.multiply, np.add, np.subtract
+        eps = np.array(epsilon, dtype=float)
+        half = np.array(0.5 * epsilon, dtype=float)
         p, x, v = self.precision_diag, _check_dim(x, self.dim).copy(), v.copy()
         g, t = np.empty_like(x), np.empty_like(x)
         with np.errstate(over="ignore", invalid="ignore"):  # out= given by position: faster
             sub(v, mul(half, grad, t), v)
             for _ in range(steps - 1):
-                add(x, mul(epsilon, v, t), x)
+                add(x, mul(eps, v, t), x)
                 mul(p, x, g)
-                sub(v, mul(epsilon, g, t), v)
-            add(x, mul(epsilon, v, t), x)
+                sub(v, mul(eps, g, t), v)
+            add(x, mul(eps, v, t), x)
             mul(p, x, g)
             sub(v, mul(half, g, t), v)
+            potential = self._potential(x)
         if not (np.isfinite(x).all() and np.isfinite(v).all() and np.isfinite(g).all()):
             raise _integration_error(x, v)
-        return x, v, g
+        return x, v, g, potential
 
 
 class CountingEnergy(EnergyFunction):
@@ -240,7 +261,8 @@ class CountingEnergy(EnergyFunction):
     Samplers wrap their target in this to report true per-sample costs;
     nothing is cached here, so every avoided recomputation upstream shows
     up directly in the counts.  A trajectory counts its ``steps`` gradient
-    evaluations, however the target computes them.
+    evaluations, however the target computes them, and, once it returns,
+    the one energy evaluation of its endpoint potential.
     """
 
     def __init__(self, inner: EnergyFunction):
@@ -259,7 +281,9 @@ class CountingEnergy(EnergyFunction):
 
     def trajectory(self, x, v, grad, epsilon, steps):
         self.gradient_calls += steps
-        return self.inner.trajectory(x, v, grad, epsilon, steps)
+        end = self.inner.trajectory(x, v, grad, epsilon, steps)
+        self.energy_calls += 1
+        return end
 
 
 def worst_reversibility(cases) -> float:
@@ -267,8 +291,8 @@ def worst_reversibility(cases) -> float:
     may be a generator: L is ``ef.trajectory`` from a fresh gradient, F the momentum flip."""
     worst = 0.0
     for ef, x, v, epsilon, steps in cases:
-        x1, v1, _ = ef.trajectory(x, v, ef.gradient(x), epsilon, steps)
-        x2, v2, _ = ef.trajectory(x1, -v1, ef.gradient(x1), epsilon, steps)
+        x1, v1, _, _ = ef.trajectory(x, v, ef.gradient(x), epsilon, steps)
+        x2, v2, _, _ = ef.trajectory(x1, -v1, ef.gradient(x1), epsilon, steps)
         error = np.linalg.norm(np.concatenate([x2 - x, -v2 - v]))
         worst = max(worst, float(error / np.linalg.norm(np.concatenate([x, v]))))
     return worst

@@ -97,12 +97,11 @@ class SamplerConfig:
         check_count("n_samples", self.n_samples)
 
 
-def _node(x: np.ndarray, v: np.ndarray, grad: np.ndarray, ef: EnergyFunction) -> tuple:
-    """The node of (x, v) with gradient ``grad``; evaluates the potential once.
+def _node(x: np.ndarray, v: np.ndarray, grad: np.ndarray, potential: float) -> tuple:
+    """The node of (x, v) with gradient ``grad`` and potential E(x).
 
     Raises IntegrationError where the total energy is not finite.
     """
-    potential = ef.energy(x)
     h = potential + kinetic_energy(v)
     if not math.isfinite(h):
         raise IntegrationError("non-finite energy encountered", x, v)
@@ -124,7 +123,9 @@ class StateCache:
     (L^-1 of it) are nodes: plain tuples ``(x, v, grad, potential, h)`` of
     the position, the momentum, the gradient at x, the potential E(x) and
     the total energy H = E(x) + |v|^2 / 2.  A neighbor is ``None`` until
-    :meth:`fill` integrates it.  Nothing writes into a node's arrays, so
+    :meth:`fill` integrates it; its potential is the one the trajectory
+    returns, and only the chain start's comes from ``energy()``
+    (:func:`init_cache`).  Nothing writes into a node's arrays, so
     nodes share them.  Each transition kind has one update rule, applied in
     place, and no rule integrates:
 
@@ -162,25 +163,27 @@ class StateCache:
         """Integrate the missing forward node, then the missing backward node if asked.
 
         The jump sampler needs both neighbors, the HMC control only the
-        forward one, its proposal.  A fill that raises leaves the cache as it was.
+        forward one, its proposal.  Each node's H is its trajectory's
+        endpoint potential plus |v|^2 / 2.  A fill that raises leaves the
+        cache as it was.
         """
         x, v, grad, _, _ = self.current
         fwd, bwd = self.forward, self.backward
         if fwd is None:
-            fwd = _node(*ef.trajectory(x, v, grad, epsilon, steps), ef)
+            fwd = _node(*ef.trajectory(x, v, grad, epsilon, steps))
         if backward and bwd is None:
-            xb, vb, gb = ef.trajectory(x, -v, grad, epsilon, steps)
-            bwd = _node(xb, -vb, gb, ef)
+            xb, vb, gb, potential = ef.trajectory(x, -v, grad, epsilon, steps)
+            bwd = _node(xb, -vb, gb, potential)
         self.forward, self.backward = fwd, bwd
 
 
 def init_cache(x: np.ndarray, v: np.ndarray, ef: EnergyFunction) -> StateCache:
     """The cache at a chain start (x, v): the current node, with both neighbors missing.
 
-    Raises IntegrationError, carrying the start, where its total energy is
-    not finite.
+    Its potential is the chain's one ``energy()`` call.  Raises
+    IntegrationError, carrying the start, where its total energy is not finite.
     """
-    return StateCache(_node(x, v, ef.gradient(x), ef), None, None)
+    return StateCache(_node(x, v, ef.gradient(x), ef.energy(x)), None, None)
 
 
 def _log_rates(cache: StateCache) -> tuple[float, float]:
@@ -198,12 +201,9 @@ def _log_rates(cache: StateCache) -> tuple[float, float]:
     return log_gamma_L, log_gamma_F
 
 
-_RACE_KINDS = ("L", "F", "R")
-
-
 def _log_waiting_times(
     log_gamma_L: float, log_gamma_F: float, beta: float, rng: np.random.Generator
-) -> list[float]:
+) -> tuple[float, float, float]:
     """Logs of the three competing waiting times draw / rate, in L, F, R order.
 
     A zero rate gives +inf, so that arm can never win.  Exactly three
@@ -211,9 +211,13 @@ def _log_waiting_times(
     independent of which rates vanish.  The (astronomically unlikely)
     exact-zero draw is raised to the smallest normal float.
     """
-    draws = rng.standard_exponential(3).tolist()
-    log_rates = (log_gamma_L, log_gamma_F, math.log(beta))
-    return [math.log(max(d, _TINY)) - lr for d, lr in zip(draws, log_rates)]
+    d_L, d_F, d_R = rng.standard_exponential(3).tolist()
+    log = math.log
+    return (
+        log(d_L if d_L > _TINY else _TINY) - log_gamma_L,
+        log(d_F if d_F > _TINY else _TINY) - log_gamma_F,
+        log(d_R if d_R > _TINY else _TINY) - log(beta),
+    )
 
 
 def _holding_time(log_wait: float) -> float:
@@ -241,9 +245,10 @@ def step(
     :class:`StateCache`) and filled again, so an L transition costs one
     leapfrog integration, an F transition none, an R transition two.
     """
-    log_waits = _log_waiting_times(*_log_rates(cache), config.beta, rng)
-    shortest = min(log_waits)
-    kind = _RACE_KINDS[log_waits.index(shortest)]
+    wait_L, wait_F, wait_R = _log_waiting_times(*_log_rates(cache), config.beta, rng)
+    kind, shortest = ("F", wait_F) if wait_F < wait_L else ("L", wait_L)
+    if wait_R < shortest:
+        kind, shortest = "R", wait_R
     if kind == "L":
         cache.leap()
     elif kind == "F":

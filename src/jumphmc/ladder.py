@@ -218,8 +218,8 @@ def similarity_check(rates: np.ndarray) -> float:
     The sample-evolution chain D T D^-1 is similar to the embedded chain T,
     so the two spectra must agree as multisets: the distance is rounding noise.
     """
-    t_hat = embedded_chain(rates)
-    d = holding_time_diag(rates)
+    off, totals = _split_offdiag(rates)
+    t_hat, d = off / totals, 1.0 / totals  # embedded_chain and holding_time_diag
     t_scaled = (d[:, None] * t_hat) / d[None, :]
     return spectral_distance(np.linalg.eigvals(t_hat), np.linalg.eigvals(t_scaled))
 
@@ -276,8 +276,8 @@ def embedded_fixed_point_check(rates: np.ndarray, ladder: Ladder) -> float:
     The embedded chain's stationary distribution is the target scaled by
     inverse holding times; returns max |T p - p| / max p for that p.
     """
-    t_hat = embedded_chain(rates)
-    d = holding_time_diag(rates)
+    off, totals = _split_offdiag(rates)
+    t_hat, d = off / totals, 1.0 / totals  # embedded_chain and holding_time_diag
     p_hat = ladder_stationary(ladder) / d
     return float(np.max(np.abs(t_hat @ p_hat - p_hat)) / p_hat.max())
 

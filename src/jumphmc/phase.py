@@ -12,7 +12,8 @@ import numpy as np
 
 
 def leapfrog_with_grad(zeta, params, ef, grad0=None):
-    """L of ``zeta = (x, v)`` with ``params = (epsilon, steps)``: the endpoint (x, v, grad).
+    """L of ``zeta = (x, v)`` with ``params = (epsilon, steps)``: the endpoint
+    (x, v, grad, potential) that ``ef.trajectory`` returns.
 
     ``grad0``, the gradient at x, saves one evaluation where a caller has
     it.  Raises IntegrationError from ``ef.trajectory``.

@@ -154,7 +154,9 @@ def random_search(
     """Sample ``budget`` settings and return (best trial, all trials).
 
     The best trial minimizes the decay-rate objective over trials that
-    completed.  Raises if every trial failed.
+    completed.  Raises if every trial failed.  The trials run longest
+    first, by ``steps``, so that a long trial does not start last and
+    leave the other processes idle; they are returned in draw order.
     """
     check_count("budget", budget)
     master = np.random.default_rng(seed)
@@ -165,8 +167,10 @@ def random_search(
         aux_seed = int(master.integers(2**63))
         config = SamplerConfig(sampler, eps, steps, beta, eval_config.n_samples, chain_seed)
         tasks.append((config, ef, eval_config, aux_seed))
+    order = sorted(range(budget), key=lambda i: tasks[i][0].steps, reverse=True)  # stable
     # evaluate_trial by its module-global name, which bench/hooks.py wraps
-    trials = map_ordered(lambda task: evaluate_trial(*task), tasks)
+    done = map_ordered(lambda task: evaluate_trial(*task), [tasks[i] for i in order])
+    trials = [trial for _, trial in sorted(zip(order, done), key=lambda pair: pair[0])]
     ok = [t for t in trials if t.status == "ok"]
     if not ok:
         raise RuntimeError("all tuning trials failed")

@@ -18,6 +18,13 @@ and draws the same random numbers, so every chain array must be equal,
 not merely close.  The one exception is the control's cache hit: a step
 whose proposal the cache already holds, which the reference integrates
 afresh (see ``test_control_chain_matches_object_loop``).
+
+Since a target's ``trajectory`` returns the endpoint potential with the
+endpoint, the ``leapfrog_with_grad`` adapter passes that potential on,
+and the reference nodes and proposals take it instead of calling
+``energy()`` again.  Only the chain start's potential comes from
+``energy()``, as in the former loops' one evaluation there, so the
+counted energy evaluations are the same.
 """
 
 from __future__ import annotations
@@ -72,10 +79,11 @@ def flip(zeta: Phase) -> Phase:
 
 def leapfrog_with_grad(
     zeta: Phase, params: tuple[float, int], ef: EnergyFunction, grad0: np.ndarray
-) -> tuple[Phase, np.ndarray]:
-    """L of ``zeta`` with ``params = (epsilon, steps)``, from the gradient ``grad0`` at x."""
-    x, v, g = ef.trajectory(zeta.x, zeta.v, grad0, *params)
-    return Phase(x, v), g
+) -> tuple[Phase, np.ndarray, float]:
+    """L of ``zeta`` with ``params = (epsilon, steps)``, from the gradient ``grad0`` at x:
+    the endpoint, its gradient and its potential, as the target's kernel returns them."""
+    x, v, g, potential = ef.trajectory(zeta.x, zeta.v, grad0, *params)
+    return Phase(x, v), g, potential
 
 
 def leapfrog_inverse_with_grad(
@@ -83,10 +91,10 @@ def leapfrog_inverse_with_grad(
     params: tuple[float, int],
     ef: EnergyFunction,
     grad0: Optional[np.ndarray] = None,
-) -> tuple[Phase, np.ndarray]:
+) -> tuple[Phase, np.ndarray, float]:
     """As :func:`leapfrog_with_grad` but for L^-1; gradients reuse the same positions."""
-    forward, g = leapfrog_with_grad(flip(zeta), params, ef, grad0=grad0)
-    return flip(forward), g
+    forward, g, potential = leapfrog_with_grad(flip(zeta), params, ef, grad0=grad0)
+    return flip(forward), g, potential
 
 
 def randomize_momentum(zeta: Phase, rng: np.random.Generator) -> Phase:
@@ -159,9 +167,8 @@ def _flipped(node: _Node) -> _Node:
     return node._replace(state=flip(node.state))
 
 
-def _make_node(state: Phase, grad: np.ndarray, ef: EnergyFunction) -> _Node:
+def _make_node(state: Phase, grad: np.ndarray, potential: float) -> _Node:
     with np.errstate(over="ignore", invalid="ignore"):
-        potential = ef.energy(state.x)
         h = potential + kinetic_energy(state.v)
     if not np.isfinite(h):
         raise IntegrationError("non-finite energy encountered", *state)
@@ -171,13 +178,13 @@ def _make_node(state: Phase, grad: np.ndarray, ef: EnergyFunction) -> _Node:
 def init_cache(zeta: Phase, config: SamplerConfig, ef: EnergyFunction) -> StateCache:
     params = (config.epsilon, config.steps)
     g0 = ef.gradient(zeta.x)
-    current = _make_node(zeta, g0, ef)
-    fwd_state, fwd_grad = leapfrog_with_grad(zeta, params, ef, grad0=g0)
-    bwd_state, bwd_grad = leapfrog_inverse_with_grad(zeta, params, ef, grad0=g0)
+    current = _make_node(zeta, g0, ef.energy(zeta.x))
+    fwd_state, fwd_grad, fwd_potential = leapfrog_with_grad(zeta, params, ef, grad0=g0)
+    bwd_state, bwd_grad, bwd_potential = leapfrog_inverse_with_grad(zeta, params, ef, grad0=g0)
     return StateCache(
         current=current,
-        forward=_make_node(fwd_state, fwd_grad, ef),
-        backward=_make_node(bwd_state, bwd_grad, ef),
+        forward=_make_node(fwd_state, fwd_grad, fwd_potential),
+        backward=_make_node(bwd_state, bwd_grad, bwd_potential),
     )
 
 
@@ -231,15 +238,15 @@ def step(
     if kind is Transition.L:
         nxt = fwd.state
         new_current, new_backward = fwd, cur
-        new_forward = _make_node(*leapfrog_with_grad(nxt, params, ef, grad0=fwd.grad), ef)
+        new_forward = _make_node(*leapfrog_with_grad(nxt, params, ef, grad0=fwd.grad))
     elif kind is Transition.F:
         new_current, new_forward, new_backward = _flipped(cur), _flipped(bwd), _flipped(fwd)
         nxt = new_current.state
     else:
         nxt = randomize_momentum(zeta, rng)
         new_current = _Node(nxt, cur.potential, cur.potential + kinetic_energy(nxt.v), cur.grad)
-        new_forward = _make_node(*leapfrog_with_grad(nxt, params, ef, grad0=cur.grad), ef)
-        new_backward = _make_node(*leapfrog_inverse_with_grad(nxt, params, ef, grad0=cur.grad), ef)
+        new_forward = _make_node(*leapfrog_with_grad(nxt, params, ef, grad0=cur.grad))
+        new_backward = _make_node(*leapfrog_inverse_with_grad(nxt, params, ef, grad0=cur.grad))
     next_cache = StateCache(new_current, new_forward, new_backward, last_transition=kind)
 
     sample = WeightedSample(
@@ -303,12 +310,11 @@ class _Walker(NamedTuple):
 def _mh_step(
     walker: _Walker, config: SamplerConfig, ef: EnergyFunction, rng: np.random.Generator
 ) -> tuple[_Walker, bool]:
-    proposal, end_grad = leapfrog_with_grad(
+    proposal, end_grad, pot_prop = leapfrog_with_grad(
         walker.state, (config.epsilon, config.steps), ef, grad0=walker.grad
     )
     h_cur = walker.potential + kinetic_energy(walker.state.v)
     with np.errstate(over="ignore", invalid="ignore"):
-        pot_prop = ef.energy(proposal.x)
         h_prop = pot_prop + kinetic_energy(proposal.v)
     if not np.isfinite(h_prop):
         raise IntegrationError("non-finite proposal energy", *proposal)

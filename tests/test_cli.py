@@ -547,6 +547,15 @@ class TestCheck:
             leapfrog_reversibility="PASS", exponential_race="FAIL")
         assert summary == "check suite: FAILURES detected"
 
+    @pytest.mark.parametrize("seed", [24, 31, 37, 58, 99])
+    def test_race_row_fault_fails_when_the_draws_have_two_clocks(self, tmp_path, capsys, seed):
+        # at these seeds every drawn vector had two clocks, where the fault's
+        # shares are the true ones; the last vector now races three
+        cfg = write_config(tmp_path / "c.json", dict(self.QUICK, fault_injection=True, seed=seed))
+        assert main(["check", cfg]) == 3
+        rows = capsys.readouterr().out.splitlines()[:-1]
+        assert {row.split()[0]: row.split()[1] for row in rows}["exponential_race"] == "FAIL"
+
     def test_race_row_of_seed_1_passes(self, tmp_path, capsys):
         # The race row draws from its own stream, so this is the row of the
         # config {"seed": 1}: its worst of about 50 z-scores is 3.05, which

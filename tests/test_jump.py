@@ -23,6 +23,7 @@ from jumphmc.jump import (
     _log_waiting_times,
 )
 from jumphmc.energy import kinetic_energy
+import jumphmc.jump as jump_module
 
 LN2 = np.log(2.0)
 
@@ -138,6 +139,19 @@ class TestStep:
         freqs = np.array([counts["L"], counts["F"], counts["R"]]) / n
         sigma = np.sqrt(probs * (1 - probs) / n)
         np.testing.assert_array_less(np.abs(freqs - probs), 3 * sigma)
+
+    @pytest.mark.parametrize("waits, kind", [
+        ((0.0, 0.0, 0.0), "L"), ((0.0, 1.0, 0.0), "L"), ((0.0, 0.0, 1.0), "L"),
+        ((1.0, 0.0, 0.0), "F"), ((1.0, 0.5, 0.5), "F"), ((1.0, 1.0, 0.5), "R"),
+        ((1.0, 2.0, 1.0), "L"), ((2.0, 1.0, 1.0), "F"),
+    ])
+    def test_ties_resolve_l_then_f_then_r(self, monkeypatch, waits, kind):
+        # equal log waits (a measure-zero event) go to the first arm in L, F, R order
+        monkeypatch.setattr(jump_module, "_log_waiting_times", lambda *args: waits)
+        config = SamplerConfig("mjhmc", epsilon=0.5, steps=3, beta=0.25, n_samples=1, seed=0)
+        cache = filled_cache(PINNED_ROUGH, config, RoughWell())
+        assert step(cache, config, RoughWell(), np.random.default_rng(0)) == (
+            kind, _holding_time(min(waits)))
 
     def test_cache_reuse_after_l_transition(self):
         # the backward energy of the new state is the old state's, bit for bit
@@ -400,6 +414,37 @@ class TestCacheRules:
         assert chain.gradient_evals[0] == 2 * m + 1 + cost[kinds[0]]
         assert chain.energy_evals == 3 + counts["L"] + 2 * counts["R"]
 
+    @pytest.mark.parametrize("sampler", ["mjhmc", "hmc"])
+    @pytest.mark.parametrize("target", [RoughWell, DiagonalGaussian])
+    def test_chain_calls_energy_only_at_its_start(self, sampler, target):
+        # every later potential comes with its trajectory, from the kernel
+        class EnergySpy(target):
+            calls = 0
+
+            def energy(self, x):
+                EnergySpy.calls += 1
+                return super().energy(x)
+
+        ef = EnergySpy() if target is RoughWell else EnergySpy(np.array([1.0, 4.0]))
+        config = SamplerConfig(sampler, epsilon=0.4, steps=5, beta=0.3, n_samples=200, seed=2)
+        chain = run_chain(config, ef, np.zeros(2), np.ones(2))
+        assert EnergySpy.calls == 1
+        assert chain.energy_evals == 1 + chain.gradient_evals[-1] // config.steps
+
+    def test_endpoint_with_infinite_potential_fails_the_fill(self):
+        # a finite trajectory whose energy overflows: the node raises, carrying its endpoint
+        ef = CountingEnergy(DiagonalGaussian(np.logspace(0.0, 2.0, 50)))
+        x0, v0 = np.full(50, 3.0), np.ones(50)
+        x, v, _, potential = ef.inner.trajectory(x0, v0, ef.inner.gradient(x0), 3.0, 55)
+        assert potential == np.inf and np.isfinite(x).all()
+        cache = init_cache(x0, v0, ef)
+        with pytest.raises(IntegrationError, match="^non-finite energy encountered$") as err:
+            cache.fill(ef, 3.0, 55)
+        np.testing.assert_array_equal(err.value.x, x)
+        np.testing.assert_array_equal(err.value.v, v)
+        assert cache.forward is None  # the cache is left as it was
+        assert (ef.gradient_calls, ef.energy_calls) == (1 + 55, 2)
+
     def test_flip_swap_matches_recomputation(self):
         # from a fresh cache, the F rule equals integrating F zeta anew,
         # bit for bit, and evaluates nothing
@@ -419,8 +464,8 @@ class TestCacheRules:
         assert (ef.gradient_calls, ef.energy_calls) == calls
 
         g0 = ef.inner.gradient(x0)
-        fwd = ef.inner.trajectory(x0, -v0, g0, config.epsilon, config.steps)
-        xb, vb, gb = ef.inner.trajectory(x0, v0, g0, config.epsilon, config.steps)
+        fwd = ef.inner.trajectory(x0, -v0, g0, config.epsilon, config.steps)[:3]
+        xb, vb, gb, _ = ef.inner.trajectory(x0, v0, g0, config.epsilon, config.steps)
         bwd = (xb, -vb, gb)  # L^-1 F = F L
         for (x, v, g, _, h), (ref_x, ref_v, ref_g) in ((cache.forward, fwd), (cache.backward, bwd)):
             np.testing.assert_array_equal(x, ref_x)

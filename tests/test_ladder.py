@@ -400,6 +400,33 @@ class TestSimilarity:
         assert spectral_distance(spec_a, spec_b) <= 1e-10
 
 
+@pytest.mark.parametrize("check", [similarity_check,
+                                   lambda rates: embedded_fixed_point_check(rates, random_ladder(9, 4))])
+def test_check_splits_the_rate_matrix_once(monkeypatch, check):
+    # one split gives both the embedded chain and the holding times, with the
+    # floats of embedded_chain and holding_time_diag
+    rates = build_mjhmc_rate_matrix(random_ladder(9, 4))
+    expected = check(rates)
+    calls = []
+    split = ladder_module._split_offdiag
+    monkeypatch.setattr(ladder_module, "_split_offdiag", lambda r: calls.append(1) or split(r))
+    assert check(rates) == expected
+    assert len(calls) == 1
+
+
+def test_checks_keep_the_floats_of_the_two_helpers():
+    for seed in range(4):
+        ladder = random_ladder(9 + 4 * seed, seed)
+        rates = build_mjhmc_rate_matrix(ladder)
+        t_hat, d = embedded_chain(rates), holding_time_diag(rates)
+        t_scaled = (d[:, None] * t_hat) / d[None, :]
+        assert similarity_check(rates) == spectral_distance(np.linalg.eigvals(t_hat),
+                                                            np.linalg.eigvals(t_scaled))
+        p_hat = ladder_stationary(ladder) / d
+        assert embedded_fixed_point_check(rates, ladder) == float(
+            np.max(np.abs(t_hat @ p_hat - p_hat)) / p_hat.max())
+
+
 class TestBalance:
     def test_flat_ladder_balances_exactly(self):
         ladder = Ladder(np.zeros(6))

@@ -31,7 +31,7 @@ def random_states(rng, n, dim=2, scale=2.0):
 def leapfrog(ef, state, epsilon, steps):
     """L of ``state = (x, v)`` by the target's trajectory: (x, v, grad) at the endpoint."""
     x, v = state
-    return ef.trajectory(x, v, ef.gradient(x), epsilon, steps)
+    return ef.trajectory(x, v, ef.gradient(x), epsilon, steps)[:3]
 
 
 def filled_cache(state, epsilon, steps, ef):
@@ -220,7 +220,7 @@ class FreeParticle(EnergyFunction):
         return np.zeros(self.dim)
 
     def trajectory(self, x, v, grad, epsilon, steps):
-        return x + epsilon * steps * v, v.copy(), grad
+        return x + epsilon * steps * v, v.copy(), grad, 0.0
 
 
 def redrawn_momentum(cache, rng):
@@ -323,8 +323,8 @@ def test_rough_well_trajectory_matches_generic_loop(epsilon, steps):
         grad = ef.gradient(x)
         out = ef.trajectory(x0, v0, grad, epsilon, steps)
         ref = EnergyFunction.trajectory(ef, x0, v0, grad, epsilon, steps)
-        assert np.isfinite(np.concatenate(out)).all()
-        for a, b in zip(out, ref):
+        assert np.isfinite(np.concatenate(out[:3])).all()
+        for a, b in zip(out, ref, strict=True):
             np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(x0, x)  # the inputs are left untouched
         np.testing.assert_array_equal(v0, v)
@@ -344,8 +344,8 @@ def test_gaussian_trajectory_matches_generic_loop(dim, epsilon, steps):
         x, v, g = x0.copy(), v0.copy(), grad.copy()
         out = ef.trajectory(x0, v0, grad, epsilon, steps)
         ref = EnergyFunction.trajectory(ef, x0, v0, grad, epsilon, steps)
-        assert np.isfinite(np.concatenate(out)).all()
-        for a, b in zip(out, ref):
+        assert np.isfinite(np.concatenate(out[:3])).all()
+        for a, b in zip(out, ref, strict=True):
             np.testing.assert_array_equal(a, b)
         for before, after in ((x, x0), (v, v0), (g, grad)):  # the inputs are left untouched
             np.testing.assert_array_equal(before, after)
@@ -377,6 +377,45 @@ def test_rough_well_overflow_raises_integration_error():
     assert not (np.all(np.isfinite(bad.x)) and np.all(np.isfinite(bad.v)))
 
 
+SHIPPED_KERNELS = [RoughWell()] + [DiagonalGaussian(np.logspace(0.0, 2.0, dim)) for dim in (1, 2, 50)]
+
+
+@pytest.mark.parametrize("ef", SHIPPED_KERNELS, ids=["rough", "gaussian-1", "gaussian-2", "gaussian-50"])
+@pytest.mark.parametrize("epsilon, steps", [(0.05, 25), (0.5, 7), (3.0, 25), (3.0, 55), (1e200, 3)])
+def test_kernel_returns_the_generic_endpoint_and_its_energy(ef, epsilon, steps):
+    # the 4-tuple is EnergyFunction.trajectory's endpoint plus energy() there,
+    # bit for bit; at epsilon 3 the Gaussians are unstable, and at 55 steps the
+    # 2-D and 50-D ones end finite with an energy that overflows to inf
+    rng = np.random.default_rng(53)
+    for _ in range(10):
+        x0, v0 = 3.0 * rng.standard_normal(ef.dim), rng.standard_normal(ef.dim)
+        grad = ef.gradient(x0)
+        try:
+            x, v, g, _ = EnergyFunction.trajectory(ef, x0, v0, grad, epsilon, steps)
+        except IntegrationError as generic:
+            with pytest.raises(IntegrationError) as kernel:
+                ef.trajectory(x0, v0, grad, epsilon, steps)
+            if isinstance(ef, RoughWell):
+                # math.sin(inf) stops the float kernel where the generic loop runs on in nan
+                assert not np.isfinite(kernel.value.x).all()
+            else:
+                np.testing.assert_array_equal(kernel.value.x, generic.x)
+                np.testing.assert_array_equal(kernel.value.v, generic.v)
+            continue
+        out = ef.trajectory(x0, v0, grad, epsilon, steps)
+        for a, b in zip(out, (x, v, g, ef.energy(x)), strict=True):
+            np.testing.assert_array_equal(a, b)  # inf where inf
+        assert type(out[3]) is float
+
+
+def test_generic_trajectory_returns_energy_at_the_endpoint():
+    # a target without a kernel of its own gets its potential from energy()
+    ef = SpyGaussian()
+    x, v, g, potential = EnergyFunction.trajectory(ef, np.array([1.0, -2.0]), np.ones(2),
+                                                   ef.gradient(np.array([1.0, -2.0])), 0.3, 4)
+    assert potential == DiagonalGaussian(np.array([1.0, 0.25])).energy(x)
+
+
 class SpyGaussian(DiagonalGaussian):
     """A target on the default trajectory loop that counts its own gradient calls."""
 
@@ -400,6 +439,17 @@ def test_counting_energy_counts_steps_per_trajectory(make, steps):
     for i, (x, v) in enumerate(random_states(rng, 4), start=1):
         counter.trajectory(x, v, inner.gradient(x), 0.5, steps)
         assert counter.gradient_calls == i * steps
+        assert counter.energy_calls == i  # the endpoint potential
     if isinstance(inner, SpyGaussian):
         # each counted evaluation is one real gradient call (plus the 4 above)
         assert inner.calls == counter.gradient_calls + 4
+
+
+@pytest.mark.parametrize("make", [RoughWell, lambda: DiagonalGaussian.isotropic(2), SpyGaussian])
+def test_counting_energy_counts_a_failed_trajectorys_steps_and_no_energy(make):
+    counter = CountingEnergy(make())
+    x, v = np.array([1.0, -0.5]), np.array([0.3, 0.7])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(IntegrationError):
+            counter.trajectory(x, v, counter.inner.gradient(x), 1e200, 3)
+    assert (counter.gradient_calls, counter.energy_calls) == (3, 0)

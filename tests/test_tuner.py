@@ -12,6 +12,8 @@ from jumphmc import (
     run_chain,
 )
 
+from jumphmc import tuner
+
 GAUSS_1D = DiagonalGaussian.isotropic(1)
 FAST_EVAL = TuningEvalConfig(n_samples=600, n_lags=40)
 
@@ -116,6 +118,27 @@ def test_deterministic_under_seed():
     b = random_search(SearchSpace(), 4, "mjhmc", GAUSS_1D, FAST_EVAL, seed=7)
     assert a[0] == b[0]
     assert a[1] == b[1]
+
+
+def test_trials_run_longest_first_and_return_in_draw_order(monkeypatch):
+    # map_ordered gets the trials by descending steps; the trials come back
+    # as a draw-order loop of evaluate_trial would return them
+    handed = []
+
+    def serial_map(fn, tasks):
+        handed.extend(task[0] for task in tasks)
+        return [fn(task) for task in tasks]
+
+    monkeypatch.setattr(tuner, "map_ordered", serial_map)
+    _, trials = random_search(SearchSpace(), 8, "mjhmc", GAUSS_1D, FAST_EVAL, seed=5)
+    assert [c.steps for c in handed] == sorted((c.steps for c in handed), reverse=True)
+    master = np.random.default_rng(5)
+    for trial in trials:
+        eps, beta, steps = SearchSpace().draw(master)
+        chain_seed, aux_seed = int(master.integers(2**63)), int(master.integers(2**63))
+        config = SamplerConfig("mjhmc", eps, steps, beta, FAST_EVAL.n_samples, chain_seed)
+        assert trial == evaluate_trial(config, GAUSS_1D, FAST_EVAL, aux_seed)
+    assert len(handed) == len(trials) == 8
 
 
 def test_best_minimizes_over_ok_trials():
