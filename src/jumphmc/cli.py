@@ -1,11 +1,12 @@
 """Command-line entry point.
 
 Commands: sample | spectral-gap | autocorr | tune | check.  Each command
-reads one JSON config file (validated up front, unknown keys rejected) with
-optional --seed and --out overrides, so an experiment is reproducible from
-its config alone.  A command refuses, before any work, an output path that
-is its own config file; check writes no file and refuses --out.  Exit
-codes: 0 success, 1 usage or config error, 2 numerical failure, 3
+reads one JSON config file with optional --seed and --out overrides, so an
+experiment is reproducible from its config alone.  The config is checked
+before any work: its keys and their JSON types here, and each value's
+range once, by the object that owns it.  A command refuses an output path
+that is its own config file; check writes no file and refuses --out.
+Exit codes: 0 success, 1 usage or config error, 2 numerical failure, 3
 check-suite failure.
 """
 
@@ -31,7 +32,7 @@ from .chainio import (
     write_gap_csv,
     write_trials_csv,
 )
-from .diagnostics import MIN_FIT_LAGS, MIN_SAMPLES, autocorrelation, fit_decay
+from .diagnostics import autocorrelation, fit_decay
 from .energy import DiagonalGaussian, EnergyFunction, RoughWell, worst_reversibility
 from .errors import DecayFitError, DegenerateChainError, DegenerateLadderError, IntegrationError
 from .jump import SamplerConfig
@@ -74,7 +75,7 @@ def _require(config: dict, allowed: dict, context: str) -> dict:
             continue
         try:
             out[key] = checker(config[key])
-        except (TypeError, ValueError, OverflowError) as err:  # int(inf) overflows
+        except (TypeError, ValueError, OverflowError) as err:  # float(10**400) overflows
             raise ConfigError(f"{context}.{key}: {err}") from err
     return out
 
@@ -86,22 +87,29 @@ def _number(x) -> float:
     return float(x)
 
 
-def _positive_number(x) -> float:
-    x = _number(x)
-    if not np.isfinite(x) or x <= 0:
-        raise ValueError("must be a positive finite number")
+def _integer(x) -> int:
+    # an integral float is the same JSON number, so 400 and 400.0 give one config_hash
+    if isinstance(x, float) and x.is_integer():
+        x = int(x)
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError("must be an integer")
     return x
 
 
+def _integer_list(x) -> list:
+    if not isinstance(x, list):
+        raise ValueError("must be a list of integers")
+    return [_integer(v) for v in x]
+
+
 def _int_at_least(low: int):
-    """A checker for integers of at least ``low``."""
+    """A checker for the integers the CLI owns (the seed, check's counts): at least ``low``."""
 
     def check(x) -> int:
-        if isinstance(x, bool) or int(x) != x:
-            raise ValueError("must be an integer")
-        if int(x) < low:
+        x = _integer(x)
+        if x < low:
             raise ValueError(f"must be at least {low}")
-        return int(x)
+        return x
 
     return check
 
@@ -125,13 +133,6 @@ def _number_list(x) -> list:
     if not np.all(np.isfinite(out)):
         raise ValueError("must contain only finite numbers")
     return out
-
-
-def _sampler_kind(x) -> str:
-    x = _string(x)
-    if x not in ("mjhmc", "hmc"):
-        raise ValueError("must be 'mjhmc' or 'hmc'")
-    return x
 
 
 _MODELS = {
@@ -169,17 +170,12 @@ def _pair(checker):
     return check
 
 
-def _ladder_sizes(x) -> list:
-    sizes = [_int_at_least(1)(k) for k in x]
-    if not sizes or min(sizes) < 3:
-        raise ValueError("must list sizes of at least 3")
-    return sizes
-
-
-def _build(context: str, cls, *args, **kwargs):
-    """Construct ``cls``, reporting the ValueError of its own checks under ``context``."""
+def _build(context: str, owner, *args, **kwargs):
+    """Call ``owner``, reporting the ValueError of its own checks under ``context``."""
     try:
-        return cls(*args, **kwargs)
+        return owner(*args, **kwargs)
+    except (DegenerateLadderError, DegenerateChainError):
+        raise  # a ValueError of the work that follows the checks
     except ValueError as err:
         raise ConfigError(f"{context}: {err}") from err
 
@@ -245,7 +241,7 @@ def cmd_sample(fields: dict, csv_path: str, json_path: str) -> int:
 
 
 def cmd_spectral_gap(fields: dict, path: str) -> int:
-    result = random_ladder_experiment(**fields)
+    result = _build("spectral-gap config", random_ladder_experiment, **fields)
     write_gap_csv(path, result, config=fields, seed=fields["seed"])
     print(f"wrote {path} ({len(result.sizes)} sizes x {result.draws_per_size} draws)")
     return EXIT_OK
@@ -254,7 +250,9 @@ def cmd_spectral_gap(fields: dict, path: str) -> int:
 def cmd_autocorr(fields: dict, mjhmc_path: str, hmc_path: str, fit_path: str) -> int:
     ef = parse_model(fields["model"])
     seed = fields["seed"]
-    n_lags = fields.get("n_lags", 200)
+    eval_config = _build("autocorr config", TuningEvalConfig, n_samples=fields["n_samples"],
+                         n_lags=fields.get("n_lags", 200),
+                         max_lag_evals=fields.get("max_lag_evals"))
     init_seed, mj_seed, hmc_seed, resample_seed = _derived_seeds(seed, 4)
     init = _initial_state(ef, None, init_seed)
     resample_rng = np.random.default_rng(resample_seed)
@@ -269,13 +267,13 @@ def cmd_autocorr(fields: dict, mjhmc_path: str, hmc_path: str, fit_path: str) ->
         chain = run_chain(sampler_config, ef, *init)
         samples[name] = unweighted_samples(chain, resample_rng)
     # One shared lag grid so the two series are directly comparable.
-    max_lag = fields.get("max_lag_evals")
+    max_lag = eval_config.max_lag_evals
     if max_lag is None:
         max_lag = 0.10 * float(min(evals[-1] - evals[0] for _, evals in samples.values()))
     csv_paths = {"mjhmc": mjhmc_path, "hmc": hmc_path}
     fits = {}
     for name, (positions, evals) in samples.items():
-        s = autocorrelation(positions, evals, max_lag_evals=max_lag, n_lags=n_lags)
+        s = autocorrelation(positions, evals, max_lag_evals=max_lag, n_lags=eval_config.n_lags)
         fits[name] = fit_decay(s)
         write_autocorr_csv(csv_paths[name], s, config=fields, seed=seed)
     write_fits_json(fit_path, fits, fields, seed)
@@ -290,9 +288,8 @@ def cmd_tune(fields: dict, trials_path: str, best_path: str) -> int:
     eval_config = _build("tune config.eval", TuningEvalConfig, **fields.get("eval", {}))
     seed = fields["seed"]
     try:
-        best, trials = random_search(
-            space, fields["budget"], fields["sampler"], ef, eval_config, seed=seed
-        )
+        best, trials = _build("tune config", random_search, space, fields["budget"],
+                              fields["sampler"], ef, eval_config, seed=seed)
     except RuntimeError as err:
         print(f"numerical error: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -354,21 +351,17 @@ class _Command(NamedTuple):
 
 
 _SHARED_KEYS = {"seed": (False, _int_at_least(0)), "out": (False, _string)}
-_HYPER_KEYS = {
-    "epsilon": (True, _positive_number),
-    "steps": (True, _int_at_least(1)),
-    "beta": (True, _positive_number),
-}
+_HYPER_KEYS = {"epsilon": (True, _number), "steps": (True, _integer), "beta": (True, _number)}
 
 _COMMANDS = {
     "sample": _Command(
         cmd_sample,
         "run one sampler chain, write chain CSV + metadata JSON",
         {
-            "sampler": (True, _sampler_kind),
+            "sampler": (True, _string),
             "model": (True, lambda x: x),
             **_HYPER_KEYS,
-            "n_samples": (True, _int_at_least(1)),
+            "n_samples": (True, _integer),
             "init_position": (False, _number_list),
         },
         ("{}.csv", "{}.json"), "chain",
@@ -376,7 +369,7 @@ _COMMANDS = {
     "spectral-gap": _Command(
         cmd_spectral_gap,
         "randomized ladder spectral-gap experiment",
-        {"sizes": (False, _ladder_sizes), "draws_per_size": (False, _int_at_least(1))},
+        {"sizes": (False, _integer_list), "draws_per_size": (False, _integer)},
         ("{}",), "spectral_gap.csv",
     ),
     "autocorr": _Command(
@@ -386,9 +379,9 @@ _COMMANDS = {
             "model": (True, lambda x: x),
             "mjhmc": (True, _HYPER_KEYS),
             "hmc": (True, _HYPER_KEYS),
-            "n_samples": (True, _int_at_least(MIN_SAMPLES)),
-            "n_lags": (False, _int_at_least(MIN_FIT_LAGS)),
-            "max_lag_evals": (False, _positive_number),
+            "n_samples": (True, _integer),
+            "n_lags": (False, _integer),
+            "max_lag_evals": (False, _number),
         },
         ("{}_mjhmc.csv", "{}_hmc.csv", "{}_fits.json"), "autocorr",
     ),
@@ -396,18 +389,18 @@ _COMMANDS = {
         cmd_tune,
         "random-search hyperparameter tuning",
         {
-            "sampler": (True, _sampler_kind),
+            "sampler": (True, _string),
             "model": (True, lambda x: x),
-            "budget": (True, _int_at_least(1)),
+            "budget": (True, _integer),
             "space": (False, {
                 "epsilon": (False, _pair(_number_list)),
                 "beta": (False, _pair(_number_list)),
-                "steps": (False, _pair(lambda x: [_int_at_least(1)(v) for v in x])),
+                "steps": (False, _pair(_integer_list)),
             }),
             "eval": (False, {
-                "n_samples": (False, _int_at_least(1)),
-                "n_lags": (False, _int_at_least(1)),
-                "max_lag_evals": (False, _positive_number),
+                "n_samples": (False, _integer),
+                "n_lags": (False, _integer),
+                "max_lag_evals": (False, _number),
             }),
         },
         ("{}_trials.csv", "{}_best.json"), "tune",

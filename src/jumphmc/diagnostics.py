@@ -82,6 +82,7 @@ def autocorrelation(
     nearest, so the series is defined even when per-step costs vary.
     Raises DecayFitError when the lags reach fewer than ``MIN_FIT_LAGS``
     distinct samples: a fit would score such a series as never decaying.
+    Its message says whether the window is too short or too long.
     """
     x = np.asarray(positions, dtype=float)
     if x.ndim == 1:
@@ -120,7 +121,9 @@ def autocorrelation(
     if np.count_nonzero(np.diff(idx)) + 1 < MIN_FIT_LAGS:  # idx is nondecreasing
         reached = ("every lag maps to the first sample" if rel[idx[-1]] == 0
                    else f"the lags reach fewer than {MIN_FIT_LAGS} samples")
-        raise DecayFitError(f"{reached}: max_lag_evals is too short")
+        cause = ("too long, and every lag past the chain's span maps to its last sample"
+                 if grid[-1] > rel[-1] > 0 else "too short")
+        raise DecayFitError(f"{reached}: max_lag_evals is {cause}")
     return AutocorrSeries(lags=grid, values=rho[idx])
 
 

@@ -189,8 +189,8 @@ class RoughWell(EnergyFunction):
             v1 -= half * g1
         except ValueError:
             # math.sin(inf) raises where np.sin gives nan: the position has
-            # overflowed, so end with the non-finite state reached so far.
-            g0 = g1 = math.nan
+            # overflowed, and the generic loop raises with the state it runs on to.
+            return EnergyFunction.trajectory(self, x, v, grad, epsilon, steps)
         isfinite = math.isfinite
         if not (isfinite(x0) and isfinite(x1) and isfinite(v0) and isfinite(v1)
                 and isfinite(g0) and isfinite(g1)):

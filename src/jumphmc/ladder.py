@@ -58,7 +58,6 @@ outside |z| = R is k - (change of arg phi) / pi.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -66,6 +65,7 @@ import numpy as np
 
 from .errors import DegenerateLadderError
 from .forkmap import map_ordered
+from .jump import check_count
 
 
 @dataclass(frozen=True)
@@ -597,20 +597,13 @@ def random_ladder_experiment(
     the process may use (see ``forkmap.map_ordered``) and the result is
     bit-identical to a serial run.
     """
-    try:
-        sizes = list(sizes)
-        if any(isinstance(k, bool) for k in [*sizes, draws_per_size]):
-            raise TypeError  # True would run as 1
-        sizes = np.array([operator.index(k) for k in sizes], dtype=int)
-        draws_per_size = operator.index(draws_per_size)
-    except TypeError:
-        raise ValueError("ladder sizes and draws_per_size must be integers") from None
-    if sizes.size == 0:
+    sizes = list(sizes)
+    if not sizes:
         raise ValueError("need at least one ladder size")
-    if np.any(sizes < 3):
-        raise ValueError("ladder sizes must be at least 3")
-    if draws_per_size < 1:
-        raise ValueError("draws_per_size must be at least 1")
+    for i, k in enumerate(sizes):
+        check_count(f"sizes[{i}]", k, 3)
+    check_count("draws_per_size", draws_per_size)
+    sizes = np.array(sizes, dtype=int)
 
     # Largest ladder first, so that the processes run out of work together;
     # serial below RING_GAP_MIN_K, where a draw costs 0.3-1.3 ms, a fork 3.5 ms.

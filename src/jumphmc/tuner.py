@@ -43,8 +43,8 @@ class SearchSpace:
         s_lo, s_hi = self.steps_range
         check_count("steps_range[0]", s_lo)
         check_count("steps_range[1]", s_hi)
-        if not 0 < e_lo <= e_hi:
-            raise ValueError("epsilon_range must satisfy 0 < lo <= hi")
+        if not 0 < e_lo <= e_hi < math.inf:  # numpy cannot draw from an infinite range
+            raise ValueError("epsilon_range must satisfy 0 < lo <= hi < inf")
         if not 0 < b_lo <= b_hi <= 1:
             raise ValueError("beta_range must lie in (0, 1] with lo <= hi")
         if s_lo > s_hi:

@@ -66,3 +66,30 @@ def test_sample_is_one_chain_span_and_one_complete_csv_write(monkeypatch, tmp_pa
     # the CSV's and the metadata JSON's bytes, read once each write returned
     assert tracer.counters["chainio.bytes"] == written
     assert len(forks) == 4  # each 1500-row chain is two blocks: a child per block and half
+
+
+def test_experiments_are_one_span_each_through_the_cli_globals(monkeypatch, tmp_path):
+    """``cli`` calls ``random_search`` and ``random_ladder_experiment`` through
+    its module globals, where the hooks wrap them, inside the config checks."""
+    hooks = load_hooks(monkeypatch)
+    tracer = hooks.Tracer()
+    tracer.install()
+    runs = [
+        ("tune", {"sampler": "hmc", "model": {"name": "gaussian", "precision_diag": [1.0]},
+                  "budget": 2, "eval": {"n_samples": 300, "n_lags": 20}},
+         "tuner.random_search"),
+        ("spectral-gap", {"sizes": [5, 9], "draws_per_size": 2}, "ladder.experiment"),
+    ]
+    try:
+        for command, config, span in runs:
+            cfg = tmp_path / f"{command}.json"
+            cfg.write_text(json.dumps(config))
+            out = str(tmp_path / command)
+            code, _ = tracer.run_command(lambda: main([command, str(cfg), "--out", out]))
+            assert code == 0
+            spans = [(name, parent) for command_id, name, parent, *_ in tracer.spans
+                     if command_id == tracer._command_id]
+            assert spans.count((span, "cli")) == 1
+            assert [name for name, _ in spans].count(span) == 1
+    finally:
+        tracer.uninstall()

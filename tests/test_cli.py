@@ -4,8 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from jumphmc import ladder, tuner
 from jumphmc.chainio import read_csv_rows
 from jumphmc.cli import _run_check_suite, main
+from jumphmc.errors import DegenerateChainError, DegenerateLadderError
 
 
 def write_config(path, obj):
@@ -222,7 +224,15 @@ class TestSpectralGap:
         cfg = write_config(tmp_path / "c.json", {"sizes": []})
         assert main(["spectral-gap", cfg, "--out", str(tmp_path / "gaps.csv")]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("config error: spectral-gap config.sizes: ") and err.count("\n") == 1
+        assert err == "config error: spectral-gap config: need at least one ladder size\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
+    def test_sizes_must_be_a_list(self, tmp_path, capsys):
+        # iterating the number used to leak "'int' object is not iterable"
+        cfg = write_config(tmp_path / "c.json", {"sizes": 5})
+        assert main(["spectral-gap", cfg, "--out", str(tmp_path / "gaps.csv")]) == 1
+        assert capsys.readouterr().err == \
+            "config error: spectral-gap config.sizes: must be a list of integers\n"
         assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
 
     def test_out_over_config_rejected(self, tmp_path, capsys):
@@ -331,6 +341,16 @@ class TestAutocorr:
         assert err == "numerical error: every lag maps to the first sample: " \
                       "max_lag_evals is too short\n"
 
+    def test_lag_window_past_the_chain_exits_2(self, tmp_path, capsys):
+        # every lag after the first lies past the chain's span and maps to its
+        # last sample; the error used to call this window too short
+        cfg = write_config(tmp_path / "c.json", dict(AUTOCORR_GAUSSIAN, max_lag_evals=1e308))
+        assert main(["autocorr", cfg, "--out", str(tmp_path / "ac")]) == 2
+        assert capsys.readouterr().err == (
+            "numerical error: the lags reach fewer than 4 samples: max_lag_evals is too long, "
+            "and every lag past the chain's span maps to its last sample\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
     def test_control_beta_above_one_rejected(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path / "c.json",
@@ -377,8 +397,9 @@ class TestAutocorr:
 
     @pytest.mark.parametrize(
         "key, value, message",
-        [("n_lags", 2, "autocorr config.n_lags: must be at least 4"),
-         ("n_samples", 5, "autocorr config.n_samples: must be at least 10")],
+        [("n_lags", 2, "autocorr config: n_lags must be at least 4"),
+         ("n_samples", 5, "autocorr config: n_samples must be at least 10"),
+         ("n_samples", 0, "autocorr config: n_samples must be at least 10")],
     )
     def test_too_short_to_fit_rejected_before_sampling(self, tmp_path, capsys, key, value, message):
         config = {
@@ -504,7 +525,8 @@ class TestTune:
     @pytest.mark.parametrize(
         "evaluation, message",
         [({"n_samples": 5}, "tune config.eval: n_samples must be at least 10"),
-         ({"n_lags": 3}, "tune config.eval: n_lags must be at least 4")],
+         ({"n_lags": 3}, "tune config.eval: n_lags must be at least 4"),
+         ({"n_samples": 0}, "tune config.eval: n_samples must be at least 10")],
     )
     def test_too_short_to_fit_rejected_before_sampling(self, tmp_path, capsys, evaluation, message):
         cfg = write_config(
@@ -704,7 +726,7 @@ def test_negative_seed_is_config_error(tmp_path, capsys, command, config, via):
         ("autocorr", dict(AUTOCORR_GAUSSIAN, hmc=[0.5, 4, 0.4]),
          "autocorr config.hmc: must be an object"),
         ("autocorr", dict(AUTOCORR_GAUSSIAN, mjhmc={"epsilon": -0.5, "steps": 4, "beta": 0.3}),
-         "autocorr config.mjhmc.epsilon: must be a positive finite number"),
+         "autocorr config.mjhmc: epsilon must be positive and finite"),
         ("autocorr", dict(AUTOCORR_GAUSSIAN, hmc={"epsilon": 0.5, "steps": 4}),
          "autocorr config.hmc: missing required key 'beta'"),
         ("autocorr", dict(AUTOCORR_GAUSSIAN, hmc={"epsilon": 0.5, "steps": 4, "beta": 0.4, "x": 1}),
@@ -717,4 +739,59 @@ def test_nested_object_checked_under_its_path(tmp_path, capsys, command, config,
     cfg = write_config(tmp_path / "c.json", config)
     assert main([command, cfg, "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == f"config error: {message}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
+
+@pytest.mark.parametrize(
+    "command, integral_floats, ints",
+    [
+        ("sample", dict(GAUSSIAN_SAMPLE, n_samples=1e3, steps=3.0),
+         dict(GAUSSIAN_SAMPLE, n_samples=1000, steps=3)),
+        ("autocorr", dict(AUTOCORR_GAUSSIAN, n_samples=1e3, n_lags=30.0,
+                          hmc={"epsilon": 0.5, "steps": 3.0, "beta": 0.4}),
+         dict(AUTOCORR_GAUSSIAN, n_samples=1000, n_lags=30,
+              hmc={"epsilon": 0.5, "steps": 3, "beta": 0.4})),
+        ("tune", dict(TUNE_GAUSSIAN, budget=2.0, space={"steps": [3.0, 5.0]},
+                      eval={"n_samples": 5e2, "n_lags": 30.0}),
+         dict(TUNE_GAUSSIAN, budget=2, space={"steps": [3, 5]},
+              eval={"n_samples": 500, "n_lags": 30})),
+        ("spectral-gap", {"sizes": [5.0], "draws_per_size": 2.0},
+         {"sizes": [5], "draws_per_size": 2}),
+    ],
+    ids=["sample", "autocorr", "tune", "spectral-gap"],
+)
+def test_integral_float_is_the_same_config(tmp_path, capsys, command, integral_floats, ints):
+    # 1e3 and 1000 are one JSON number: the same run, the same config_hash
+    outputs = []
+    for name, config in (("floats", integral_floats), ("ints", ints)):
+        run_dir = tmp_path / name
+        run_dir.mkdir()
+        cfg = write_config(tmp_path / f"{name}.json", config)
+        assert main([command, cfg, "--out", str(run_dir / "out")]) == 0
+        outputs.append({p.name: p.read_bytes() for p in sorted(run_dir.iterdir())})
+    assert outputs[0] == outputs[1] and outputs[0]
+    assert b"config_hash" in b"".join(outputs[0].values())
+
+
+@pytest.mark.parametrize(
+    "command, config, owner, name, error",
+    [
+        ("spectral-gap", {"sizes": [5], "draws_per_size": 2}, ladder, "ladder_spectral_gap",
+         DegenerateLadderError("a rung has no outgoing transitions")),
+        ("tune", TUNE_GAUSSIAN, tuner, "evaluate_trial",
+         DegenerateChainError("chain has a zero-variance dimension")),
+    ],
+    ids=["spectral-gap", "tune"],
+)
+def test_numerical_error_of_the_work_exits_2(tmp_path, capsys, monkeypatch, command, config,
+                                             owner, name, error):
+    # the experiment's own checks report a ValueError as a config error; these
+    # ValueErrors of the work it runs are numerical
+    def fail(*args):
+        raise error
+
+    monkeypatch.setattr(owner, name, fail)
+    cfg = write_config(tmp_path / "c.json", config)
+    assert main([command, cfg, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"numerical error: {error}\n"
     assert [p.name for p in tmp_path.iterdir()] == ["c.json"]

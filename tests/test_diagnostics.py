@@ -89,6 +89,20 @@ class TestAutocorrelation:
         with pytest.raises(DecayFitError, match="^every lag maps to the first sample"):
             autocorrelation(x, evals, max_lag_evals=2.4, n_lags=40)
 
+    @pytest.mark.parametrize("max_lag_evals, reason", [
+        (2.6, "too short$"),
+        (1e308, "too long, and every lag past the chain's span maps to its last sample$"),
+        (39 * 0.6 * 995, "too long"),  # grid steps of 0.6 spans: the lags reach 3 samples
+    ])
+    def test_window_error_names_its_cause(self, max_lag_evals, reason):
+        # past the chain's span every lag maps to the last sample, so a window
+        # can reach fewer than 4 samples by being too long
+        x = ar1_chain(0.5, 200, seed=6)
+        evals = 5 * np.arange(1, 201)  # a span of 995 evaluations
+        with pytest.raises(DecayFitError, match=f"^the lags reach fewer than 4 samples: "
+                                                f"max_lag_evals is {reason}"):
+            autocorrelation(x, evals, max_lag_evals=max_lag_evals, n_lags=40)
+
     def test_fewer_lags_than_a_fit_needs_rejected(self):
         x = ar1_chain(0.5, 200, seed=6)
         with pytest.raises(ValueError, match="^need at least 4 lags$"):

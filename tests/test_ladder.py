@@ -496,13 +496,15 @@ class TestExperiment:
             random_ladder_experiment(sizes=[5], draws_per_size=0)
 
     @pytest.mark.parametrize("sizes, draws, message", [
-        ([5.9], 1, "integers"),  # not truncated to k=5
+        ([5.9], 1, r"^sizes\[0\] must be an integer$"),  # not truncated to k=5
         ([], 1, "at least one"),  # not an empty result
-        ([5], 2.5, "integers"),  # not a TypeError from SeedSequence.spawn
-        ([5], True, "integers"),  # not one draw
-        ([True, 5], 1, "integers"),  # not a ladder of 1 rung
-        ([5, np.True_], 1, "integers"),
-    ])
+        ([5], 2.5, "^draws_per_size must be an integer$"),  # not a TypeError from SeedSequence.spawn
+        ([5], True, "^draws_per_size must be an integer, not a bool$"),  # not one draw
+        ([True, 5], 1, r"^sizes\[0\] must be an integer, not a bool$"),  # not a ladder of 1 rung
+        ([5, np.True_], 1, r"^sizes\[1\] must be an integer$"),
+        ([5, 2], 1, r"^sizes\[1\] must be at least 3$"),
+    ], ids=["sizes0-1-integers", "sizes1-1-at least one", "sizes2-2.5-integers",
+            "sizes3-True-integers", "sizes4-1-integers", "sizes5-1-integers", "sizes6-1-at least 3"])
     def test_malformed_input_is_refused(self, sizes, draws, message):
         with pytest.raises(ValueError, match=message):
             random_ladder_experiment(sizes=sizes, draws_per_size=draws)

@@ -395,12 +395,8 @@ def test_kernel_returns_the_generic_endpoint_and_its_energy(ef, epsilon, steps):
         except IntegrationError as generic:
             with pytest.raises(IntegrationError) as kernel:
                 ef.trajectory(x0, v0, grad, epsilon, steps)
-            if isinstance(ef, RoughWell):
-                # math.sin(inf) stops the float kernel where the generic loop runs on in nan
-                assert not np.isfinite(kernel.value.x).all()
-            else:
-                np.testing.assert_array_equal(kernel.value.x, generic.x)
-                np.testing.assert_array_equal(kernel.value.v, generic.v)
+            np.testing.assert_array_equal(kernel.value.x, generic.x)  # nan where nan
+            np.testing.assert_array_equal(kernel.value.v, generic.v)
             continue
         out = ef.trajectory(x0, v0, grad, epsilon, steps)
         for a, b in zip(out, (x, v, g, ef.energy(x)), strict=True):

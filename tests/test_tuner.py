@@ -27,6 +27,13 @@ def test_space_validation():
         SearchSpace(steps_range=(5, 2))
 
 
+@pytest.mark.parametrize("epsilon_range", [(0.1, np.inf), (np.inf, np.inf), (0.1, np.nan)])
+def test_space_epsilon_range_must_be_finite(epsilon_range):
+    # (0.1, inf) used to be accepted, and draw died in numpy with an OverflowError
+    with pytest.raises(ValueError, match=r"^epsilon_range must satisfy 0 < lo <= hi < inf$"):
+        SearchSpace(epsilon_range=epsilon_range)
+
+
 @pytest.mark.parametrize("steps_range", [(2.5, 10), (2, 10.5), (True, 3), (2, True), ("2", 10)])
 def test_space_steps_range_must_be_integers(steps_range):
     # (2.5, 10) and (True, 3) used to be accepted, and draw sampled from them
