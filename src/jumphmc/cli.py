@@ -287,12 +287,8 @@ def cmd_tune(fields: dict, trials_path: str, best_path: str) -> int:
     space = _build("tune config.space", SearchSpace, **ranges)
     eval_config = _build("tune config.eval", TuningEvalConfig, **fields.get("eval", {}))
     seed = fields["seed"]
-    try:
-        best, trials = _build("tune config", random_search, space, fields["budget"],
-                              fields["sampler"], ef, eval_config, seed=seed)
-    except RuntimeError as err:
-        print(f"numerical error: {err}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    best, trials = _build("tune config", random_search, space, fields["budget"],
+                          fields["sampler"], ef, eval_config, seed=seed)
     write_trials_csv(trials_path, trials, config=fields, seed=seed)
     write_best_json(best_path, best, trials, fields, seed)
     print(f"wrote {trials_path} and {best_path} (best objective {best.objective:.6g})")

@@ -65,13 +65,15 @@ class EnergyFunction(abc.ABC):
 
         Each step is the half-kick / drift / half-kick scheme.  The closing
         half-kick of one step and the opening half-kick of the next use the
-        same gradient, so they are applied as one full kick: a half-kick at
-        each end and ``steps - 1`` full kicks in between, ``steps`` gradient
-        evaluations in all.  Returns fresh (x, v, grad) at the endpoint and
-        the endpoint's potential E(x), which may be inf, and leaves the
-        inputs untouched.  Both shipped targets run the same IEEE operations
-        in faster kernels of their own and take the potential from the
-        formula their :meth:`energy` uses, so they return the same bits.
+        same gradient, so they are applied as one full kick: after the
+        opening half-kick, one loop drifts, evaluates the gradient and kicks
+        by ``epsilon`` for each of the first ``steps - 1`` steps and by
+        ``epsilon / 2``, the closing half-kick, for the last.  Returns fresh
+        (x, v, grad) at the endpoint and the endpoint's potential E(x),
+        which may be inf, and leaves the inputs untouched.  Both shipped
+        targets run these IEEE operations in this order in faster kernels
+        of their own and take the potential from the formula their
+        :meth:`energy` uses, so they return the same bits.
 
         Raises
         ------
@@ -89,13 +91,11 @@ class EnergyFunction(abc.ABC):
         with np.errstate(over="ignore", invalid="ignore"):
             g = grad
             v -= half * g
-            for _ in range(steps - 1):
+            # a list, not a tuple: CPython 3.11 keeps 2,000 freed 20-tuples and reuses none
+            for kick in [epsilon] * (steps - 1) + [half]:
                 x += epsilon * v
                 g = self.gradient(x)
-                v -= epsilon * g
-            x += epsilon * v
-            g = self.gradient(x)
-            v -= half * g
+                v -= kick * g
         if not (np.isfinite(x).all() and np.isfinite(v).all() and np.isfinite(g).all()):
             raise _integration_error(x, v)
         return x, v, g, self.energy(x)
@@ -158,7 +158,7 @@ class RoughWell(EnergyFunction):
                          for xi in _check_dim(x, 2).tolist()])
 
     def trajectory(self, x, v, grad, epsilon, steps):
-        """The leapfrog loop of :meth:`EnergyFunction.trajectory` on Python floats.
+        """The one loop of :meth:`EnergyFunction.trajectory` on Python floats.
 
         On two coordinates numpy's per-call overhead dwarfs the arithmetic.
         The scalar updates are the same IEEE operations as the array ones,
@@ -174,19 +174,13 @@ class RoughWell(EnergyFunction):
         try:
             v0 -= half * g0
             v1 -= half * g1
-            for _ in range(steps - 1):
+            for kick in [eps] * (steps - 1) + [half]:
                 x0 += eps * v0
                 x1 += eps * v1
                 g0 = c * x0 - f * sin(f * x0)  # gradient's formula, without the call
                 g1 = c * x1 - f * sin(f * x1)
-                v0 -= eps * g0
-                v1 -= eps * g1
-            x0 += eps * v0
-            x1 += eps * v1
-            g0 = c * x0 - f * sin(f * x0)
-            g1 = c * x1 - f * sin(f * x1)
-            v0 -= half * g0
-            v1 -= half * g1
+                v0 -= kick * g0
+                v1 -= kick * g1
         except ValueError:
             # math.sin(inf) raises where np.sin gives nan: the position has
             # overflowed, and the generic loop raises with the state it runs on to.
@@ -229,7 +223,7 @@ class DiagonalGaussian(EnergyFunction):
         return self.precision_diag * _check_dim(x, self.dim)
 
     def trajectory(self, x, v, grad, epsilon, steps):
-        """:meth:`EnergyFunction.trajectory` with g = p x inline and no temporaries.
+        """:meth:`EnergyFunction.trajectory`'s one loop with g = p x inline and no temporaries.
 
         The step sizes are 0-d float64 arrays: numpy multiplies by one in
         about half the time it takes to convert a Python float, with the
@@ -242,13 +236,10 @@ class DiagonalGaussian(EnergyFunction):
         g, t = np.empty_like(x), np.empty_like(x)
         with np.errstate(over="ignore", invalid="ignore"):  # out= given by position: faster
             sub(v, mul(half, grad, t), v)
-            for _ in range(steps - 1):
+            for kick in [eps] * (steps - 1) + [half]:
                 add(x, mul(eps, v, t), x)
                 mul(p, x, g)
-                sub(v, mul(eps, g, t), v)
-            add(x, mul(eps, v, t), x)
-            mul(p, x, g)
-            sub(v, mul(half, g, t), v)
+                sub(v, mul(kick, g, t), v)
             potential = self._potential(x)
         if not (np.isfinite(x).all() and np.isfinite(v).all() and np.isfinite(g).all()):
             raise _integration_error(x, v)

@@ -165,15 +165,16 @@ def ladder_chain(ladder: Ladder, sampler: str) -> np.ndarray:
     return chain
 
 
-def _split_offdiag(rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The off-diagonal part of ``rates`` and its column totals, each state's
-    total outgoing rate; raises if a state has none."""
+def _embedded(rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(embedded_chain(rates), holding_time_diag(rates))`` from one split of
+    ``rates`` into its off-diagonal part and each state's total outgoing rate;
+    raises if a state has none."""
     off = rates.copy()
     np.fill_diagonal(off, 0.0)
     totals = off.sum(axis=0)
     if np.any(totals <= 0):
         raise DegenerateLadderError("a state has no outgoing transitions")
-    return off, totals
+    return off / totals, 1.0 / totals
 
 
 def embedded_chain(rates: np.ndarray) -> np.ndarray:
@@ -184,13 +185,12 @@ def embedded_chain(rates: np.ndarray) -> np.ndarray:
     T[i, j] = rate(i, j) / total(j) with a zero diagonal (no
     self-transitions).
     """
-    off, totals = _split_offdiag(rates)
-    return off / totals
+    return _embedded(rates)[0]
 
 
 def holding_time_diag(rates: np.ndarray) -> np.ndarray:
     """Expected holding time of each state: one over its total outgoing rate."""
-    return 1.0 / _split_offdiag(rates)[1]
+    return _embedded(rates)[1]
 
 
 def spectral_gap(chain: np.ndarray) -> float:
@@ -218,8 +218,7 @@ def similarity_check(rates: np.ndarray) -> float:
     The sample-evolution chain D T D^-1 is similar to the embedded chain T,
     so the two spectra must agree as multisets: the distance is rounding noise.
     """
-    off, totals = _split_offdiag(rates)
-    t_hat, d = off / totals, 1.0 / totals  # embedded_chain and holding_time_diag
+    t_hat, d = _embedded(rates)
     t_scaled = (d[:, None] * t_hat) / d[None, :]
     return spectral_distance(np.linalg.eigvals(t_hat), np.linalg.eigvals(t_scaled))
 
@@ -276,8 +275,7 @@ def embedded_fixed_point_check(rates: np.ndarray, ladder: Ladder) -> float:
     The embedded chain's stationary distribution is the target scaled by
     inverse holding times; returns max |T p - p| / max p for that p.
     """
-    off, totals = _split_offdiag(rates)
-    t_hat, d = off / totals, 1.0 / totals  # embedded_chain and holding_time_diag
+    t_hat, d = _embedded(rates)
     p_hat = ladder_stationary(ladder) / d
     return float(np.max(np.abs(t_hat @ p_hat - p_hat)) / p_hat.max())
 

@@ -154,9 +154,9 @@ def random_search(
     """Sample ``budget`` settings and return (best trial, all trials).
 
     The best trial minimizes the decay-rate objective over trials that
-    completed.  Raises if every trial failed.  The trials run longest
-    first, by ``steps``, so that a long trial does not start last and
-    leave the other processes idle; they are returned in draw order.
+    completed; DecayFitError if none did.  The trials run longest first,
+    by ``steps``, so that a long trial does not start last and leave the
+    other processes idle; they are returned in draw order.
     """
     check_count("budget", budget)
     master = np.random.default_rng(seed)
@@ -173,6 +173,6 @@ def random_search(
     trials = [trial for _, trial in sorted(zip(order, done), key=lambda pair: pair[0])]
     ok = [t for t in trials if t.status == "ok"]
     if not ok:
-        raise RuntimeError("all tuning trials failed")
+        raise DecayFitError("all tuning trials failed")
     best = min(ok, key=lambda t: t.objective)
     return best, trials

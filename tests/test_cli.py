@@ -1,4 +1,5 @@
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -495,6 +496,20 @@ class TestTune:
         cfg = write_config(tmp_path / "c.json", dict(TUNE_GAUSSIAN, budget=3, space=space))
         assert main(["tune", cfg, "--out", str(tmp_path / "t")]) == 2
         assert capsys.readouterr().err == "numerical error: all tuning trials failed\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
+    def test_a_dead_worker_is_not_a_numerical_error(self, tmp_path, capsys, monkeypatch,
+                                                    use_cpus, in_workers):
+        # a worker that ends without sending its results is no fault of the
+        # numbers: its RuntimeError propagates, as from sample and spectral-gap
+        use_cpus(2)
+        monkeypatch.setattr(tuner, "evaluate_trial",
+                            in_workers(lambda *args: os._exit(1), tuner.evaluate_trial))
+        cfg = write_config(tmp_path / "c.json", dict(TUNE_GAUSSIAN, budget=4))
+        with pytest.raises(RuntimeError, match="^a worker process ended without sending") as caught:
+            main(["tune", cfg, "--out", str(tmp_path / "t")])
+        assert type(caught.value) is RuntimeError
+        assert "numerical error:" not in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
 
     def test_hash_covers_validated_values(self, tmp_path):

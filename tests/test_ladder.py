@@ -408,8 +408,8 @@ def test_check_splits_the_rate_matrix_once(monkeypatch, check):
     rates = build_mjhmc_rate_matrix(random_ladder(9, 4))
     expected = check(rates)
     calls = []
-    split = ladder_module._split_offdiag
-    monkeypatch.setattr(ladder_module, "_split_offdiag", lambda r: calls.append(1) or split(r))
+    split = ladder_module._embedded
+    monkeypatch.setattr(ladder_module, "_embedded", lambda r: calls.append(1) or split(r))
     assert check(rates) == expected
     assert len(calls) == 1
 

@@ -312,7 +312,7 @@ def test_fused_kicks_match_two_half_kick_loop(ef):
 
 
 @pytest.mark.parametrize("epsilon", [0.5, 3.0])
-@pytest.mark.parametrize("steps", [1, 25])
+@pytest.mark.parametrize("steps", [1, 2, 25])
 def test_rough_well_trajectory_matches_generic_loop(epsilon, steps):
     # the scalar-float kernel performs the numpy loop's operations in the
     # same order, so the two agree bit for bit
@@ -378,6 +378,41 @@ def test_rough_well_overflow_raises_integration_error():
 
 
 SHIPPED_KERNELS = [RoughWell()] + [DiagonalGaussian(np.logspace(0.0, 2.0, dim)) for dim in (1, 2, 50)]
+
+
+def two_block_leapfrog(ef, x, v, grad, epsilon, steps):
+    """Reference: the fused-kick loop with its closing half-kick written as a
+    second block after ``steps - 1`` full kicks, in the order of IEEE operations
+    the kernels must keep."""
+    half = 0.5 * epsilon
+    x, v = x.copy(), v.copy()
+    v -= half * grad
+    for _ in range(steps - 1):
+        x += epsilon * v
+        g = ef.gradient(x)
+        v -= epsilon * g
+    x += epsilon * v
+    g = ef.gradient(x)
+    v -= half * g
+    return x, v, g, ef.energy(x)
+
+
+@pytest.mark.parametrize("ef", SHIPPED_KERNELS, ids=["rough", "gaussian-1", "gaussian-2", "gaussian-50"])
+@pytest.mark.parametrize("epsilon", [0.05, 3.0])
+@pytest.mark.parametrize("steps", [1, 2, 25])
+def test_kernels_match_the_two_block_loop(ef, epsilon, steps):
+    # the one loop runs the two-block form's operations, so the
+    # generic loop and both kernels agree with it bit for bit; epsilon 3 is past
+    # every shipped target's stability limit
+    rng = np.random.default_rng(59)
+    for _ in range(10):
+        x0, v0 = 3.0 * rng.standard_normal(ef.dim), rng.standard_normal(ef.dim)
+        grad = ef.gradient(x0)
+        ref = two_block_leapfrog(ef, x0, v0, grad, epsilon, steps)
+        assert np.isfinite(np.concatenate(ref[:3])).all()
+        for run in (ef.trajectory, lambda *a: EnergyFunction.trajectory(ef, *a)):
+            for a, b in zip(run(x0, v0, grad, epsilon, steps), ref, strict=True):
+                np.testing.assert_array_equal(a, b)
 
 
 @pytest.mark.parametrize("ef", SHIPPED_KERNELS, ids=["rough", "gaussian-1", "gaussian-2", "gaussian-50"])

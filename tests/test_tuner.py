@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from jumphmc import (
+    DecayFitError,
     DiagonalGaussian,
     RoughWell,
     SamplerConfig,
@@ -164,7 +165,7 @@ def test_failed_trials_are_recorded_not_fatal():
     # F rate at exactly 0, so the positions never vary) and the third raises
     # IntegrationError
     space = SearchSpace(epsilon_range=(80.0, 100.0), beta_range=(0.1, 0.2), steps_range=(30, 50))
-    with pytest.raises(RuntimeError):
+    with pytest.raises(DecayFitError, match="^all tuning trials failed$"):
         random_search(space, 3, "mjhmc", GAUSS_1D, FAST_EVAL, seed=0)
 
 
