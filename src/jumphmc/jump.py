@@ -25,6 +25,13 @@ comparison uses.  Accept, reject and redraw are the L, F and R rules of
 :class:`StateCache`, so both samplers keep their state in the same cache,
 and one :class:`SamplerConfig` describes a chain of either.  A chain
 starts from two arrays, x and v, and a cached state is a plain tuple.
+
+Between two redraws both samplers walk one orbit {F^s L^n zeta_R}, and the
+cache keeps every node of it that the walk has reached.  So each node is
+integrated once per redraw epoch, and an F followed by L returns the
+stored node itself rather than a re-integrated copy, which differs from it
+where the leapfrog round trip is not reversible in floating point (past
+the target's stability limit).
 """
 
 from __future__ import annotations
@@ -108,73 +115,110 @@ def _node(x: np.ndarray, v: np.ndarray, grad: np.ndarray, potential: float) -> t
     return (x, v, grad, potential, h)
 
 
-def _flipped(node: Optional[tuple]) -> Optional[tuple]:
-    """The node of the flipped state: |v|^2 is exactly invariant under negation."""
-    if node is None:
-        return None
-    x, v, grad, potential, h = node
-    return (x, -v, grad, potential, h)
-
-
 class StateCache:
-    """The current state and its two neighbors, integrated on demand.
+    """The orbit of the current state since the last momentum redraw.
 
-    ``current``, ``forward`` (L of the current state) and ``backward``
-    (L^-1 of it) are nodes: plain tuples ``(x, v, grad, potential, h)`` of
-    the position, the momentum, the gradient at x, the potential E(x) and
-    the total energy H = E(x) + |v|^2 / 2.  A neighbor is ``None`` until
-    :meth:`fill` integrates it; its potential is the one the trajectory
-    returns, and only the chain start's comes from ``energy()``
-    (:func:`init_cache`).  Nothing writes into a node's arrays, so
-    nodes share them.  Each transition kind has one update rule, applied in
-    place, and no rule integrates:
+    Between two R transitions the chain walks one orbit, the states
+    F^s L^n zeta_R of the state zeta_R that the redraw (or the chain
+    start) left: the state ladder of the paper's spectral-gap argument and
+    of :mod:`jumphmc.ladder`.  The cache stores every node of that orbit
+    the epoch has reached, keyed by n, and the current position ``(n, d)``
+    on it: orientation d = +1 is the node L^n zeta_R and d = -1 its flip
+    F L^n zeta_R.  Since L(F L^n zeta) = F L^(n-1) zeta, in orientation d
+    the leapfrog image of the node at n is the node at n + d and its
+    inverse the node at n - d.
 
-    - L (:meth:`leap`): the forward node becomes current and the previous
-      current node becomes backward; the new forward node is missing.
-    - F (:meth:`flip`): since L(F zeta) = F L^-1 zeta and L^-1(F zeta) =
-      F L zeta, the new forward node is the old backward node flipped and
-      the new backward node is the old forward node flipped.  A flip
-      negates v and keeps the potential, the total energy and the
-      gradient, so nothing is evaluated.
-    - R (:meth:`redraw`): the momentum is redrawn and both neighbors are
-      missing.
+    A node is a plain tuple ``(x, v, grad, potential, h)`` of the
+    position, the momentum, the gradient at x, the potential E(x) and the
+    total energy H = E(x) + |v|^2 / 2.  ``current``, ``forward`` and
+    ``backward`` are the stored nodes at n, n + d and n - d in orientation
+    d, or ``None`` where the epoch has not reached that node yet.  A node's
+    potential is the one its trajectory returns; only the chain start's
+    comes from ``energy()`` (:func:`init_cache`).  A flip negates v and
+    keeps the gradient, the potential and H bit for bit, so the flipped
+    orientation of a stored node is built, once, from the other one.
+    Nothing writes into a node's arrays, so nodes share them.  Each
+    transition kind has one rule, applied in place, and no rule
+    integrates:
+
+    - L (:meth:`leap`): n += d;
+    - F (:meth:`flip`): d = -d;
+    - R (:meth:`redraw`): the momentum is redrawn and a new orbit starts
+      at n = 0, d = +1, holding only the new current node.
+
+    :meth:`fill` is the one place that integrates, and only a neighbor the
+    epoch has not reached.  So every node is integrated at most once per
+    epoch, and a walk that turns back with F retraces the stored nodes
+    exactly, also where the leapfrog round trip is not reversible in
+    floating point.  Memory is bounded by the nodes of one epoch.
     """
 
-    __slots__ = ("current", "forward", "backward")
+    __slots__ = ("current", "forward", "backward", "n", "d", "_nodes", "_flips")
 
-    def __init__(self, current: tuple, forward: Optional[tuple], backward: Optional[tuple]):
+    def __init__(self, current: tuple, forward: Optional[tuple] = None,
+                 backward: Optional[tuple] = None):
+        # the stored nodes in orientation d and in orientation -d, both keyed by n
+        self._nodes, self._flips = {}, {}
+        self.n, self.d = 0, 1
         self.current, self.forward, self.backward = current, forward, backward
+        for n, node in ((0, current), (1, forward), (-1, backward)):
+            if node is not None:
+                self._nodes[n] = node
+
+    def __len__(self) -> int:
+        """The number of orbit nodes stored, counting a node once in either orientation."""
+        return len(self._nodes.keys() | self._flips.keys())
+
+    def _at(self, n: int) -> Optional[tuple]:
+        """The node at n in orientation d, or ``None`` where the epoch has not reached n."""
+        node = self._nodes.get(n)
+        if node is None and n in self._flips:
+            x, v, grad, potential, h = self._flips[n]
+            node = self._nodes[n] = (x, -v, grad, potential, h)
+        return node
 
     def leap(self) -> None:
-        self.current, self.forward, self.backward = self.forward, None, self.current
+        n = self.n = self.n + self.d
+        self.current, self.backward = self.forward, self.current
+        # no flip lookup while no flipped node is stored, as on most control steps
+        self.forward = self._at(n + self.d) if self._flips else self._nodes.get(n + self.d)
 
     def flip(self) -> None:
-        self.current, self.forward, self.backward = (
-            _flipped(self.current), _flipped(self.backward), _flipped(self.forward)
-        )
+        d = self.d = -self.d
+        n = self.n
+        self._nodes, self._flips = self._flips, self._nodes
+        self.current, self.forward, self.backward = self._at(n), self._at(n + d), self._at(n - d)
 
     def redraw(self, rng: np.random.Generator) -> None:
         x, _, grad, potential, _ = self.current
         v = rng.standard_normal(x.size)
-        self.current = (x, v, grad, potential, potential + kinetic_energy(v))
+        self.current = node = (x, v, grad, potential, potential + kinetic_energy(v))
         self.forward = self.backward = None
+        self.n, self.d = 0, 1
+        self._nodes.clear()
+        if self._flips:
+            self._flips.clear()
+        self._nodes[0] = node
 
     def fill(self, ef: EnergyFunction, epsilon: float, steps: int, backward: bool = False) -> None:
-        """Integrate the missing forward node, then the missing backward node if asked.
+        """Integrate the forward node if the epoch lacks it, then the backward node if asked.
 
         The jump sampler needs both neighbors, the HMC control only the
         forward one, its proposal.  Each node's H is its trajectory's
-        endpoint potential plus |v|^2 / 2.  A fill that raises leaves the
-        cache as it was.
+        endpoint potential plus |v|^2 / 2.  The backward trajectory starts
+        from the flipped current node, so it yields the node at n - d in
+        orientation -d, and both orientations are stored.  A trajectory
+        that raises stores nothing.
         """
         x, v, grad, _, _ = self.current
-        fwd, bwd = self.forward, self.backward
-        if fwd is None:
-            fwd = _node(*ef.trajectory(x, v, grad, epsilon, steps))
-        if backward and bwd is None:
+        if self.forward is None:
+            self.forward = self._nodes[self.n + self.d] = _node(
+                *ef.trajectory(x, v, grad, epsilon, steps))
+        if backward and self.backward is None:
             xb, vb, gb, potential = ef.trajectory(x, -v, grad, epsilon, steps)
-            bwd = _node(xb, -vb, gb, potential)
-        self.forward, self.backward = fwd, bwd
+            n = self.n - self.d
+            bwd = self.backward = self._nodes[n] = _node(xb, -vb, gb, potential)
+            self._flips[n] = (xb, vb, gb, potential, bwd[4])
 
 
 def init_cache(x: np.ndarray, v: np.ndarray, ef: EnergyFunction) -> StateCache:
@@ -183,7 +227,7 @@ def init_cache(x: np.ndarray, v: np.ndarray, ef: EnergyFunction) -> StateCache:
     Its potential is the chain's one ``energy()`` call.  Raises
     IntegrationError, carrying the start, where its total energy is not finite.
     """
-    return StateCache(_node(x, v, ef.gradient(x), ef.energy(x)), None, None)
+    return StateCache(_node(x, v, ef.gradient(x), ef.energy(x)))
 
 
 def _log_rates(cache: StateCache) -> tuple[float, float]:
@@ -242,8 +286,10 @@ def step(
     where a rate overflows.  Ties (a measure-zero event) resolve with the
     fixed priority L > F > R.  The cache must hold both neighbors; it is
     updated in place by the rule of the winning kind (see
-    :class:`StateCache`) and filled again, so an L transition costs one
-    leapfrog integration, an F transition none, an R transition two.
+    :class:`StateCache`) and filled again.  So an L transition costs one
+    leapfrog integration when its new forward neighbor is a node the epoch
+    has not reached, and none otherwise; an F transition costs none, and an
+    R transition two.
     """
     wait_L, wait_F, wait_R = _log_waiting_times(*_log_rates(cache), config.beta, rng)
     kind, shortest = ("F", wait_F) if wait_F < wait_L else ("L", wait_L)
@@ -362,10 +408,11 @@ def hmc_chain(
     Row i is the state after step i, with holding time 1 and transition L
     (accepted) or F (rejected).  A step fills only the cache's forward node,
     its proposal, so it costs the gradient evaluations of at most one
-    leapfrog application, and none when the proposal is already cached.
-    After a rejection it usually is: the F rule makes the old backward node,
-    flipped, the next proposal, so after an accepted step the proposal
-    L(F L zeta) = F zeta is the stored earlier state flipped.
+    leapfrog application, and none when the proposal is a node of the
+    orbit that the walk has reached since the last redraw.  After a
+    rejection it usually is: the walk turns back along stored nodes, so
+    after an accepted step the proposal L(F L zeta) = F zeta is the stored
+    earlier state flipped.
     """
 
     def rows(counter, rng):

@@ -52,6 +52,29 @@ class TestSample:
         assert meta["seed"] == 3
         assert "gradient_count_convention" in meta
 
+    @pytest.mark.parametrize("sampler, epsilon, beta", [
+        ("mjhmc", 3.0, 0.012314), ("hmc", 0.591686, 0.429956),
+    ])
+    def test_metadata_splits_gradient_evals_by_kind(self, tmp_path, sampler, epsilon, beta):
+        # the split is summed from the CSV's running count, so it adds up to the total
+        config = {"sampler": sampler, "model": {"name": "rough_well"}, "epsilon": epsilon,
+                  "steps": 25, "beta": beta, "n_samples": 600, "seed": 4}
+        out = tmp_path / "run"
+        assert main(["sample", write_config(tmp_path / "c.json", config), "--out", str(out)]) == 0
+        counts = json.loads(Path(f"{out}.json").read_text())["counts"]
+        by_kind = counts["gradient_evals_by_kind"]
+        assert sum(by_kind.values()) == counts["gradient_evals"]
+        columns, rows = read_csv_rows(f"{out}.csv")
+        evals = [int(row[columns.index("gradient_evals")]) for row in rows]
+        assert by_kind["start"] == evals[0]
+        if sampler == "mjhmc":
+            kinds = [row[columns.index("transition")] for row in rows]
+            assert set(by_kind) == {"start", "L", "F", "R"}
+            assert by_kind["F"] == 0  # a flip reuses both neighbors
+            assert by_kind["R"] == 2 * 25 * kinds[1:].count("R")
+        else:
+            assert set(by_kind) == {"start", "L", "F"}
+
     def test_repeated_seed_identical_files(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", GAUSSIAN_SAMPLE)
         a, b = tmp_path / "a", tmp_path / "b"

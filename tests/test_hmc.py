@@ -122,14 +122,31 @@ def test_rejection_flips_momentum():
 
 
 def test_proposal_integrated_only_after_acceptance():
-    # Without redraws, an accepted step leaves the next proposal missing
-    # (L rule), and a rejected one hands the next step its proposal from
-    # the cache (F rule: the old backward node flipped, which the cache
-    # holds once the first step has run).  So from the third step on, a
-    # step costs ``steps`` exactly when the step before it was accepted.
+    # Without redraws the walk stays on one orbit, n = 0, 1, -1, ..., and
+    # the cache keeps every node it has reached, a run lo..hi around the
+    # start.  A step integrates its proposal n + d only when that lies
+    # outside the run; an accepted step moves to it (n += d), a rejected one
+    # turns back (d = -d).  So once both neighbors of the start are known,
+    # only a step after an accepted one can reach a new node.
     config, _, chain = rejecting_chain()
+    n, d, lo, hi = 0, 1, 0, 0
+    costs = []
+    for kind in chain.transitions:
+        proposal = n + d
+        cost = 0
+        if not lo <= proposal <= hi:
+            lo, hi, cost = min(lo, proposal), max(hi, proposal), config.steps
+        if kind == "L":
+            n = proposal
+        else:
+            d = -d
+        costs.append(cost)
+    costs = np.array(costs)
+    assert chain.gradient_evals[0] == 1 + costs[0]
+    np.testing.assert_array_equal(np.diff(chain.gradient_evals), costs[1:])
+    assert np.any(costs == 0) and np.any(costs[1:] > 0)
     cost = np.diff(chain.gradient_evals)
-    np.testing.assert_array_equal(cost[1:], config.steps * (chain.transitions[1:-1] == "L"))
+    assert np.all(chain.transitions[1:-1][cost[1:] > 0] == "L")
 
 
 def test_gaussian_variance_recovered_when_cache_hits_dominate():

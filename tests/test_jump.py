@@ -399,20 +399,49 @@ def rough_chain(config=ROUGH_PUBLISHED):
     return run_chain(config, RoughWell(), np.zeros(2), v0)
 
 
+def orbit_costs(transitions, steps):
+    """Each row's gradient cost under the orbit rule, from the transition kinds alone.
+
+    Between redraws the nodes the chain has reached form one run n = lo..hi
+    of the orbit around its start, n = 0.  The cache update after an L
+    transition (n += d) integrates the new forward node n + d only when it
+    lies outside that run; F (d = -d) reuses both neighbors; R starts a new
+    orbit and integrates both neighbors of its start.
+    """
+    n, d, lo, hi = 0, 1, -1, 1
+    costs = []
+    for kind in transitions:
+        cost = 0
+        if kind == "L":
+            n += d
+            if not lo <= n + d <= hi:
+                lo, hi, cost = min(lo, n + d), max(hi, n + d), steps
+        elif kind == "F":
+            d = -d
+        else:
+            n, d, lo, hi, cost = 0, 1, -1, 1, 2 * steps
+        costs.append(cost)
+    return np.array(costs)
+
+
 class TestCacheRules:
     def test_gradient_cost_per_transition_kind(self):
         # the increment from row i-1 to row i is the cache update after row
-        # i's transition: L integrates forward, F reuses both, R rebuilds both
+        # i's transition: an L integrates only a node new to the epoch, F
+        # reuses both neighbors, R starts a new orbit
         chain = rough_chain()
         m = ROUGH_PUBLISHED.steps
-        cost = {"L": m, "F": 0, "R": 2 * m}
         kinds = chain.transitions
         counts = chain.transition_counts()
         assert set(counts) == {"L", "F", "R"}
-        np.testing.assert_array_equal(np.diff(chain.gradient_evals), [cost[k] for k in kinds[1:]])
+        costs = orbit_costs(kinds, m)
+        np.testing.assert_array_equal(np.diff(chain.gradient_evals), costs[1:])
         # the chain start pays g0 plus both neighbors
-        assert chain.gradient_evals[0] == 2 * m + 1 + cost[kinds[0]]
-        assert chain.energy_evals == 3 + counts["L"] + 2 * counts["R"]
+        assert chain.gradient_evals[0] == 2 * m + 1 + costs[0]
+        new_nodes = int(np.sum((kinds == "L") & (costs == m)))
+        assert chain.energy_evals == 3 + new_nodes + 2 * counts["R"]
+        # both kinds of L ran: some reached new nodes, some stored ones
+        assert 0 < new_nodes < counts["L"]
 
     @pytest.mark.parametrize("sampler", ["mjhmc", "hmc"])
     @pytest.mark.parametrize("target", [RoughWell, DiagonalGaussian])
@@ -486,6 +515,49 @@ class TestCacheRules:
         assert rows.size > 100
         np.testing.assert_array_equal(chain.positions[rows + 2], chain.positions[rows - 1])
         np.testing.assert_array_equal(chain.momenta[rows + 2], -chain.momenta[rows - 1])
+
+    @pytest.mark.parametrize("epsilon", [1.0, 2.0, 3.0])
+    def test_retrace_returns_the_stored_node(self, epsilon):
+        # After an F, the L transitions that walk back reach nodes the epoch
+        # already holds, and the chain's state there is the stored node, bit
+        # for bit.  A re-integrated node would differ: from epsilon 2 on the
+        # rough well's leapfrog round trip is not reversible in floating point.
+        chain = rough_chain(SamplerConfig("mjhmc", epsilon, 25, 0.012314, 3000, seed=5))
+        first = {}  # n -> (x, v in orientation +1) at the epoch's first visit of node n
+        n, d, previous, retraced = 0, 1, None, 0
+        for x, v, kind in zip(chain.positions, chain.momenta, chain.transitions):
+            if n not in first:
+                first[n] = (x, d * v)
+            elif previous == "L":
+                np.testing.assert_array_equal(x, first[n][0])
+                np.testing.assert_array_equal(d * v, first[n][1])
+                retraced += 1
+            if kind == "L":
+                n += d
+            elif kind == "F":
+                d = -d
+            else:
+                n, d, first = 0, 1, {}
+            previous = kind
+        assert retraced > 500
+
+    def test_redraw_keeps_only_the_new_orbit_start(self):
+        # memory is bounded by one epoch: R drops every node of the old orbit
+        ef = RoughWell()
+        config = SamplerConfig("mjhmc", epsilon=3.0, steps=25, beta=0.5, n_samples=1, seed=0)
+        cache = filled_cache((np.zeros(2), np.ones(2)), config, ef)
+        for _ in range(4):
+            cache.leap()
+            cache.fill(ef, config.epsilon, config.steps, backward=True)
+        cache.flip()
+        assert len(cache) == 7  # n = -1..5
+        x = cache.current[0]
+        cache.redraw(np.random.default_rng(0))
+        assert len(cache) == 1
+        assert cache.forward is None and cache.backward is None
+        assert cache.current[0] is x
+        cache.fill(ef, config.epsilon, config.steps, backward=True)
+        assert len(cache) == 3
 
     def test_flip_heavy_weighted_moments(self):
         # epsilon * sqrt(3.8) = 1.95, just inside the stability limit of 2:
