@@ -126,13 +126,14 @@ class StateCache:
     on it: orientation d = +1 is the node L^n zeta_R and d = -1 its flip
     F L^n zeta_R.  Since L(F L^n zeta) = F L^(n-1) zeta, in orientation d
     the leapfrog image of the node at n is the node at n + d and its
-    inverse the node at n - d.
+    inverse the node at n - d.  The walk moves by one node at a time, so
+    the nodes an epoch has reached are one run n = lo..hi around its start.
 
     A node is a plain tuple ``(x, v, grad, potential, h)`` of the
     position, the momentum, the gradient at x, the potential E(x) and the
-    total energy H = E(x) + |v|^2 / 2.  ``current``, ``forward`` and
-    ``backward`` are the stored nodes at n, n + d and n - d in orientation
-    d, or ``None`` where the epoch has not reached that node yet.  A node's
+    total energy H = E(x) + |v|^2 / 2.  ``current`` is the stored node at
+    n in orientation d; ``forward`` and ``backward``, the nodes at n + d
+    and n - d, are ``None`` until :meth:`fill` sets them.  A node's
     potential is the one its trajectory returns; only the chain start's
     comes from ``energy()`` (:func:`init_cache`).  A flip negates v and
     keeps the gradient, the potential and H bit for bit, so the flipped
@@ -146,62 +147,55 @@ class StateCache:
     - R (:meth:`redraw`): the momentum is redrawn and a new orbit starts
       at n = 0, d = +1, holding only the new current node.
 
-    :meth:`fill` is the one place that integrates, and only a neighbor the
-    epoch has not reached.  So every node is integrated at most once per
+    :meth:`fill` is the one place that integrates, and only a neighbor
+    outside the run lo..hi.  So every node is integrated at most once per
     epoch, and a walk that turns back with F retraces the stored nodes
     exactly, also where the leapfrog round trip is not reversible in
     floating point.  Memory is bounded by the nodes of one epoch.
     """
 
-    __slots__ = ("current", "forward", "backward", "n", "d", "_nodes", "_flips")
+    __slots__ = ("current", "forward", "backward", "n", "d", "_lo", "_hi", "_nodes", "_flips")
 
     def __init__(self, current: tuple, forward: Optional[tuple] = None,
                  backward: Optional[tuple] = None):
-        # the stored nodes in orientation d and in orientation -d, both keyed by n
-        self._nodes, self._flips = {}, {}
-        self.n, self.d = 0, 1
         self.current, self.forward, self.backward = current, forward, backward
-        for n, node in ((0, current), (1, forward), (-1, backward)):
-            if node is not None:
-                self._nodes[n] = node
+        self.n, self.d, self._lo, self._hi = 0, 1, 0, 0
+        # the nodes of the run lo..hi, in orientation d and in orientation -d, keyed by n
+        self._nodes, self._flips = {0: current}, {}
+        if forward is not None:
+            self._nodes[1], self._hi = forward, 1
+        if backward is not None:
+            self._nodes[-1], self._lo = backward, -1
 
-    def __len__(self) -> int:
-        """The number of orbit nodes stored, counting a node once in either orientation."""
-        return len(self._nodes.keys() | self._flips.keys())
-
-    def _at(self, n: int) -> Optional[tuple]:
-        """The node at n in orientation d, or ``None`` where the epoch has not reached n."""
+    def _at(self, n: int) -> tuple:
+        """The node at n, a node of the run lo..hi, in orientation d."""
         node = self._nodes.get(n)
-        if node is None and n in self._flips:
+        if node is None:
             x, v, grad, potential, h = self._flips[n]
             node = self._nodes[n] = (x, -v, grad, potential, h)
         return node
 
     def leap(self) -> None:
-        n = self.n = self.n + self.d
-        self.current, self.backward = self.forward, self.current
-        # no flip lookup while no flipped node is stored, as on most control steps
-        self.forward = self._at(n + self.d) if self._flips else self._nodes.get(n + self.d)
+        self.n += self.d
+        self.current, self.forward, self.backward = self.forward, None, self.current
 
     def flip(self) -> None:
-        d = self.d = -self.d
-        n = self.n
+        self.d = -self.d
         self._nodes, self._flips = self._flips, self._nodes
-        self.current, self.forward, self.backward = self._at(n), self._at(n + d), self._at(n - d)
+        self.current, self.forward, self.backward = self._at(self.n), None, None
 
     def redraw(self, rng: np.random.Generator) -> None:
         x, _, grad, potential, _ = self.current
         v = rng.standard_normal(x.size)
         self.current = node = (x, v, grad, potential, potential + kinetic_energy(v))
         self.forward = self.backward = None
-        self.n, self.d = 0, 1
+        self.n, self.d, self._lo, self._hi = 0, 1, 0, 0
         self._nodes.clear()
-        if self._flips:
-            self._flips.clear()
+        self._flips.clear()
         self._nodes[0] = node
 
     def fill(self, ef: EnergyFunction, epsilon: float, steps: int, backward: bool = False) -> None:
-        """Integrate the forward node if the epoch lacks it, then the backward node if asked.
+        """Set the forward node, then the backward node if asked, integrating one outside lo..hi.
 
         The jump sampler needs both neighbors, the HMC control only the
         forward one, its proposal.  Each node's H is its trajectory's
@@ -210,15 +204,32 @@ class StateCache:
         orientation -d, and both orientations are stored.  A trajectory
         that raises stores nothing.
         """
+        n, d = self.n, self.d
         x, v, grad, _, _ = self.current
+        # the run, not a probe of both dicts, tells a new node: the control's
+        # proposals are almost all new, and two misses cost it about 1% per row
         if self.forward is None:
-            self.forward = self._nodes[self.n + self.d] = _node(
-                *ef.trajectory(x, v, grad, epsilon, steps))
+            k = n + d
+            if self._lo <= k <= self._hi:
+                self.forward = self._at(k)
+            else:
+                self.forward = self._nodes[k] = _node(*ef.trajectory(x, v, grad, epsilon, steps))
+                if k > self._hi:
+                    self._hi = k
+                else:
+                    self._lo = k
         if backward and self.backward is None:
-            xb, vb, gb, potential = ef.trajectory(x, -v, grad, epsilon, steps)
-            n = self.n - self.d
-            bwd = self.backward = self._nodes[n] = _node(xb, -vb, gb, potential)
-            self._flips[n] = (xb, vb, gb, potential, bwd[4])
+            k = n - d
+            if self._lo <= k <= self._hi:
+                self.backward = self._at(k)
+            else:
+                xb, vb, gb, potential = ef.trajectory(x, -v, grad, epsilon, steps)
+                node = self.backward = self._nodes[k] = _node(xb, -vb, gb, potential)
+                self._flips[k] = (xb, vb, gb, potential, node[4])
+                if k > self._hi:
+                    self._hi = k
+                else:
+                    self._lo = k
 
 
 def init_cache(x: np.ndarray, v: np.ndarray, ef: EnergyFunction) -> StateCache:
@@ -417,18 +428,21 @@ def hmc_chain(
 
     def rows(counter, rng):
         cache = init_cache(x0, v0, counter)
+        epsilon, steps, beta = config.epsilon, config.steps, config.beta
         while True:
-            cache.fill(counter, config.epsilon, config.steps)
+            cache.fill(counter, epsilon, steps)
             d_h = cache.forward[4] - cache.current[4]
-            u = rng.random()
-            # np.exp, not math.exp: they differ by 1 ulp on ~5% of inputs, which moves accepts
-            if d_h <= 0 or u < np.exp(-d_h):
+            # one call draws the accept and the redraw uniform: the values of two random() calls
+            u, u_redraw = rng.random(2).tolist()
+            # math.exp may differ from np.exp by 1 ulp, which moves an accept only
+            # when u falls between the two: about 1e-16 per step
+            if d_h <= 0 or u < math.exp(-d_h):
                 cache.leap()
                 kind = "L"
             else:
                 cache.flip()
                 kind = "F"
-            if rng.random() < config.beta:
+            if u_redraw < beta:
                 cache.redraw(rng)
             x, v, _, _, _ = cache.current
             yield x, v, 1.0, kind

@@ -258,13 +258,18 @@ def test_randomize_momentum_reproducible():
 
 
 def test_flip_is_involution():
-    # the F rule of the sampler cache negates the momentum and keeps the position
-    cache = free_cache((np.array([1.0, 2.0]), np.array([3.0, -4.0])))
+    # the F rule of the sampler cache negates the momentum and keeps the position;
+    # two flips hand back the stored neighbors, and filling them integrates nothing
+    ef = CountingEnergy(FreeParticle(2))
+    cache = filled_cache((np.array([1.0, 2.0]), np.array([3.0, -4.0])), 0.1, 1, ef)
     nodes = (cache.current, cache.forward, cache.backward)
+    calls = ef.gradient_calls
     cache.flip()
     np.testing.assert_array_equal(cache.current[0], [1.0, 2.0])
     np.testing.assert_array_equal(cache.current[1], [-3.0, 4.0])
     cache.flip()
+    cache.fill(ef, 0.1, 1, backward=True)
+    assert ef.gradient_calls == calls
     for node, before in zip((cache.current, cache.forward, cache.backward), nodes):
         for a, b in zip(node, before):
             np.testing.assert_array_equal(a, b)
