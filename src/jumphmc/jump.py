@@ -26,12 +26,12 @@ comparison uses.  Accept, reject and redraw are the L, F and R rules of
 and one :class:`SamplerConfig` describes a chain of either.  A chain
 starts from two arrays, x and v, and a cached state is a plain tuple.
 
-Between two redraws both samplers walk one orbit {F^s L^n zeta_R}, and the
-cache keeps every node of it that the walk has reached.  So each node is
-integrated once per redraw epoch, and an F followed by L returns the
-stored node itself rather than a re-integrated copy, which differs from it
-where the leapfrog round trip is not reversible in floating point (past
-the target's stability limit).
+Between two redraws both samplers walk one orbit {F^s L^n zeta_R}.  The
+cache is that orbit, each node stored once, and the walk's place (n, d) on
+it.  So each node is integrated once per redraw epoch, and an F followed by
+L returns the stored node itself rather than a re-integrated copy, which
+differs from it where the leapfrog round trip is not reversible in floating
+point (past the target's stability limit).
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -104,136 +104,106 @@ class SamplerConfig:
         check_count("n_samples", self.n_samples)
 
 
-def _node(x: np.ndarray, v: np.ndarray, grad: np.ndarray, potential: float) -> tuple:
-    """The node of (x, v) with gradient ``grad`` and potential E(x).
+def _node(x: np.ndarray, v: np.ndarray, grad: np.ndarray, potential: float, d: int = 1) -> tuple:
+    """The node of (x, v), with v in orientation +1, gradient ``grad`` and potential E(x).
 
-    Raises IntegrationError where the total energy is not finite.
+    Raises IntegrationError, carrying x and v in orientation d, where the
+    total energy is not finite.
     """
     h = potential + kinetic_energy(v)
     if not math.isfinite(h):
-        raise IntegrationError("non-finite energy encountered", x, v)
+        raise IntegrationError("non-finite energy encountered", x, v if d > 0 else -v)
     return (x, v, grad, potential, h)
 
 
 class StateCache:
-    """The orbit of the current state since the last momentum redraw.
+    """The orbit walked since the last momentum redraw, and the walk's place (n, d) on it.
 
     Between two R transitions the chain walks one orbit, the states
     F^s L^n zeta_R of the state zeta_R that the redraw (or the chain
     start) left: the state ladder of the paper's spectral-gap argument and
-    of :mod:`jumphmc.ladder`.  The cache stores every node of that orbit
-    the epoch has reached, keyed by n, and the current position ``(n, d)``
-    on it: orientation d = +1 is the node L^n zeta_R and d = -1 its flip
-    F L^n zeta_R.  Since L(F L^n zeta) = F L^(n-1) zeta, in orientation d
-    the leapfrog image of the node at n is the node at n + d and its
-    inverse the node at n - d.  The walk moves by one node at a time, so
-    the nodes an epoch has reached are one run n = lo..hi around its start.
+    of :mod:`jumphmc.ladder`.  ``orbit[n]`` is the node L^n zeta_R, stored
+    once, in orientation +1.  The current state is the node at n in
+    orientation d, whose momentum is negated when d = -1; ``flips[n]``
+    keeps that flipped node once :meth:`node` has made it.  Since
+    L(F L^n zeta) = F L^(n-1) zeta, in orientation d the leapfrog image of
+    the node at n is the node at n + d and its inverse the node at n - d.
+    A flip keeps H, so the rates read it from ``orbit`` in either
+    orientation.
 
     A node is a plain tuple ``(x, v, grad, potential, h)`` of the
     position, the momentum, the gradient at x, the potential E(x) and the
-    total energy H = E(x) + |v|^2 / 2.  ``current`` is the stored node at
-    n in orientation d; ``forward`` and ``backward``, the nodes at n + d
-    and n - d, are ``None`` until :meth:`fill` sets them.  A node's
-    potential is the one its trajectory returns; only the chain start's
-    comes from ``energy()`` (:func:`init_cache`).  A flip negates v and
-    keeps the gradient, the potential and H bit for bit, so the flipped
-    orientation of a stored node is built, once, from the other one.
-    Nothing writes into a node's arrays, so nodes share them.  Each
-    transition kind has one rule, applied in place, and no rule
-    integrates:
+    total energy H = E(x) + |v|^2 / 2.  Nothing writes into a node's
+    arrays, so nodes share them.  Each transition kind has one rule, and
+    no rule integrates:
 
     - L (:meth:`leap`): n += d;
     - F (:meth:`flip`): d = -d;
     - R (:meth:`redraw`): the momentum is redrawn and a new orbit starts
-      at n = 0, d = +1, holding only the new current node.
+      at n = 0, d = +1, holding only the redrawn node.
 
-    :meth:`fill` is the one place that integrates, and only a neighbor
-    outside the run lo..hi.  So every node is integrated at most once per
+    :meth:`fill` is the one place that integrates, and only a neighbor the
+    orbit does not hold.  So every node is integrated at most once per
     epoch, and a walk that turns back with F retraces the stored nodes
     exactly, also where the leapfrog round trip is not reversible in
     floating point.  Memory is bounded by the nodes of one epoch.
     """
 
-    __slots__ = ("current", "forward", "backward", "n", "d", "_lo", "_hi", "_nodes", "_flips")
+    __slots__ = ("orbit", "flips", "n", "d")
 
-    def __init__(self, current: tuple, forward: Optional[tuple] = None,
-                 backward: Optional[tuple] = None):
-        self.current, self.forward, self.backward = current, forward, backward
-        self.n, self.d, self._lo, self._hi = 0, 1, 0, 0
-        # the nodes of the run lo..hi, in orientation d and in orientation -d, keyed by n
-        self._nodes, self._flips = {0: current}, {}
-        if forward is not None:
-            self._nodes[1], self._hi = forward, 1
-        if backward is not None:
-            self._nodes[-1], self._lo = backward, -1
+    def __init__(self, start: tuple):
+        self.orbit, self.flips, self.n, self.d = {0: start}, {}, 0, 1
 
-    def _at(self, n: int) -> tuple:
-        """The node at n, a node of the run lo..hi, in orientation d."""
-        node = self._nodes.get(n)
+    def node(self, offset: int = 0) -> tuple:
+        """The node at n + offset * d, in orientation d."""
+        k = self.n + offset * self.d
+        if self.d > 0:
+            return self.orbit[k]
+        node = self.flips.get(k)
         if node is None:
-            x, v, grad, potential, h = self._flips[n]
-            node = self._nodes[n] = (x, -v, grad, potential, h)
+            x, v, grad, potential, h = self.orbit[k]
+            node = self.flips[k] = (x, -v, grad, potential, h)
         return node
 
     def leap(self) -> None:
         self.n += self.d
-        self.current, self.forward, self.backward = self.forward, None, self.current
 
     def flip(self) -> None:
         self.d = -self.d
-        self._nodes, self._flips = self._flips, self._nodes
-        self.current, self.forward, self.backward = self._at(self.n), None, None
 
     def redraw(self, rng: np.random.Generator) -> None:
-        x, _, grad, potential, _ = self.current
+        x, _, grad, potential, _ = self.orbit[self.n]
         v = rng.standard_normal(x.size)
-        self.current = node = (x, v, grad, potential, potential + kinetic_energy(v))
-        self.forward = self.backward = None
-        self.n, self.d, self._lo, self._hi = 0, 1, 0, 0
-        self._nodes.clear()
-        self._flips.clear()
-        self._nodes[0] = node
+        self.orbit.clear()
+        self.flips.clear()
+        self.orbit[0] = (x, v, grad, potential, potential + kinetic_energy(v))
+        self.n, self.d = 0, 1
 
     def fill(self, ef: EnergyFunction, epsilon: float, steps: int, backward: bool = False) -> None:
-        """Set the forward node, then the backward node if asked, integrating one outside lo..hi.
+        """Integrate the node at n + d, then at n - d if asked, unless the orbit holds it.
 
         The jump sampler needs both neighbors, the HMC control only the
-        forward one, its proposal.  Each node's H is its trajectory's
-        endpoint potential plus |v|^2 / 2.  The backward trajectory starts
-        from the flipped current node, so it yields the node at n - d in
-        orientation -d, and both orientations are stored.  A trajectory
-        that raises stores nothing.
+        forward one, its proposal.
         """
         n, d = self.n, self.d
-        x, v, grad, _, _ = self.current
-        # the run, not a probe of both dicts, tells a new node: the control's
-        # proposals are almost all new, and two misses cost it about 1% per row
-        if self.forward is None:
-            k = n + d
-            if self._lo <= k <= self._hi:
-                self.forward = self._at(k)
-            else:
-                self.forward = self._nodes[k] = _node(*ef.trajectory(x, v, grad, epsilon, steps))
-                if k > self._hi:
-                    self._hi = k
-                else:
-                    self._lo = k
-        if backward and self.backward is None:
-            k = n - d
-            if self._lo <= k <= self._hi:
-                self.backward = self._at(k)
-            else:
-                xb, vb, gb, potential = ef.trajectory(x, -v, grad, epsilon, steps)
-                node = self.backward = self._nodes[k] = _node(xb, -vb, gb, potential)
-                self._flips[k] = (xb, vb, gb, potential, node[4])
-                if k > self._hi:
-                    self._hi = k
-                else:
-                    self._lo = k
+        if n + d not in self.orbit:
+            self._integrate(ef, epsilon, steps, d)
+        if backward and n - d not in self.orbit:
+            self._integrate(ef, epsilon, steps, -d)
+
+    def _integrate(self, ef: EnergyFunction, epsilon: float, steps: int, e: int) -> None:
+        """Store the node at n + e: the trajectory from the current node in orientation e.
+
+        It is stored in orientation +1, with H its endpoint potential plus
+        |v|^2 / 2.  A trajectory that raises stores nothing.
+        """
+        x, v, grad, _, _ = self.node()
+        xe, ve, ge, potential = ef.trajectory(x, v if e == self.d else -v, grad, epsilon, steps)
+        self.orbit[self.n + e] = _node(xe, ve if e > 0 else -ve, ge, potential, self.d)
 
 
 def init_cache(x: np.ndarray, v: np.ndarray, ef: EnergyFunction) -> StateCache:
-    """The cache at a chain start (x, v): the current node, with both neighbors missing.
+    """The cache at a chain start (x, v): an orbit of the one node n = 0.
 
     Its potential is the chain's one ``energy()`` call.  Raises
     IntegrationError, carrying the start, where its total energy is not finite.
@@ -248,9 +218,10 @@ def _log_rates(cache: StateCache) -> tuple[float, float]:
     -dH_fwd/2 and, with a = -dH_bwd/2, log gamma_F = a + log(1 - exp(log
     gamma_L - a)) when a > log gamma_L, else gamma_F = 0.
     """
-    h = cache.current[4]
-    log_gamma_L = -0.5 * (cache.forward[4] - h)
-    a = -0.5 * (cache.backward[4] - h)
+    orbit, n, d = cache.orbit, cache.n, cache.d
+    h = orbit[n][4]
+    log_gamma_L = -0.5 * (orbit[n + d][4] - h)
+    a = -0.5 * (orbit[n - d][4] - h)
     # -expm1 stays positive for a difference too small for 1 - exp to resolve
     log_gamma_F = a + math.log(-math.expm1(log_gamma_L - a)) if a > log_gamma_L else -math.inf
     return log_gamma_L, log_gamma_F
@@ -295,12 +266,12 @@ def step(
     Returns the winning kind, "L", "F" or "R", and the holding time of the
     state left.  The race compares log waiting times, so it is exact even
     where a rate overflows.  Ties (a measure-zero event) resolve with the
-    fixed priority L > F > R.  The cache must hold both neighbors; it is
-    updated in place by the rule of the winning kind (see
-    :class:`StateCache`) and filled again.  So an L transition costs one
-    leapfrog integration when its new forward neighbor is a node the epoch
-    has not reached, and none otherwise; an F transition costs none, and an
-    R transition two.
+    fixed priority L > F > R.  The cache's orbit must hold both neighbors
+    of the current node; the cache is updated in place by the rule of the
+    winning kind (see :class:`StateCache`) and filled again.  So an L
+    transition costs one leapfrog integration when its new forward
+    neighbor is a node the orbit does not hold, and none otherwise; an F
+    transition costs none, and an R transition two.
     """
     wait_L, wait_F, wait_R = _log_waiting_times(*_log_rates(cache), config.beta, rng)
     kind, shortest = ("F", wait_F) if wait_F < wait_L else ("L", wait_L)
@@ -404,7 +375,7 @@ def sample_chain(
         cache = init_cache(x0, v0, counter)
         cache.fill(counter, config.epsilon, config.steps, backward=True)
         while True:
-            x, v, _, _, _ = cache.current
+            x, v, _, _, _ = cache.node()
             kind, holding_time = step(cache, config, counter, rng)
             yield x, v, holding_time, kind
 
@@ -417,13 +388,12 @@ def hmc_chain(
     """Run ``config.n_samples`` steps of the discrete-time HMC control from (x0, v0).
 
     Row i is the state after step i, with holding time 1 and transition L
-    (accepted) or F (rejected).  A step fills only the cache's forward node,
+    (accepted) or F (rejected).  A step fills only the forward neighbor,
     its proposal, so it costs the gradient evaluations of at most one
-    leapfrog application, and none when the proposal is a node of the
-    orbit that the walk has reached since the last redraw.  After a
-    rejection it usually is: the walk turns back along stored nodes, so
-    after an accepted step the proposal L(F L zeta) = F zeta is the stored
-    earlier state flipped.
+    leapfrog application, and none when the cache's orbit already holds
+    the proposal.  After a rejection it usually does: the walk turns back
+    along stored nodes, so after an accepted step the proposal
+    L(F L zeta) = F zeta is the stored earlier state flipped.
     """
 
     def rows(counter, rng):
@@ -431,7 +401,7 @@ def hmc_chain(
         epsilon, steps, beta = config.epsilon, config.steps, config.beta
         while True:
             cache.fill(counter, epsilon, steps)
-            d_h = cache.forward[4] - cache.current[4]
+            d_h = cache.orbit[cache.n + cache.d][4] - cache.orbit[cache.n][4]
             # one call draws the accept and the redraw uniform: the values of two random() calls
             u, u_redraw = rng.random(2).tolist()
             # math.exp may differ from np.exp by 1 ulp, which moves an accept only
@@ -444,7 +414,7 @@ def hmc_chain(
                 kind = "F"
             if u_redraw < beta:
                 cache.redraw(rng)
-            x, v, _, _, _ = cache.current
+            x, v, _, _, _ = cache.node()
             yield x, v, 1.0, kind
 
     return record_chain(config, rows, ef, x0.size, blocks)

@@ -20,8 +20,10 @@ side of the start, the flipped forward integration of the flipped
 neighbor.  The reference integrates exactly that, once per node, so the
 chain under test must equal it bit for bit: states, holding times, kinds,
 gradient counts and energy counts, not merely close.  The control is
-compared up to its first cache hit (see
-``test_control_chain_matches_object_loop``).
+compared with the former loop up to its first cache hit (see
+``test_control_chain_matches_object_loop``), and bit for bit over the whole
+chain with the same control walked on an :class:`Orbit`
+(``reference_orbit_hmc_chain``).
 
 Since a target's ``trajectory`` returns the endpoint potential with the
 endpoint, the ``leapfrog_with_grad`` adapter passes that potential on,
@@ -361,6 +363,36 @@ def reference_hmc_chain(config: SamplerConfig, ef: EnergyFunction, init: Phase) 
     return _control_chain(positions, momenta, gradient_evals, accepts, counter.energy_calls)
 
 
+def reference_orbit_hmc_chain(config: SamplerConfig, ef: EnergyFunction, init: Phase) -> Chain:
+    """The control walked on an :class:`Orbit`: a step proposes the node at n + d,
+    an accept moves to it (n += d), a reject flips (d = -d), and a redraw starts a
+    new orbit at the state the step left."""
+    counter = CountingEnergy(ef)
+    rng = np.random.default_rng(config.seed)
+    params = (config.epsilon, config.steps)
+    orbit = Orbit(_make_node(init, counter.gradient(init.x), counter.energy(init.x)))
+    n = config.n_samples
+    positions, momenta = np.empty((n, init.dim)), np.empty((n, init.dim))
+    gradient_evals, accepts = np.empty(n, dtype=np.int64), np.empty(n, dtype=bool)
+    for i in range(n):
+        d_h = orbit.node(1, params, counter).h - orbit.node(0, params, counter).h
+        u = rng.random()
+        accepted = d_h <= 0 or u < np.exp(-d_h)
+        if accepted:
+            orbit.n += orbit.d
+        else:
+            orbit.d = -orbit.d
+        cur = orbit.node(0, params, counter)
+        if rng.random() < config.beta:
+            nxt = randomize_momentum(cur.state, rng)
+            cur = _Node(nxt, cur.potential, cur.potential + kinetic_energy(nxt.v), cur.grad)
+            orbit = Orbit(cur)
+        positions[i], momenta[i] = cur.state
+        gradient_evals[i] = counter.gradient_calls
+        accepts[i] = accepted
+    return _control_chain(positions, momenta, gradient_evals, accepts, counter.energy_calls)
+
+
 # ---------------------------------------------------------------------------
 # the comparisons
 
@@ -449,6 +481,24 @@ def test_control_chain_matches_object_loop(config, ef, init):
     new_point = np.concatenate([new.positions[first], new.momenta[first]])
     ref_point = np.concatenate([ref.positions[first], ref.momenta[first]])
     assert np.linalg.norm(new_point - ref_point) <= 1e-9 * np.linalg.norm(ref_point)
+
+
+@pytest.mark.parametrize(
+    "config, ef, init",
+    [
+        (SamplerConfig("hmc", 0.591686, 25, 0.429956, 3000, seed=0), RoughWell(), rough_start()),
+        # past the rough well's stability limit, where L(F L zeta) is far from F zeta
+        (SamplerConfig("hmc", 3.0, 25, 0.429956, 3000, seed=0), RoughWell(), rough_start()),
+        (SamplerConfig("hmc", 0.1, 20, 0.1, 1500, seed=4), BENCH_GAUSSIAN,
+         Phase(np.zeros(50), np.random.default_rng(5).standard_normal(50))),
+    ],
+    ids=["rough-published", "rough-unstable", "gaussian-50d"],
+)
+def test_control_chain_walks_the_orbit(config, ef, init):
+    # every row, also after the cache hits where the former loop re-integrates
+    new = run_chain(config, ef, *init)
+    assert_same_chain(new, reference_orbit_hmc_chain(config, ef, init))
+    assert np.any(np.diff(new.gradient_evals) == 0)  # some proposals came from the cache
 
 
 class WalledGaussian(EnergyFunction):

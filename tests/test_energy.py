@@ -134,7 +134,7 @@ def test_rough_well_params_validation():
 
 def joint_energy(x, v, ef):
     """H(x, v) = E(x) + |v|^2 / 2 as the samplers form it: the total energy of a start node."""
-    return init_cache(x, v, ef).current[4]
+    return init_cache(x, v, ef).node()[4]
 
 
 def test_joint_energy_rough_well_origin():

@@ -28,14 +28,21 @@ import jumphmc.jump as jump_module
 LN2 = np.log(2.0)
 
 
+def cache_on(orbit):
+    """A cache at n = 0, d = +1 on a copy of ``orbit``, its nodes keyed by n in orientation +1."""
+    cache = StateCache(orbit[0])
+    cache.orbit.update(orbit)
+    return cache
+
+
 def pinned_cache(h_cur, h_fwd, h_bwd):
     """A synthetic cache with prescribed total energies."""
     g, v = np.zeros(1), np.zeros(1)
-    return StateCache(
-        current=(np.array([0.0]), v, g, h_cur, h_cur),
-        forward=(np.array([1.0]), v, g, h_fwd, h_fwd),
-        backward=(np.array([-1.0]), v, g, h_bwd, h_bwd),
-    )
+    return cache_on({
+        0: (np.array([0.0]), v, g, h_cur, h_cur),
+        1: (np.array([1.0]), v, g, h_fwd, h_fwd),
+        -1: (np.array([-1.0]), v, g, h_bwd, h_bwd),
+    })
 
 
 def filled_cache(state, config, ef):
@@ -132,9 +139,9 @@ class TestStep:
         rng = np.random.default_rng(5)
         n = 100_000
         counts = {"L": 0, "F": 0, "R": 0}
-        nodes = (cache.current, cache.forward, cache.backward)
+        orbit = dict(cache.orbit)
         for _ in range(n):
-            kind, _ = step(StateCache(*nodes), config, ef, rng)  # step updates its cache
+            kind, _ = step(cache_on(orbit), config, ef, rng)  # step updates its cache
             counts[kind] += 1
         freqs = np.array([counts["L"], counts["F"], counts["R"]]) / n
         sigma = np.sqrt(probs * (1 - probs) / n)
@@ -154,19 +161,21 @@ class TestStep:
             kind, _holding_time(min(waits)))
 
     def test_cache_reuse_after_l_transition(self):
-        # the backward energy of the new state is the old state's, bit for bit
+        # the backward node of the new state is the old state's stored node,
+        # and the new state the stored forward node: the same objects
         ef = GAUSS_2D
         config = SamplerConfig("mjhmc", epsilon=0.6, steps=2, beta=0.2, n_samples=1, seed=9)
         rng = np.random.default_rng(9)
         state = (np.array([0.5, -0.2]), np.array([1.0, 0.3]))
         cache = filled_cache(state, config, ef)
         for _ in range(200):
-            current, forward = cache.current, cache.forward
+            current, forward = cache.orbit[cache.n], cache.orbit[cache.n + cache.d]
             kind, _ = step(cache, config, ef, rng)
             if kind == "L":
-                assert cache.backward[4] == current[4]
-                assert cache.backward is current
-                assert cache.current[4] == forward[4]
+                assert cache.node(-1)[4] == current[4]
+                assert cache.orbit[cache.n - cache.d] is current
+                assert cache.orbit[cache.n] is forward
+                assert cache.node()[4] == forward[4]
 
 
 class TestSampleChain:
@@ -252,7 +261,7 @@ class TestSampleChain:
         rng = np.random.default_rng(config.seed)
         cache = filled_cache(init, config, ef)
         for i in range(len(chain)):
-            x, v, _, _, _ = cache.current
+            x, v, _, _, _ = cache.node()
             kind, holding_time = step(cache, config, ef, rng)
             np.testing.assert_array_equal(chain.positions[i], x)
             np.testing.assert_array_equal(chain.momenta[i], v)
@@ -471,7 +480,7 @@ class TestCacheRules:
             cache.fill(ef, 3.0, 55)
         np.testing.assert_array_equal(err.value.x, x)
         np.testing.assert_array_equal(err.value.v, v)
-        assert cache.forward is None  # the cache is left as it was
+        assert list(cache.orbit) == [0]  # the cache is left as it was
         assert (ef.gradient_calls, ef.energy_calls) == (1 + 55, 2)
 
     def test_flip_swap_matches_recomputation(self):
@@ -481,10 +490,10 @@ class TestCacheRules:
         config = SamplerConfig("mjhmc", epsilon=1.0, steps=3, beta=0.5, n_samples=1, seed=0)
         x0, v0 = PINNED_ROUGH
         fresh = filled_cache(PINNED_ROUGH, config, ef)
-        nodes = (fresh.current, fresh.forward, fresh.backward)
+        orbit = dict(fresh.orbit)
         for seed in range(100):
             calls = (ef.gradient_calls, ef.energy_calls)
-            cache = StateCache(*nodes)
+            cache = cache_on(orbit)
             kind, _ = step(cache, config, ef, np.random.default_rng(seed))
             if kind == "F":
                 break
@@ -496,13 +505,13 @@ class TestCacheRules:
         fwd = ef.inner.trajectory(x0, -v0, g0, config.epsilon, config.steps)[:3]
         xb, vb, gb, _ = ef.inner.trajectory(x0, v0, g0, config.epsilon, config.steps)
         bwd = (xb, -vb, gb)  # L^-1 F = F L
-        for (x, v, g, _, h), (ref_x, ref_v, ref_g) in ((cache.forward, fwd), (cache.backward, bwd)):
+        for (x, v, g, _, h), (ref_x, ref_v, ref_g) in ((cache.node(1), fwd), (cache.node(-1), bwd)):
             np.testing.assert_array_equal(x, ref_x)
             np.testing.assert_array_equal(v, ref_v)
             np.testing.assert_array_equal(g, ref_g)
             assert h == ef.inner.energy(ref_x) + kinetic_energy(ref_v)
-        np.testing.assert_array_equal(cache.current[1], -v0)
-        assert cache.current[4] == nodes[0][4]
+        np.testing.assert_array_equal(cache.node()[1], -v0)
+        assert cache.node()[4] == orbit[0][4]
 
     def test_flip_after_leapfrog_retraces_exactly(self):
         # L, F, L returns to the flipped start: the F rule hands the stored
@@ -547,21 +556,18 @@ class TestCacheRules:
         config = SamplerConfig("mjhmc", epsilon=3.0, steps=25, beta=0.5, n_samples=1, seed=0)
         cache = filled_cache((np.zeros(2), np.ones(2)), config, ef)
 
-        def stored():  # the orbit nodes held, each counted once in either orientation
-            return len(cache._nodes.keys() | cache._flips.keys())
-
         for _ in range(4):
             cache.leap()
             cache.fill(ef, config.epsilon, config.steps, backward=True)
         cache.flip()
-        assert stored() == 7  # n = -1..5
-        x = cache.current[0]
+        assert len(cache.orbit) == 7  # n = -1..5
+        x = cache.node()[0]
+        assert list(cache.flips) == [4]  # the current node, read in orientation -1
         cache.redraw(np.random.default_rng(0))
-        assert stored() == 1
-        assert cache.forward is None and cache.backward is None
-        assert cache.current[0] is x
+        assert len(cache.orbit) == 1 and not cache.flips
+        assert cache.node()[0] is x
         cache.fill(ef, config.epsilon, config.steps, backward=True)
-        assert stored() == 3
+        assert len(cache.orbit) == 3
 
     def test_flip_heavy_weighted_moments(self):
         # epsilon * sqrt(3.8) = 1.95, just inside the stability limit of 2:

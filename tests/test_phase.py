@@ -43,7 +43,7 @@ def filled_cache(state, epsilon, steps, ef):
 
 def backward(state, epsilon, steps, ef):
     """L^-1 of ``state``: the backward node of a filled sampler cache."""
-    x, v, _, _, _ = filled_cache(state, epsilon, steps, ef).backward
+    x, v, _, _, _ = filled_cache(state, epsilon, steps, ef).node(-1)
     return x, v
 
 
@@ -226,7 +226,7 @@ class FreeParticle(EnergyFunction):
 def redrawn_momentum(cache, rng):
     """The momentum R draws: the R rule of the sampler cache, applied in place."""
     cache.redraw(rng)
-    return cache.current[1]
+    return cache.node()[1]
 
 
 def free_cache(state):
@@ -238,7 +238,7 @@ def test_randomize_momentum_keeps_position():
     x, v0 = np.array([1.0, 2.0]), np.array([3.0, -4.0])
     cache = free_cache((x, v0))
     v = redrawn_momentum(cache, rng)
-    np.testing.assert_array_equal(cache.current[0], x)
+    np.testing.assert_array_equal(cache.node()[0], x)
     assert not np.array_equal(v, v0)
 
 
@@ -262,15 +262,15 @@ def test_flip_is_involution():
     # two flips hand back the stored neighbors, and filling them integrates nothing
     ef = CountingEnergy(FreeParticle(2))
     cache = filled_cache((np.array([1.0, 2.0]), np.array([3.0, -4.0])), 0.1, 1, ef)
-    nodes = (cache.current, cache.forward, cache.backward)
+    nodes = (cache.node(0), cache.node(1), cache.node(-1))
     calls = ef.gradient_calls
     cache.flip()
-    np.testing.assert_array_equal(cache.current[0], [1.0, 2.0])
-    np.testing.assert_array_equal(cache.current[1], [-3.0, 4.0])
+    np.testing.assert_array_equal(cache.node()[0], [1.0, 2.0])
+    np.testing.assert_array_equal(cache.node()[1], [-3.0, 4.0])
     cache.flip()
     cache.fill(ef, 0.1, 1, backward=True)
     assert ef.gradient_calls == calls
-    for node, before in zip((cache.current, cache.forward, cache.backward), nodes):
+    for node, before in zip((cache.node(0), cache.node(1), cache.node(-1)), nodes):
         for a, b in zip(node, before):
             np.testing.assert_array_equal(a, b)
 
